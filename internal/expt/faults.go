@@ -46,6 +46,17 @@ func (s *Suite) WIFailureStudy(appName string, failures []int) ([]WIFailureRow, 
 		return nil, err
 	}
 
+	// The wireline fabric is built once; each failure point overlays the
+	// placement on a fresh copy, since DisableWI mutates its topology. The
+	// fabric splits inter-cluster links evenly (nil InterTraffic), unlike
+	// the pipeline's traffic-apportioned one — a known gap, see
+	// EXPERIMENTS.md.
+	swCfg := opts.SmallWorld
+	swCfg.InterTraffic = nil
+	wire, err := topo.SmallWorld(cfg.Chip, swCfg)
+	if err != nil {
+		return nil, err
+	}
 	var rows []WIFailureRow
 	var healthy *sim.RunResult
 	sorted := append([]int(nil), failures...)
@@ -54,8 +65,7 @@ func (s *Suite) WIFailureStudy(appName string, failures []int) ([]WIFailureRow, 
 		if k < 0 || k > len(res.Topology.WIs) {
 			return nil, fmt.Errorf("expt: cannot fail %d of %d WIs", k, len(res.Topology.WIs))
 		}
-		// fresh topology per point (DisableWI mutates)
-		tp, err := place.BuildTopology(cfg.Chip, nil, res.WIPlacement, opts.SmallWorld)
+		tp, err := topo.WithWireless(wire, res.WIPlacement)
 		if err != nil {
 			return nil, err
 		}

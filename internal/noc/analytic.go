@@ -69,10 +69,9 @@ func Analytic(rt *RouteTable, traffic [][]float64, nm energy.NetworkModel, cfg A
 		}
 	}
 
-	// Pass 1: accumulate load per directed wireline link and per wireless
-	// channel.
-	type linkKey struct{ from, ai int }
-	linkLoad := map[linkKey]float64{}
+	// Pass 1: accumulate load per directed wireline link (indexed
+	// [from][adjacency index]) and per wireless channel.
+	linkLoad := newLinkLoads(rt.topo)
 	channelLoad := make([]float64, topo.NumChannels)
 	for s := 0; s < n; s++ {
 		for d := 0; d < n; d++ {
@@ -86,7 +85,7 @@ func Analytic(rt *RouteTable, traffic [][]float64, nm energy.NetworkModel, cfg A
 				if l.Type == topo.Wireless {
 					channelLoad[l.Channel] += f
 				} else {
-					linkLoad[linkKey{cur, ai}] += f
+					linkLoad[cur][ai] += f
 				}
 				cur = l.To
 			}
@@ -126,7 +125,7 @@ func Analytic(rt *RouteTable, traffic [][]float64, nm energy.NetworkModel, cfg A
 					pj += nm.WirelessHopPJ()
 					wirelessFlitHops += f
 				} else {
-					load := linkLoad[linkKey{cur, ai}]
+					load := linkLoad[cur][ai]
 					if load > maxUtil {
 						maxUtil = load
 					}

@@ -319,13 +319,16 @@ func upDirections(t *topo.Topology) [][]bool {
 	return up
 }
 
-// dijkstra computes constrained shortest paths from src. With up == nil the
-// search is unconstrained; otherwise the up*/down* rule applies: state 0
-// may take up or down links (down transitions to state 1), state 1 may only
-// take down links. States are encoded as node + phase*n. costFn, when
-// non-nil, overrides the static link cost (congestion-aware refinement).
-func (rt *RouteTable) dijkstra(src int, up [][]bool, costFn func(u, ai int) float64, scr *dijkstraScratch) [][]int {
-	t := rt.topo
+// search runs the constrained shortest-path search from src, leaving the
+// final dist/prevState/prevLink arrays in scr and returning the number of
+// search states. With up == nil the search is unconstrained; otherwise the
+// up*/down* rule applies: state 0 may take up or down links (down
+// transitions to state 1), state 1 may only take down links. States are
+// encoded as node + phase*n. costFn, when non-nil, overrides the static link
+// cost (congestion-aware refinement). It is the one relax loop behind both
+// dijkstra (which extracts paths) and RoutedAvgHops (which only counts
+// hops), so the two cannot disagree on a tie.
+func search(t *topo.Topology, costs LinkCosts, src int, up [][]bool, costFn func(u, ai int) float64, scr *dijkstraScratch) int {
 	n := t.NumSwitches()
 	numStates := n
 	if up != nil {
@@ -371,7 +374,7 @@ func (rt *RouteTable) dijkstra(src int, up [][]bool, costFn func(u, ai int) floa
 				}
 			}
 			ns := l.To + nextPhase*n
-			lc := rt.costs.linkCost(l)
+			lc := costs.linkCost(l)
 			if costFn != nil {
 				lc = costFn(node, ai)
 			}
@@ -386,22 +389,41 @@ func (rt *RouteTable) dijkstra(src int, up [][]bool, costFn func(u, ai int) floa
 			}
 		}
 	}
+	scr.heap = q[:0]
+	return numStates
+}
+
+// terminal returns the search state that ends the route to dst after a
+// search: the cheaper of the two up*/down* phases, phase 0 on a tie. It
+// returns -1 when dst is unreachable.
+func (scr *dijkstraScratch) terminal(dst, n, numStates int) int {
+	best := dst
+	if numStates > n && scr.dist[dst+n] < scr.dist[best] {
+		best = dst + n
+	}
+	if math.IsInf(scr.dist[best], 1) {
+		return -1
+	}
+	return best
+}
+
+// dijkstra computes the routes from src (see search), as adjacency-index
+// paths.
+func (rt *RouteTable) dijkstra(src int, up [][]bool, costFn func(u, ai int) float64, scr *dijkstraScratch) [][]int {
+	n := rt.topo.NumSwitches()
+	numStates := search(rt.topo, rt.costs, src, up, costFn, scr)
 	paths := make([][]int, n)
 	for dst := 0; dst < n; dst++ {
 		if dst == src {
 			continue
 		}
-		// choose the best terminal state for dst
-		best := dst
-		if up != nil && dist[dst+n] < dist[best] {
-			best = dst + n
-		}
-		if math.IsInf(dist[best], 1) {
+		best := scr.terminal(dst, n, numStates)
+		if best < 0 {
 			continue // caller reports the error
 		}
 		rev := scr.rev[:0]
-		for s := best; s != src; s = prevState[s] {
-			rev = append(rev, prevLink[s])
+		for s := best; s != src; s = scr.prevState[s] {
+			rev = append(rev, scr.prevLink[s])
 		}
 		scr.rev = rev
 		path := make([]int, len(rev))
@@ -410,8 +432,62 @@ func (rt *RouteTable) dijkstra(src int, up [][]bool, costFn func(u, ai int) floa
 		}
 		paths[dst] = path
 	}
-	scr.heap = q[:0]
 	return paths
+}
+
+// RoutedAvgHops returns BuildRoutes(t, costs, mode).AvgHops(traffic)
+// without materializing the route table: each source's search tree is
+// walked back from every destination to count hops, so no path slices are
+// built. It is the scoring kernel of WI-placement annealing, which reads
+// only the weighted hop count of each proposal. The topology is validated
+// and every pair must be routable, exactly as BuildRoutes requires; the
+// result is bit-identical because the search, the tie-break and the
+// accumulation order are the same.
+func RoutedAvgHops(t *topo.Topology, costs LinkCosts, mode RoutingMode, traffic [][]float64) (float64, error) {
+	var up [][]bool
+	switch mode {
+	case Shortest:
+	case UpDown:
+		up = upDirections(t)
+	default:
+		rt, err := BuildRoutes(t, costs, mode)
+		if err != nil {
+			return 0, err
+		}
+		return rt.AvgHops(traffic), nil
+	}
+	if err := t.Validate(); err != nil {
+		return 0, fmt.Errorf("noc: invalid topology: %w", err)
+	}
+	n := t.NumSwitches()
+	var scr dijkstraScratch
+	var num, den float64
+	for src := 0; src < n; src++ {
+		numStates := search(t, costs, src, up, nil, &scr)
+		for dst := 0; dst < n; dst++ {
+			if dst == src {
+				continue
+			}
+			best := scr.terminal(dst, n, numStates)
+			if best < 0 {
+				return 0, fmt.Errorf("noc: no %v route %d -> %d", mode, src, dst)
+			}
+			hops := 0
+			for s := best; s != src; s = scr.prevState[s] {
+				hops++
+			}
+			w := 1.0
+			if traffic != nil {
+				w = traffic[src][dst]
+			}
+			num += w * float64(hops)
+			den += w
+		}
+	}
+	if den == 0 {
+		return 0, nil
+	}
+	return num / den, nil
 }
 
 // RefineRoutes rebuilds the route table with congestion-aware link costs:
@@ -435,10 +511,7 @@ func RefineRoutes(rt *RouteTable, traffic [][]float64, iterations int, maxUtil f
 	cur := rt
 	for it := 0; it < iterations; it++ {
 		// measure loads on the current routes
-		linkLoad := make([][]float64, n)
-		for u := range linkLoad {
-			linkLoad[u] = make([]float64, len(t.Adj[u]))
-		}
+		linkLoad := newLinkLoads(t)
 		channelLoad := make([]float64, topo.NumChannels)
 		for s := 0; s < n; s++ {
 			for d := 0; d < n; d++ {
@@ -476,6 +549,21 @@ func RefineRoutes(rt *RouteTable, traffic [][]float64, iterations int, maxUtil f
 		cur = next
 	}
 	return cur, nil
+}
+
+// newLinkLoads returns zeroed per-link accumulators indexed
+// [from][adjacency index], all rows carved from one backing array.
+func newLinkLoads(t *topo.Topology) [][]float64 {
+	total := 0
+	for _, links := range t.Adj {
+		total += len(links)
+	}
+	buf := make([]float64, total)
+	loads := make([][]float64, len(t.Adj))
+	for u, links := range t.Adj {
+		loads[u], buf = buf[:len(links):len(links)], buf[len(links):]
+	}
+	return loads
 }
 
 // PathAdjIndices returns the route from src to dst as adjacency indices

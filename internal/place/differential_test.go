@@ -1,0 +1,200 @@
+package place
+
+import (
+	"fmt"
+	"math"
+	"math/rand"
+	"reflect"
+	"testing"
+
+	"wivfi/internal/platform"
+	"wivfi/internal/topo"
+)
+
+// diffResults reports the first way got differs from the reference result
+// want: mapping, WI placement, the bits of the weighted hop count, switch
+// traffic, the fabric's adjacency and every route. It returns "" when they
+// are identical.
+func diffResults(got, want Result) string {
+	switch {
+	case !reflect.DeepEqual(got.Mapping, want.Mapping):
+		return "mapping differs"
+	case !reflect.DeepEqual(got.WIPlacement, want.WIPlacement):
+		return fmt.Sprintf("WI placement %v, reference %v", got.WIPlacement, want.WIPlacement)
+	case math.Float64bits(got.AvgWeightedHops) != math.Float64bits(want.AvgWeightedHops):
+		return fmt.Sprintf("AvgWeightedHops %v, reference %v", got.AvgWeightedHops, want.AvgWeightedHops)
+	case !reflect.DeepEqual(got.SwitchTraffic, want.SwitchTraffic):
+		return "switch traffic differs"
+	case !reflect.DeepEqual(got.Topology, want.Topology):
+		return "topology (adjacency, WIs or channels) differs"
+	case got.Routes.Mode() != want.Routes.Mode() || got.Routes.Costs() != want.Routes.Costs():
+		return "route table mode or costs differ"
+	}
+	n := want.Topology.NumSwitches()
+	for s := 0; s < n; s++ {
+		for d := 0; d < n; d++ {
+			if !reflect.DeepEqual(got.Routes.PathAdjIndices(s, d), want.Routes.PathAdjIndices(s, d)) {
+				return fmt.Sprintf("route %d -> %d differs", s, d)
+			}
+		}
+	}
+	return ""
+}
+
+// diffDims are the even grid shapes the randomized cases draw from.
+var diffDims = [][2]int{{4, 4}, {4, 6}, {6, 4}, {6, 6}, {4, 8}, {8, 4}, {6, 8}, {8, 6}, {8, 8}}
+
+// randomAssign returns a random thread -> island assignment over n
+// threads with 2-5 islands of at least minSize threads each.
+func randomAssign(rng *rand.Rand, n, minSize int) []int {
+	m := 2 + rng.Intn(4)
+	if m*minSize > n {
+		m = n / minSize
+	}
+	sizes := make([]int, m)
+	for j := range sizes {
+		sizes[j] = minSize
+	}
+	for k := m * minSize; k < n; k++ {
+		sizes[rng.Intn(m)]++
+	}
+	assign := make([]int, 0, n)
+	for j, s := range sizes {
+		for k := 0; k < s; k++ {
+			assign = append(assign, j)
+		}
+	}
+	rng.Shuffle(n, func(a, b int) { assign[a], assign[b] = assign[b], assign[a] })
+	return assign
+}
+
+// randomExactTraffic draws thread traffic from a few exact values, most of
+// them zero, so swap deltas and hop-count ties are frequent.
+func randomExactTraffic(rng *rand.Rand, n int) [][]float64 {
+	levels := []float64{0, 0, 0, 0, 0.5, 1, 2}
+	m := make([][]float64, n)
+	for i := range m {
+		m[i] = make([]float64, n)
+		for j := range m[i] {
+			if i != j {
+				m[i][j] = levels[rng.Intn(len(levels))]
+			}
+		}
+	}
+	return m
+}
+
+// TestMinHopCountMatchesReferenceRandom: fabric-once, path-free WI
+// annealing and table-driven mapping must reproduce the rebuild-per-
+// proposal reference exactly, over random chips, island assignments,
+// fabric seeds and traffic (the paper's apps: paper_test.go).
+func TestMinHopCountMatchesReferenceRandom(t *testing.T) {
+	rng := rand.New(rand.NewSource(11))
+	compared := 0
+	for c := 0; c < 40; c++ {
+		d := diffDims[rng.Intn(len(diffDims))]
+		chip := platform.Chip{Rows: d[0], Cols: d[1], TileMM: 2.5}
+		n := chip.NumCores()
+		assign := quadrantAssign(chip)
+		if c%2 == 1 {
+			assign = randomAssign(rng, n, 4)
+		}
+		traffic := randomExactTraffic(rng, n)
+		opts := DefaultOptions()
+		opts.Seed = rng.Int63n(1000)
+		opts.SmallWorld.Seed = rng.Int63()
+		opts.MappingSweeps = 20
+		opts.WISweeps = 40
+		label := fmt.Sprintf("case %d (%dx%d, %d islands)", c, chip.Rows, chip.Cols, islands(assign))
+		want, wantErr := refMinHopCount(chip, assign, traffic, opts)
+		got, gotErr := MinHopCount(chip, assign, traffic, opts)
+		if (wantErr == nil) != (gotErr == nil) || (wantErr != nil && wantErr.Error() != gotErr.Error()) {
+			t.Fatalf("%s: error %v, reference error %v", label, gotErr, wantErr)
+		}
+		if wantErr != nil {
+			continue
+		}
+		if diff := diffResults(got, want); diff != "" {
+			t.Fatalf("%s: %s", label, diff)
+		}
+		compared++
+	}
+	if compared < 30 {
+		t.Fatalf("only %d of 40 random cases were feasible", compared)
+	}
+	// An island of two tiles cannot host its WIs: both must fail alike.
+	chip := platform.Chip{Rows: 4, Cols: 4, TileMM: 2.5}
+	assign := make([]int, chip.NumCores())
+	assign[0], assign[5] = 1, 1
+	traffic := randomExactTraffic(rng, chip.NumCores())
+	_, wantErr := refMinHopCount(chip, assign, traffic, DefaultOptions())
+	_, gotErr := MinHopCount(chip, assign, traffic, DefaultOptions())
+	if wantErr == nil || gotErr == nil || gotErr.Error() != wantErr.Error() {
+		t.Fatalf("two-tile island: error %v, reference error %v", gotErr, wantErr)
+	}
+}
+
+func islands(assign []int) int {
+	m := 0
+	for _, c := range assign {
+		m = max(m, c+1)
+	}
+	return m
+}
+
+// TestAnnealPinnedMatchesReference covers the max-wireless strategy's
+// pinned annealer, the other user of the Manhattan table.
+func TestAnnealPinnedMatchesReference(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	for c := 0; c < 30; c++ {
+		d := diffDims[rng.Intn(len(diffDims))]
+		chip := platform.Chip{Rows: d[0], Cols: d[1], TileMM: 2.5}
+		n := chip.NumCores()
+		assign := randomAssign(rng, n, 4)
+		quads, err := topo.PartitionForAssign(chip, assign)
+		if err != nil {
+			t.Fatal(err)
+		}
+		traffic := randomExactTraffic(rng, n)
+		pinned := make([]bool, n)
+		for i := range pinned {
+			pinned[i] = rng.Intn(5) == 0
+		}
+		got := initialClusterMapping(assign, quads, n)
+		want := initialClusterMapping(assign, quads, n)
+		seed := rng.Int63n(1000)
+		annealPinned(chip, assign, traffic, &got, pinned, seed, 30)
+		refAnnealPinned(chip, assign, traffic, &want, pinned, seed, 30)
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("case %d (%dx%d): pinned annealing diverged from the reference", c, chip.Rows, chip.Cols)
+		}
+	}
+}
+
+// TestScorePlacementAllocsLinear: scoring one WI proposal copies the
+// fabric and runs the path-free search, O(n) allocations on an n-switch
+// chip; building the route table instead allocates a path per routed pair.
+func TestScorePlacementAllocsLinear(t *testing.T) {
+	for _, chip := range []platform.Chip{{Rows: 4, Cols: 4, TileMM: 2.5}, platform.DefaultChip()} {
+		n := chip.NumCores()
+		wire, err := topo.SmallWorld(chip, topo.DefaultSmallWorldConfig())
+		if err != nil {
+			t.Fatal(err)
+		}
+		placement, err := RegionWIs(chip, topo.Quadrants(chip))
+		if err != nil {
+			t.Fatal(err)
+		}
+		traffic := randomExactTraffic(rand.New(rand.NewSource(3)), n)
+		opts := DefaultOptions()
+		allocs := testing.AllocsPerRun(10, func() {
+			if _, err := scorePlacement(wire, placement, traffic, opts); err != nil {
+				t.Fatal(err)
+			}
+		})
+		if bound := float64(2*n + 64); allocs > bound {
+			t.Errorf("%dx%d: scoring one placement allocated %v objects, want at most %v (routed pairs: %d)",
+				chip.Rows, chip.Cols, allocs, bound, n*(n-1))
+		}
+	}
+}

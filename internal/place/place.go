@@ -3,9 +3,10 @@
 //
 //   - MinHopCount: map the threads of each VFI cluster onto their quadrant's
 //     tiles so that highly-communicating threads sit close together, build
-//     the small-world wireline fabric, then run simulated annealing over
-//     wireless-interface (WI) positions to minimize the average
-//     traffic-weighted hop count;
+//     the small-world wireline fabric once, then run simulated annealing
+//     over wireless-interface (WI) positions to minimize the average
+//     traffic-weighted hop count, scoring each proposal path-free on a copy
+//     of the fabric with its wireless overlay;
 //   - MaxWirelessUtil: pin the WIs near the centre of each VFI quadrant and
 //     map threads "logically near, physically far": the threads carrying the
 //     most traffic are placed on the tiles closest to their cluster's WIs so
@@ -155,7 +156,7 @@ func MapThreadsMinDistance(chip platform.Chip, assign []int, traffic [][]float64
 	}
 	m := initialClusterMapping(assign, quads, n)
 	rng := rand.New(rand.NewSource(seed))
-	dist := func(a, b int) float64 { return float64(chip.ManhattanHops(a, b)) }
+	dist := newHopTable(chip)
 	cost := mappingCost(traffic, m, dist)
 	temp := cost / float64(n*4)
 	if temp <= 0 {
@@ -212,15 +213,37 @@ func checkClusterSizes(assign []int, quads [][]int) error {
 	return nil
 }
 
+// hopTable is a chip's Manhattan distance matrix, row-major over tile ids
+// and pre-converted to float64, so the annealers' inner loops index a row
+// instead of dividing tile ids into coordinates on every lookup.
+type hopTable struct {
+	n int
+	d []float64
+}
+
+func newHopTable(chip platform.Chip) hopTable {
+	n := chip.NumCores()
+	h := hopTable{n: n, d: make([]float64, n*n)}
+	for a := 0; a < n; a++ {
+		for b := 0; b < n; b++ {
+			h.d[a*n+b] = float64(chip.ManhattanHops(a, b))
+		}
+	}
+	return h
+}
+
+// row returns the distances from tile a to every tile.
+func (h hopTable) row(a int) []float64 { return h.d[a*h.n : (a+1)*h.n] }
+
 // mappingCost is the full objective: sum over ordered pairs of traffic
 // times distance.
-func mappingCost(traffic [][]float64, m Mapping, dist func(a, b int) float64) float64 {
+func mappingCost(traffic [][]float64, m Mapping, dist hopTable) float64 {
 	var sum float64
 	for i, row := range traffic {
-		ti := m.ThreadToTile[i]
+		di := dist.row(m.ThreadToTile[i])
 		for j, f := range row {
 			if f != 0 {
-				sum += f * dist(ti, m.ThreadToTile[j])
+				sum += f * di[m.ThreadToTile[j]]
 			}
 		}
 	}
@@ -229,8 +252,8 @@ func mappingCost(traffic [][]float64, m Mapping, dist func(a, b int) float64) fl
 
 // swapDelta computes the cost change of swapping the tiles of threads a and
 // b in O(n).
-func swapDelta(traffic [][]float64, m Mapping, dist func(x, y int) float64, a, b int) float64 {
-	ta, tb := m.ThreadToTile[a], m.ThreadToTile[b]
+func swapDelta(traffic [][]float64, m Mapping, dist hopTable, a, b int) float64 {
+	da, db := dist.row(m.ThreadToTile[a]), dist.row(m.ThreadToTile[b])
 	var d float64
 	for c := range traffic {
 		if c == a || c == b {
@@ -239,11 +262,11 @@ func swapDelta(traffic [][]float64, m Mapping, dist func(x, y int) float64, a, b
 		tc := m.ThreadToTile[c]
 		fa := traffic[a][c] + traffic[c][a]
 		if fa != 0 {
-			d += fa * (dist(tb, tc) - dist(ta, tc))
+			d += fa * (db[tc] - da[tc])
 		}
 		fb := traffic[b][c] + traffic[c][b]
 		if fb != 0 {
-			d += fb * (dist(ta, tc) - dist(tb, tc))
+			d += fb * (da[tc] - db[tc])
 		}
 	}
 	// the a-b pair itself: distance unchanged (swap is symmetric)
@@ -257,7 +280,7 @@ func applySwap(m *Mapping, a, b int) {
 }
 
 // polishMapping runs first-improvement swaps until a local optimum.
-func polishMapping(traffic [][]float64, m *Mapping, dist func(x, y int) float64, assign []int) {
+func polishMapping(traffic [][]float64, m *Mapping, dist hopTable, assign []int) {
 	n := len(traffic)
 	improved := true
 	for improved {
@@ -368,46 +391,32 @@ func RegionWIs(chip platform.Chip, regions [][]int) ([][]int, error) {
 // overlays the WI placement, over the chip's quadrant clusters.
 func BuildTopology(chip platform.Chip, interTraffic [][]float64, placement [][]int, cfg topo.SmallWorldConfig) (*topo.Topology, error) {
 	cfg.InterTraffic = interTraffic
-	tp, err := topo.SmallWorld(chip, cfg)
+	wire, err := topo.SmallWorld(chip, cfg)
 	if err != nil {
 		return nil, err
 	}
-	if err := topo.AddWireless(tp, placement); err != nil {
-		return nil, err
-	}
-	return tp, nil
+	return topo.WithWireless(wire, placement)
 }
 
 // BuildTopologyRegions is BuildTopology over an explicit region partition,
 // the entry point for non-quadrant island geometries.
 func BuildTopologyRegions(chip platform.Chip, regions [][]int, interTraffic [][]float64, placement [][]int, cfg topo.SmallWorldConfig) (*topo.Topology, error) {
 	cfg.InterTraffic = interTraffic
-	tp, err := topo.SmallWorldRegions(chip, regions, cfg)
+	wire, err := topo.SmallWorldRegions(chip, regions, cfg)
 	if err != nil {
 		return nil, err
 	}
-	if err := topo.AddWireless(tp, placement); err != nil {
-		return nil, err
-	}
-	return tp, nil
-}
-
-// evalPlacement measures the traffic-weighted average hop count of a WI
-// placement on a freshly built topology.
-func evalPlacement(chip platform.Chip, regions [][]int, interTraffic, switchTraffic [][]float64, placement [][]int, opts Options) (float64, *topo.Topology, *noc.RouteTable, error) {
-	tp, err := BuildTopologyRegions(chip, regions, interTraffic, placement, opts.SmallWorld)
-	if err != nil {
-		return 0, nil, nil, err
-	}
-	rt, err := noc.BuildRoutes(tp, opts.Costs, opts.Routing)
-	if err != nil {
-		return 0, nil, nil, err
-	}
-	return rt.AvgHops(switchTraffic), tp, rt, nil
+	return topo.WithWireless(wire, placement)
 }
 
 // MinHopCount runs strategy A. assign maps thread -> VFI cluster; traffic is
 // thread-level.
+//
+// The wireline fabric depends only on the cluster traffic, the small-world
+// config and its seed — not on where the WIs go — so it is built once.
+// Each WI proposal is overlaid on a copy of it and scored with
+// noc.RoutedAvgHops, which counts hops without building route paths; the
+// full route table is built once, for the winning placement.
 func MinHopCount(chip platform.Chip, assign []int, traffic [][]float64, opts Options) (Result, error) {
 	mapping, err := MapThreadsMinDistance(chip, assign, traffic, opts.Seed, opts.MappingSweeps)
 	if err != nil {
@@ -419,14 +428,19 @@ func MinHopCount(chip platform.Chip, assign []int, traffic [][]float64, opts Opt
 		return Result{}, err
 	}
 	tileCluster := topo.RegionOf(chip.NumCores(), quads)
-	interTraffic := ClusterTraffic(switchTraffic, tileCluster, len(quads))
+	swCfg := opts.SmallWorld
+	swCfg.InterTraffic = ClusterTraffic(switchTraffic, tileCluster, len(quads))
 
 	rng := rand.New(rand.NewSource(opts.Seed + 1))
 	placement, err := RegionWIs(chip, quads) // starting point
 	if err != nil {
 		return Result{}, err
 	}
-	bestHops, bestTopo, bestRT, err := evalPlacement(chip, quads, interTraffic, switchTraffic, placement, opts)
+	wire, err := topo.SmallWorldRegions(chip, quads, swCfg)
+	if err != nil {
+		return Result{}, err
+	}
+	bestHops, err := scorePlacement(wire, placement, switchTraffic, opts)
 	if err != nil {
 		return Result{}, err
 	}
@@ -442,32 +456,50 @@ func MinHopCount(chip platform.Chip, assign []int, traffic [][]float64, opts Opt
 		}
 		old := cur[q][slot]
 		cur[q][slot] = cand
-		hops, tpc, rtc, err := evalPlacement(chip, quads, interTraffic, switchTraffic, cur, opts)
+		hops, err := scorePlacement(wire, cur, switchTraffic, opts)
 		if err != nil {
 			cur[q][slot] = old
 			continue
 		}
 		// accept improvements; mild tolerance early on
 		temp := 0.05 * float64(opts.WISweeps-sweep) / float64(opts.WISweeps)
-		if hops < curHops || rng.Float64() < math.Exp((curHops-hops)/maxf(temp, 1e-9)) {
+		if hops < curHops || rng.Float64() < math.Exp((curHops-hops)/max(temp, 1e-9)) {
 			curHops = hops
 			if hops < bestHops {
 				bestHops = hops
-				bestTopo, bestRT = tpc, rtc
 				placement = clonePlacement(cur)
 			}
 		} else {
 			cur[q][slot] = old
 		}
 	}
+	tp, err := topo.WithWireless(wire, placement)
+	if err != nil {
+		return Result{}, err
+	}
+	rt, err := noc.BuildRoutes(tp, opts.Costs, opts.Routing)
+	if err != nil {
+		return Result{}, err
+	}
 	return Result{
 		Mapping:         mapping,
 		WIPlacement:     placement,
-		Topology:        bestTopo,
-		Routes:          bestRT,
+		Topology:        tp,
+		Routes:          rt,
 		SwitchTraffic:   switchTraffic,
 		AvgWeightedHops: bestHops,
 	}, nil
+}
+
+// scorePlacement returns the traffic-weighted average hop count of a WI
+// placement overlaid on a copy of the wireline fabric wire, without
+// building the route table.
+func scorePlacement(wire *topo.Topology, placement [][]int, switchTraffic [][]float64, opts Options) (float64, error) {
+	tp, err := topo.WithWireless(wire, placement)
+	if err != nil {
+		return 0, err
+	}
+	return noc.RoutedAvgHops(tp, opts.Costs, opts.Routing, switchTraffic)
 }
 
 // MaxWirelessUtil runs strategy B: WIs at quadrant centres, threads mapped
@@ -499,20 +531,21 @@ func MaxWirelessUtil(chip platform.Chip, assign []int, traffic [][]float64, opts
 			volume[j] += f
 		}
 	}
-	mapping := Mapping{ThreadToTile: make([]int, n), TileToThread: make([]int, n)}
-	for q, tiles := range quads {
-		var threads []int
-		for th, c := range assign {
-			if c == q {
-				threads = append(threads, th)
-			}
-		}
+	clusterThreads := make([][]int, len(quads))
+	for th, c := range assign {
+		clusterThreads[c] = append(clusterThreads[c], th)
+	}
+	for _, threads := range clusterThreads {
 		sort.SliceStable(threads, func(a, b int) bool {
 			if volume[threads[a]] != volume[threads[b]] {
 				return volume[threads[a]] > volume[threads[b]]
 			}
 			return threads[a] < threads[b]
 		})
+	}
+	mapping := Mapping{ThreadToTile: make([]int, n), TileToThread: make([]int, n)}
+	for q, tiles := range quads {
+		threads := clusterThreads[q]
 		ordered := append([]int(nil), tiles...)
 		sort.SliceStable(ordered, func(a, b int) bool {
 			da := distToNearestWI(chip, ordered[a], placement[q])
@@ -533,19 +566,7 @@ func MaxWirelessUtil(chip platform.Chip, assign []int, traffic [][]float64, opts
 	// tiles ("logically near, physically far" is preserved; everyone else
 	// regains locality).
 	pinned := make([]bool, n)
-	for q := range quads {
-		var threads []int
-		for th, c := range assign {
-			if c == q {
-				threads = append(threads, th)
-			}
-		}
-		sort.SliceStable(threads, func(a, b int) bool {
-			if volume[threads[a]] != volume[threads[b]] {
-				return volume[threads[a]] > volume[threads[b]]
-			}
-			return threads[a] < threads[b]
-		})
+	for _, threads := range clusterThreads {
 		for i := 0; i < topo.WIsPerCluster && i < len(threads); i++ {
 			pinned[threads[i]] = true
 		}
@@ -577,7 +598,7 @@ func MaxWirelessUtil(chip platform.Chip, assign []int, traffic [][]float64, opts
 func annealPinned(chip platform.Chip, assign []int, traffic [][]float64, m *Mapping, pinned []bool, seed int64, sweeps int) {
 	n := len(assign)
 	rng := rand.New(rand.NewSource(seed + 7))
-	dist := func(a, b int) float64 { return float64(chip.ManhattanHops(a, b)) }
+	dist := newHopTable(chip)
 	cost := mappingCost(traffic, *m, dist)
 	temp := cost / float64(n*4)
 	if temp <= 0 {
@@ -647,18 +668,4 @@ func clonePlacement(p [][]int) [][]int {
 		out[i] = append([]int(nil), p[i]...)
 	}
 	return out
-}
-
-func max(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
-}
-
-func maxf(a, b float64) float64 {
-	if a > b {
-		return a
-	}
-	return b
 }

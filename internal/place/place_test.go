@@ -111,7 +111,7 @@ func TestMapThreadsMinDistanceImprovesOverInitial(t *testing.T) {
 	traffic := randTraffic(rng, 64, 0.1)
 	quads := topo.Quadrants(chip)
 	initial := initialClusterMapping(assign, quads, 64)
-	dist := func(a, b int) float64 { return float64(chip.ManhattanHops(a, b)) }
+	dist := newHopTable(chip)
 	initialCost := mappingCost(traffic, initial, dist)
 
 	m, err := MapThreadsMinDistance(chip, assign, traffic, 1, 100)
@@ -165,7 +165,7 @@ func TestSwapDeltaMatchesRecompute(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	traffic := randTraffic(rng, 64, 0.15)
 	m := initialClusterMapping(assign, topo.Quadrants(chip), 64)
-	dist := func(a, b int) float64 { return float64(chip.ManhattanHops(a, b)) }
+	dist := newHopTable(chip)
 	base := mappingCost(traffic, m, dist)
 	for k := 0; k < 50; k++ {
 		a, b := rng.Intn(64), rng.Intn(64)

@@ -18,6 +18,7 @@ package topo
 
 import (
 	"fmt"
+	"maps"
 	"math"
 	"math/rand"
 	"sort"
@@ -510,6 +511,44 @@ const NumChannels = 3
 // per channel, giving the optimum total of 12 WIs for a 64-core system
 // (Wettin et al. 2013).
 const WIsPerCluster = NumChannels
+
+// WithWireless returns a copy of the wireline fabric wire with the
+// wireless overlay of placement added (see AddWireless), leaving wire
+// unchanged. The fabric does not depend on where the WIs go, so callers
+// that try many placements — WI-placement annealing, the WI-failure
+// study — build it once and overlay each placement on a fresh copy.
+func WithWireless(wire *Topology, placement [][]int) (*Topology, error) {
+	t := wire.clone()
+	if err := AddWireless(t, placement); err != nil {
+		return nil, err
+	}
+	return t, nil
+}
+
+// clone returns a deep copy of t: adjacency rows, WI list and channel map
+// are all fresh, so mutating the copy (AddWireless, DisableWI) never
+// touches t. The rows share one backing array, each capped at its length
+// so an append to one row reallocates it rather than overrunning the next.
+func (t *Topology) clone() *Topology {
+	c := &Topology{
+		Chip:      t.Chip,
+		Adj:       make([][]Link, len(t.Adj)),
+		WIs:       append([]int(nil), t.WIs...),
+		ChannelOf: make(map[int]int, len(t.ChannelOf)),
+		Name:      t.Name,
+	}
+	total := 0
+	for _, links := range t.Adj {
+		total += len(links)
+	}
+	buf := make([]Link, total)
+	for u, links := range t.Adj {
+		k := copy(buf, links)
+		c.Adj[u], buf = buf[:k:k], buf[k:]
+	}
+	maps.Copy(c.ChannelOf, t.ChannelOf)
+	return c
+}
 
 // AddWireless overlays wireless interfaces on the topology. placement maps
 // cluster index -> the WIsPerCluster switch ids receiving a WI; the i-th WI

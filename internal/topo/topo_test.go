@@ -2,6 +2,7 @@ package topo
 
 import (
 	"math"
+	"reflect"
 	"testing"
 
 	"wivfi/internal/platform"
@@ -427,5 +428,57 @@ func TestDisableAllWIsLeavesWirelineFabric(t *testing.T) {
 				t.Fatal("orphan wireless link")
 			}
 		}
+	}
+}
+
+// TestWithWirelessLeavesFabricUnchanged: the copy-overlay helper must equal
+// an in-place AddWireless on a fresh build of the same fabric, leave its
+// input untouched, and yield copies that mutate independently (DisableWI
+// on one copy reaches neither the fabric nor a sibling copy).
+func TestWithWirelessLeavesFabricUnchanged(t *testing.T) {
+	chip := platform.DefaultChip()
+	wire, err := SmallWorld(chip, DefaultSmallWorldConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	pristine, err := SmallWorld(chip, DefaultSmallWorldConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := SmallWorld(chip, DefaultSmallWorldConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	placement := wiPlacementCenters(chip)
+	if err := AddWireless(want, placement); err != nil {
+		t.Fatal(err)
+	}
+	a, err := WithWireless(wire, placement)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(a, want) {
+		t.Fatal("WithWireless differs from AddWireless on a fresh fabric")
+	}
+	if !reflect.DeepEqual(wire, pristine) {
+		t.Fatal("WithWireless mutated its input fabric")
+	}
+	b, err := WithWireless(wire, placement)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, s := range append([]int(nil), a.WIs...) {
+		if err := DisableWI(a, s); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if !reflect.DeepEqual(wire, pristine) || !reflect.DeepEqual(b, want) {
+		t.Fatal("DisableWI on one copy leaked into the fabric or a sibling copy")
+	}
+	if _, err := WithWireless(wire, [][]int{{0, 1}}); err == nil {
+		t.Fatal("bad placement accepted")
+	}
+	if !reflect.DeepEqual(wire, pristine) {
+		t.Fatal("rejected placement mutated the input fabric")
 	}
 }
