@@ -100,21 +100,13 @@ func main() {
 			})
 		}
 		sp := obs.StartSpan("des", tp.Name)
-		var res *noc.DESStats
-		if tcli.Collecting() {
-			// the timeline run replays the same DES with link/latency probes,
-			// so stats (and stdout) match the plain instrumented run exactly
-			var series []timeline.Series
-			res, series, err = noc.RunDESTimeline(rt, pkts, nm, noc.DefaultDESConfig(), "noc/"+*pattern+"/")
-			if err == nil {
-				timeline.Active().AddSeries(series...)
-			}
-		} else {
-			res, err = noc.RunDESInstrumented(rt, pkts, nm, noc.DefaultDESConfig())
-		}
+		res, series, err := noc.RunDESTimeline(rt, pkts, nm, noc.DefaultDESConfig(), "noc/"+*pattern+"/")
 		sp.End()
 		if err != nil {
 			fatal(err)
+		}
+		if tcli.Collecting() {
+			timeline.Active().AddSeries(series...)
 		}
 		pjPerFlit := res.EnergyPJ / float64(res.Delivered*4)
 		fmt.Printf("  des:      latency %.1f cycles (p50 %d, p99 %d, max %d), %.1f pJ/flit, wireless flit-hops %.1f%%, %d cycles\n",

@@ -54,27 +54,6 @@ func (s *DESStats) HottestLink() LinkStat {
 	return s.Links[0]
 }
 
-// RunDESInstrumented is RunDES plus per-packet latency capture and
-// per-link flit accounting. The latency capture rides the one simulation
-// as a delivery hook (an earlier version re-ran the whole simulation for
-// it), so the only extra cost over RunDES is the link accounting.
-func RunDESInstrumented(rt *RouteTable, packets []Packet, nm energy.NetworkModel, cfg DESConfig) (*DESStats, error) {
-	lats := make([]int64, 0, len(packets))
-	base, err := runDESHooked(rt, packets, nm, cfg, desHooks{
-		onDeliver: func(id int, latency int64) {
-			lats = append(lats, latency)
-		},
-	})
-	if err != nil {
-		return nil, err
-	}
-	stats := &DESStats{DESResult: base}
-	stats.Links = staticLinkStats(rt, packets, base.Cycles)
-	sort.Slice(lats, func(i, j int) bool { return lats[i] < lats[j] })
-	stats.Latencies = lats
-	return stats, nil
-}
-
 // staticLinkStats derives per-directed-link flit counts from the static
 // routes: in a delivered-all run every flit of every packet traverses
 // exactly its route. Hottest link first.

@@ -20,7 +20,7 @@ func TestInstrumentedMatchesPlainRun(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	inst, err := RunDESInstrumented(rt, pkts, defaultNM(), DefaultDESConfig())
+	inst, _, err := RunDESTimeline(rt, pkts, defaultNM(), DefaultDESConfig(), "")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -53,7 +53,7 @@ func TestInstrumentedLinkConservation(t *testing.T) {
 		{ID: 1, Src: 8, Dst: 8, Flits: 4}, // local: no link traffic
 		{ID: 2, Src: 63, Dst: 0, Flits: 2},
 	}
-	inst, err := RunDESInstrumented(rt, pkts, defaultNM(), DefaultDESConfig())
+	inst, _, err := RunDESTimeline(rt, pkts, defaultNM(), DefaultDESConfig(), "")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -145,7 +145,7 @@ func TestPercentileSingleSample(t *testing.T) {
 func TestHottestLinkSingleLinkTable(t *testing.T) {
 	rt := meshRT(t, XY)
 	pkts := []Packet{{ID: 0, Src: 0, Dst: 1, Flits: 3}}
-	inst, err := RunDESInstrumented(rt, pkts, defaultNM(), DefaultDESConfig())
+	inst, _, err := RunDESTimeline(rt, pkts, defaultNM(), DefaultDESConfig(), "")
 	if err != nil {
 		t.Fatal(err)
 	}

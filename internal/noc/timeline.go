@@ -99,12 +99,12 @@ func (p *linkProbe) series(prefix string) []timeline.Series {
 	return out
 }
 
-// RunDESTimeline is RunDESInstrumented plus time-resolved capture: the
+// RunDESTimeline is RunDES plus instrumentation: the returned DESStats add
+// every delivered packet's latency and the per-link flit counts, and the
 // returned series hold one flits-per-window sampler per active link (the
 // link heatmap, shared time axis) and a packet-latency histogram named
-// <prefix>latency. All captures ride the one simulation as hooks (an
-// earlier version ran a plain pass first and replayed for the probes),
-// so the DESStats aggregates match a plain run exactly.
+// <prefix>latency. All captures ride the one simulation as hooks, so the
+// DESStats aggregates match a plain run exactly.
 func RunDESTimeline(rt *RouteTable, packets []Packet, nm energy.NetworkModel, cfg DESConfig, prefix string) (*DESStats, []timeline.Series, error) {
 	probe := newLinkProbe(rt, DefaultLinkWindow)
 	hist := timeline.NewHistogram(timeline.Meta{Name: prefix + "latency", IndexUnit: "cycles", Unit: "cycles"})

@@ -129,8 +129,17 @@ func (r *RunResult) Profile() platform.Profile {
 	return platform.Profile{Util: util, Traffic: traffic}
 }
 
-// Run executes the workload on the system.
+// Run executes the workload on the system at its static VFI configuration.
 func Run(w *Workload, s *System) (*RunResult, error) {
+	return run(w, s, s.Name, nil, DVFSTransition{})
+}
+
+// run is the one phase loop behind Run, RunPhased and RunGoverned. With a
+// nil controller every phase runs at s.VFI. Otherwise ctrl picks each
+// phase's configuration, which must keep s.VFI's island partition, sees
+// an observation of every phase the run has executed, and every island
+// whose operating point changes at a phase boundary pays tr.
+func run(w *Workload, s *System, name string, ctrl Controller, tr DVFSTransition) (*RunResult, error) {
 	if err := w.Validate(); err != nil {
 		return nil, err
 	}
@@ -142,19 +151,57 @@ func Run(w *Workload, s *System) (*RunResult, error) {
 		return nil, fmt.Errorf("sim: workload has %d threads for %d cores", w.Threads, n)
 	}
 	res := &RunResult{
-		System:        s.Name,
+		System:        name,
 		Workload:      w.Name,
 		BusySec:       make([]float64, n),
 		ThreadTraffic: zeroMatrix(n),
 	}
-	freqs := make([]float64, n)
-	for th := 0; th < n; th++ {
-		freqs[th] = s.VFI.FreqOf(th)
+	var islands [][]int
+	if ctrl != nil {
+		islands = s.VFI.Islands()
 	}
-	for _, ph := range w.Phases {
-		pr, err := runPhase(&ph, s, freqs)
+	// phaseSys carries the configuration of the phase being run; s itself
+	// is never written, so callers may share one system across runs.
+	phaseSys := *s
+	freqs := make([]float64, n)
+	var obs *PhaseObservation
+	for i := range w.Phases {
+		ph := w.Phases[i]
+		prev := phaseSys.VFI
+		if ctrl != nil {
+			cfg := ctrl.Decide(obs, i, ph.Kind)
+			if err := checkPartition(i, cfg, s.VFI); err != nil {
+				return nil, err
+			}
+			phaseSys.VFI = cfg
+		}
+		for th := range freqs {
+			freqs[th] = phaseSys.VFI.FreqOf(th)
+		}
+		pr, err := runPhase(&ph, &phaseSys, freqs)
 		if err != nil {
 			return nil, fmt.Errorf("sim: %s/%v: %w", w.Name, ph.Kind, err)
+		}
+		if ctrl != nil {
+			// The observation describes the phase as executed, before the
+			// boundary transition stall is charged — the controller reasons
+			// about steady-state phase behaviour, not about its own actuation
+			// overhead (which it pays, and can count, separately).
+			obs = observePhase(i, &ph, &pr, phaseSys.VFI, islands, &phaseSys)
+			// Every island whose point changed since the previous phase pays
+			// settle time (serializing the phase start) and transition energy.
+			changed := 0
+			if i > 0 {
+				for j, p := range phaseSys.VFI.Points {
+					if p != prev.Points[j] {
+						changed++
+					}
+				}
+			}
+			if changed > 0 {
+				pr.Seconds += tr.SettleSec
+				pr.CoreDynJ += float64(changed) * tr.EnergyJ
+			}
 		}
 		res.Phases = append(res.Phases, pr)
 		res.Report.ExecSeconds += pr.Seconds
@@ -168,7 +215,28 @@ func Run(w *Workload, s *System) (*RunResult, error) {
 			AddTraffic(res.ThreadTraffic, ph.Traffic)
 		}
 	}
+	if ctrl != nil {
+		ctrl.Finish(obs)
+	}
 	return res, nil
+}
+
+// checkPartition rejects a phase configuration that does not cover every
+// thread, is malformed, or moves a thread off its island in static:
+// controllers move rails, never cores.
+func checkPartition(phase int, cfg, static platform.VFIConfig) error {
+	if len(cfg.Assign) != len(static.Assign) {
+		return fmt.Errorf("sim: phase %d config covers %d threads", phase, len(cfg.Assign))
+	}
+	if err := cfg.Validate(); err != nil {
+		return fmt.Errorf("sim: phase %d config: %w", phase, err)
+	}
+	for th, isl := range cfg.Assign {
+		if isl != static.Assign[th] {
+			return fmt.Errorf("sim: phase %d reassigns thread %d between islands", phase, th)
+		}
+	}
+	return nil
 }
 
 // runPhase executes one phase with a small fixed-point iteration between

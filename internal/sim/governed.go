@@ -1,8 +1,6 @@
 package sim
 
 import (
-	"fmt"
-
 	"wivfi/internal/platform"
 	"wivfi/internal/sched"
 )
@@ -48,89 +46,13 @@ type Controller interface {
 	Finish(last *PhaseObservation)
 }
 
-// RunGoverned executes the workload under a closed-loop DVFS controller:
-// where RunPhased replays a precomputed (offline, oracle) per-phase plan,
-// RunGoverned asks the controller for each phase's configuration online,
-// feeding it only observations of phases the governed run itself has
-// already executed. Island transitions between consecutive phases pay the
-// DVFSTransition cost exactly as in RunPhased, so results are directly
-// comparable to Run and RunPhased on the same system.
+// RunGoverned executes the workload under a closed-loop DVFS controller,
+// asking it for each phase's configuration online and feeding it only
+// observations of phases the run itself has already executed. It shares
+// Run's phase loop, so results are directly comparable to Run on the same
+// system; island transitions between consecutive phases pay tr.
 func RunGoverned(w *Workload, s *System, ctrl Controller, tr DVFSTransition) (*RunResult, error) {
-	if err := w.Validate(); err != nil {
-		return nil, err
-	}
-	if err := s.Validate(); err != nil {
-		return nil, err
-	}
-	n := s.Chip.NumCores()
-	if w.Threads != n {
-		return nil, fmt.Errorf("sim: workload has %d threads for %d cores", w.Threads, n)
-	}
-	islands := s.VFI.Islands()
-	res := &RunResult{
-		System:        s.Name + "+governed",
-		Workload:      w.Name,
-		BusySec:       make([]float64, n),
-		ThreadTraffic: zeroMatrix(n),
-	}
-	governedSys := *s
-	var prevCfg platform.VFIConfig
-	var obs *PhaseObservation
-	for i := range w.Phases {
-		ph := w.Phases[i]
-		cfg := ctrl.Decide(obs, i, ph.Kind)
-		if len(cfg.Assign) != n {
-			return nil, fmt.Errorf("sim: phase %d governor config covers %d threads", i, len(cfg.Assign))
-		}
-		if err := cfg.Validate(); err != nil {
-			return nil, fmt.Errorf("sim: phase %d governor config: %w", i, err)
-		}
-		for th := 0; th < n; th++ {
-			if cfg.Assign[th] != s.VFI.Assign[th] {
-				return nil, fmt.Errorf("sim: phase %d governor reassigns thread %d between islands", i, th)
-			}
-		}
-		governedSys.VFI = cfg
-		freqs := make([]float64, n)
-		for th := 0; th < n; th++ {
-			freqs[th] = cfg.FreqOf(th)
-		}
-		pr, err := runPhase(&ph, &governedSys, freqs)
-		if err != nil {
-			return nil, fmt.Errorf("sim: %s/%v: %w", w.Name, ph.Kind, err)
-		}
-		// The observation describes the phase as executed, before the
-		// boundary transition stall is charged — the controller reasons
-		// about steady-state phase behaviour, not about its own actuation
-		// overhead (which it pays, and can count, separately).
-		obs = observePhase(i, &ph, &pr, cfg, islands, &governedSys)
-		if i > 0 {
-			changed := 0
-			for j := range cfg.Points {
-				if cfg.Points[j] != prevCfg.Points[j] {
-					changed++
-				}
-			}
-			if changed > 0 {
-				pr.Seconds += tr.SettleSec
-				pr.CoreDynJ += float64(changed) * tr.EnergyJ
-			}
-		}
-		prevCfg = cfg
-		res.Phases = append(res.Phases, pr)
-		res.Report.ExecSeconds += pr.Seconds
-		res.Report.CoreDynamicJ += pr.CoreDynJ
-		res.Report.CoreLeakageJ += pr.CoreLeakJ
-		res.Report.NetworkJ += pr.NetJ
-		for th := range pr.BusySec {
-			res.BusySec[th] += pr.BusySec[th]
-		}
-		if ph.Traffic != nil {
-			AddTraffic(res.ThreadTraffic, ph.Traffic)
-		}
-	}
-	ctrl.Finish(obs)
-	return res, nil
+	return run(w, s, s.Name+"+governed", ctrl, tr)
 }
 
 // observePhase condenses one executed phase into the controller's signal

@@ -443,7 +443,8 @@ func TestTrafficLocalized(t *testing.T) {
 
 func TestRunPhasedMatchesRunWithStaticConfigs(t *testing.T) {
 	// With every phase pinned to the same configuration and zero
-	// transition cost, RunPhased must agree with Run exactly.
+	// transition cost, RunPhased runs Run's phase loop with the same
+	// inputs, so it must agree with Run bit for bit.
 	w := testWorkload()
 	s := nvfi(t)
 	static, err := Run(w, s)
@@ -458,11 +459,22 @@ func TestRunPhasedMatchesRunWithStaticConfigs(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if math.Abs(phased.Report.ExecSeconds-static.Report.ExecSeconds) > 1e-9 {
-		t.Errorf("exec differs: %v vs %v", phased.Report.ExecSeconds, static.Report.ExecSeconds)
+	if phased.Report != static.Report {
+		t.Errorf("report differs: %+v vs %+v", phased.Report, static.Report)
 	}
-	if math.Abs(phased.Report.TotalJ()-static.Report.TotalJ()) > 1e-6 {
-		t.Errorf("energy differs: %v vs %v", phased.Report.TotalJ(), static.Report.TotalJ())
+	if len(phased.Phases) != len(static.Phases) {
+		t.Fatalf("%d phases vs %d", len(phased.Phases), len(static.Phases))
+	}
+	for i, ph := range phased.Phases {
+		want := static.Phases[i]
+		if ph.Seconds != want.Seconds || ph.NetJ != want.NetJ {
+			t.Errorf("phase %d: seconds %v vs %v, net %v vs %v J", i, ph.Seconds, want.Seconds, ph.NetJ, want.NetJ)
+		}
+		for th, b := range ph.BusySec {
+			if b != want.BusySec[th] {
+				t.Errorf("phase %d thread %d busy %v vs %v", i, th, b, want.BusySec[th])
+			}
+		}
 	}
 }
 
@@ -519,6 +531,14 @@ func TestRunPhasedRejectsIslandMigration(t *testing.T) {
 	// wrong config count
 	if _, err := RunPhased(w, s, configs[:2], DVFSTransition{}); err == nil {
 		t.Error("short config list accepted")
+	}
+	if _, err := RunPhased(w, s, append(configs, s.VFI), DVFSTransition{}); err == nil {
+		t.Error("long config list accepted")
+	}
+	// a 16-thread workload on the 64-core system is an error, not a panic
+	small := &Workload{Name: "small", Threads: 16, Phases: []Phase{{Kind: Reduce, WorkCycles: make([]float64, 16)}}}
+	if _, err := RunPhased(small, s, configs[:1], DVFSTransition{}); err == nil {
+		t.Error("thread-count mismatch accepted")
 	}
 }
 

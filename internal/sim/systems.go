@@ -60,28 +60,41 @@ func DefaultBuildConfig() BuildConfig {
 	}
 }
 
-// NVFIMesh builds the baseline: every core at the DVFS maximum, threads
-// mapped identically onto the mesh, default Phoenix stealing.
-func NVFIMesh(cfg BuildConfig) (*System, error) {
-	n := cfg.Chip.NumCores()
-	mesh := topo.Mesh(cfg.Chip)
-	routes, err := noc.BuildRoutes(mesh, cfg.LinkCosts, noc.XY)
-	if err != nil {
-		return nil, err
-	}
+// newSystem assembles a system from its per-builder parts and the shared
+// models of cfg.
+func newSystem(cfg BuildConfig, name string, vfi platform.VFIConfig, mapping place.Mapping,
+	routes *noc.RouteTable, policy sched.Policy) *System {
 	return &System{
-		Name:               "nvfi-mesh",
+		Name:               name,
 		Chip:               cfg.Chip,
-		VFI:                platform.Uniform(n, platform.MaxPoint(platform.DefaultDVFSTable())),
-		Mapping:            place.NewIdentityMapping(n),
+		VFI:                vfi,
+		Mapping:            mapping,
 		Routes:             routes,
 		NetModel:           cfg.NetModel,
 		CoreModel:          cfg.CoreModel,
 		Analytic:           cfg.Analytic,
 		NetClockGHz:        cfg.NetClockGHz,
-		Policy:             sched.DefaultStealing,
+		Policy:             policy,
 		MemRoundTripFactor: cfg.MemRoundTripFactor,
-	}, nil
+	}
+}
+
+// meshSystem is newSystem on the chip's conventional mesh with XY routing.
+func meshSystem(cfg BuildConfig, name string, vfi platform.VFIConfig, mapping place.Mapping,
+	policy sched.Policy) (*System, error) {
+	routes, err := noc.BuildRoutes(topo.Mesh(cfg.Chip), cfg.LinkCosts, noc.XY)
+	if err != nil {
+		return nil, err
+	}
+	return newSystem(cfg, name, vfi, mapping, routes, policy), nil
+}
+
+// NVFIMesh builds the baseline: every core at the DVFS maximum, threads
+// mapped identically onto the mesh, default Phoenix stealing.
+func NVFIMesh(cfg BuildConfig) (*System, error) {
+	n := cfg.Chip.NumCores()
+	return meshSystem(cfg, "nvfi-mesh", platform.Uniform(n, platform.MaxPoint(platform.DefaultDVFSTable())),
+		place.NewIdentityMapping(n), sched.DefaultStealing)
 }
 
 // NVFIMeshMapped builds the reporting baseline: the same non-VFI mesh but
@@ -103,24 +116,8 @@ func NVFIMeshMapped(cfg BuildConfig, traffic [][]float64) (*System, error) {
 	if err != nil {
 		return nil, err
 	}
-	mesh := topo.Mesh(cfg.Chip)
-	routes, err := noc.BuildRoutes(mesh, cfg.LinkCosts, noc.XY)
-	if err != nil {
-		return nil, err
-	}
-	return &System{
-		Name:               "nvfi-mesh",
-		Chip:               cfg.Chip,
-		VFI:                platform.Uniform(n, platform.MaxPoint(platform.DefaultDVFSTable())),
-		Mapping:            mapping,
-		Routes:             routes,
-		NetModel:           cfg.NetModel,
-		CoreModel:          cfg.CoreModel,
-		Analytic:           cfg.Analytic,
-		NetClockGHz:        cfg.NetClockGHz,
-		Policy:             sched.DefaultStealing,
-		MemRoundTripFactor: cfg.MemRoundTripFactor,
-	}, nil
+	return meshSystem(cfg, "nvfi-mesh", platform.Uniform(n, platform.MaxPoint(platform.DefaultDVFSTable())),
+		mapping, sched.DefaultStealing)
 }
 
 // VFIMesh builds a VFI system on the conventional mesh: threads of island j
@@ -134,24 +131,7 @@ func VFIMesh(cfg BuildConfig, vfi platform.VFIConfig, traffic [][]float64) (*Sys
 	if err != nil {
 		return nil, err
 	}
-	mesh := topo.Mesh(cfg.Chip)
-	routes, err := noc.BuildRoutes(mesh, cfg.LinkCosts, noc.XY)
-	if err != nil {
-		return nil, err
-	}
-	return &System{
-		Name:               "vfi-mesh",
-		Chip:               cfg.Chip,
-		VFI:                vfi,
-		Mapping:            mapping,
-		Routes:             routes,
-		NetModel:           cfg.NetModel,
-		CoreModel:          cfg.CoreModel,
-		Analytic:           cfg.Analytic,
-		NetClockGHz:        cfg.NetClockGHz,
-		Policy:             sched.CapVFI,
-		MemRoundTripFactor: cfg.MemRoundTripFactor,
-	}, nil
+	return meshSystem(cfg, "vfi-mesh", vfi, mapping, sched.CapVFI)
 }
 
 // VFIWiNoC builds the proposed system: small-world wireline fabric with
@@ -179,18 +159,7 @@ func VFIWiNoC(cfg BuildConfig, vfi platform.VFIConfig, traffic [][]float64, stra
 	if err != nil {
 		return nil, err
 	}
-	return &System{
-		Name:               "vfi-winoc-" + strategy.String(),
-		Chip:               cfg.Chip,
-		VFI:                vfi,
-		Mapping:            res.Mapping,
-		Routes:             res.Routes,
-		NetModel:           cfg.NetModel,
-		CoreModel:          cfg.CoreModel,
-		Analytic:           cfg.Analytic,
-		NetClockGHz:        cfg.NetClockGHz,
-		Policy:             sched.CapVFI,
-		MemRoundTripFactor: cfg.MemRoundTripFactor,
-		AdaptiveRouting:    true,
-	}, nil
+	s := newSystem(cfg, "vfi-winoc-"+strategy.String(), vfi, res.Mapping, res.Routes, sched.CapVFI)
+	s.AdaptiveRouting = true
+	return s, nil
 }
