@@ -3,7 +3,6 @@ package expt
 import (
 	"fmt"
 	"strings"
-	"sync"
 
 	"wivfi/internal/governor"
 	"wivfi/internal/platform"
@@ -112,8 +111,7 @@ func (s *Suite) GovernorStudy(capW float64) ([]GovernorRow, error) {
 	}
 	policies := []governor.Policy{governor.Static, governor.Util, governor.Cap}
 	rows := make([]GovernorRow, len(AppOrder))
-	errs := make([]error, len(AppOrder)*len(policies))
-	var wg sync.WaitGroup
+	var jobs []sim.Job
 	for i, name := range AppOrder {
 		pl, err := s.Pipeline(name)
 		if err != nil {
@@ -125,43 +123,36 @@ func (s *Suite) GovernorStudy(capW float64) ([]GovernorRow, error) {
 		if err != nil {
 			return nil, err
 		}
-		for p, pol := range policies {
-			wg.Add(1)
-			go func(i, p int, pl *Pipeline, pol governor.Policy, meshSys *sim.System) {
-				defer wg.Done()
-				s.pool.DoNamed("sim:governor", pl.App.Name, func() {
-					run, sum, err := governedRun(s.Config, pl.Workload, pl.Plan, meshSys, pol, capW, nil, nil)
-					if err != nil {
-						errs[i*len(policies)+p] = err
-						return
-					}
-					exec, _, edp := run.Report.Relative(pl.Baseline.Report)
-					r := &rows[i]
-					switch pol {
-					case governor.Static:
-						r.ExecStatic, r.StaticEDP = exec, edp
-						r.MaxPowerStaticW = sum.MaxPowerW
-					case governor.Util:
-						r.ExecUtil, r.UtilEDP = exec, edp
-						r.MaxPowerUtilW = sum.MaxPowerW
-						r.UtilTransitions = sum.Transitions
-					case governor.Cap:
-						r.ExecCap, r.CapEDP = exec, edp
-						r.MaxPowerCapW = sum.MaxPowerW
-						r.WorstCaseCapW = sum.WorstCasePowerW
-						r.CapTransitions = sum.Transitions
-						r.Sheds = sum.Sheds
-						r.Violations = sum.CapViolations
-					}
-				})
-			}(i, p, pl, pol, meshSys)
+		for _, pol := range policies {
+			jobs = append(jobs, sim.Job{Name: "sim:governor", Detail: pl.App.Name, Run: func() error {
+				run, sum, err := governedRun(s.Config, pl.Workload, pl.Plan, meshSys, pol, capW, nil, nil)
+				if err != nil {
+					return err
+				}
+				exec, _, edp := run.Report.Relative(pl.Baseline.Report)
+				r := &rows[i]
+				switch pol {
+				case governor.Static:
+					r.ExecStatic, r.StaticEDP = exec, edp
+					r.MaxPowerStaticW = sum.MaxPowerW
+				case governor.Util:
+					r.ExecUtil, r.UtilEDP = exec, edp
+					r.MaxPowerUtilW = sum.MaxPowerW
+					r.UtilTransitions = sum.Transitions
+				case governor.Cap:
+					r.ExecCap, r.CapEDP = exec, edp
+					r.MaxPowerCapW = sum.MaxPowerW
+					r.WorstCaseCapW = sum.WorstCasePowerW
+					r.CapTransitions = sum.Transitions
+					r.Sheds = sum.Sheds
+					r.Violations = sum.CapViolations
+				}
+				return nil
+			}})
 		}
 	}
-	wg.Wait()
-	for _, err := range errs {
-		if err != nil {
-			return nil, err
-		}
+	if err := s.pool.Run(jobs...); err != nil {
+		return nil, err
 	}
 	return rows, nil
 }

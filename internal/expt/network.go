@@ -3,7 +3,6 @@ package expt
 import (
 	"fmt"
 	"strings"
-	"sync"
 
 	"wivfi/internal/sim"
 	"wivfi/internal/topo"
@@ -91,8 +90,7 @@ func (s *Suite) KIntraSweep() ([]KIntraRow, error) {
 		}
 	}
 	own := s.Config.Build.SmallWorld
-	errs := make([]error, len(AppOrder)*len(variants))
-	var wg sync.WaitGroup
+	var jobs []sim.Job
 	for i, name := range AppOrder {
 		pl, err := s.Pipeline(name)
 		if err != nil {
@@ -104,33 +102,25 @@ func (s *Suite) KIntraSweep() ([]KIntraRow, error) {
 				record(&rows[i], v, pl.BestWiNoC())
 				continue
 			}
-			wg.Add(1)
-			go func(i, v int, pl *Pipeline, kIntra, kInter float64) {
-				defer wg.Done()
-				s.pool.DoNamed("sim:kintra-sweep", pl.App.Name, func() {
-					cfg := s.Config.Build
-					cfg.SmallWorld.KIntra = kIntra
-					cfg.SmallWorld.KInter = kInter
-					sys, err := sim.VFIWiNoC(cfg, pl.Plan.VFI2, pl.Profile.Traffic, pl.BestStrategy)
-					if err != nil {
-						errs[i*len(variants)+v] = err
-						return
-					}
-					res, err := sim.Run(pl.Workload, sys)
-					if err != nil {
-						errs[i*len(variants)+v] = err
-						return
-					}
-					record(&rows[i], v, res)
-				})
-			}(i, v, pl, variant.kIntra, variant.kInter)
+			jobs = append(jobs, sim.Job{Name: "sim:kintra-sweep", Detail: pl.App.Name, Run: func() error {
+				cfg := s.Config.Build
+				cfg.SmallWorld.KIntra = variant.kIntra
+				cfg.SmallWorld.KInter = variant.kInter
+				sys, err := sim.VFIWiNoC(cfg, pl.Plan.VFI2, pl.Profile.Traffic, pl.BestStrategy)
+				if err != nil {
+					return err
+				}
+				res, err := sim.Run(pl.Workload, sys)
+				if err != nil {
+					return err
+				}
+				record(&rows[i], v, res)
+				return nil
+			}})
 		}
 	}
-	wg.Wait()
-	for _, err := range errs {
-		if err != nil {
-			return nil, err
-		}
+	if err := s.pool.Run(jobs...); err != nil {
+		return nil, err
 	}
 	return rows, nil
 }

@@ -3,7 +3,6 @@ package expt
 import (
 	"fmt"
 	"strings"
-	"sync"
 
 	"wivfi/internal/platform"
 	"wivfi/internal/sim"
@@ -41,8 +40,7 @@ func (s *Suite) PhaseAdaptiveStudy() ([]PhasedRow, error) {
 	table := platform.DefaultDVFSTable()
 	rows := make([]PhasedRow, len(AppOrder))
 	modes := []sim.PhaseUtilMode{sim.PhaseUtilMean, sim.PhaseUtilMaxCore}
-	errs := make([]error, len(AppOrder)*len(modes))
-	var wg sync.WaitGroup
+	var jobs []sim.Job
 	for i, name := range AppOrder {
 		pl, err := s.Pipeline(name)
 		if err != nil {
@@ -56,40 +54,33 @@ func (s *Suite) PhaseAdaptiveStudy() ([]PhasedRow, error) {
 		if err != nil {
 			return nil, err
 		}
-		for m, mode := range modes {
-			wg.Add(1)
-			go func(i, m int, pl *Pipeline, mode sim.PhaseUtilMode, meshSys *sim.System) {
-				defer wg.Done()
-				s.pool.DoNamed("sim:phased-dvfs", pl.App.Name, func() {
-					configs := sim.PhaseConfigs(pl.Baseline, pl.Plan.VFI2, table, s.Config.VFI.FreqMargin, mode)
-					phased, err := sim.RunPhased(pl.Workload, meshSys, configs, sim.DefaultDVFSTransition())
-					if err != nil {
-						errs[i*len(modes)+m] = err
-						return
-					}
-					exec, _, edp := phased.Report.Relative(pl.Baseline.Report)
-					if mode == sim.PhaseUtilMean {
-						rows[i].ExecMean, rows[i].MeanEDP = exec, edp
-					} else {
-						rows[i].ExecMaxCore, rows[i].MaxCoreEDP = exec, edp
-						for p := 1; p < len(configs); p++ {
-							for j := range configs[p].Points {
-								if configs[p].Points[j] != configs[p-1].Points[j] {
-									rows[i].Transitions++
-									break
-								}
-							}
+		for _, mode := range modes {
+			jobs = append(jobs, sim.Job{Name: "sim:phased-dvfs", Detail: pl.App.Name, Run: func() error {
+				configs := sim.PhaseConfigs(pl.Baseline, pl.Plan.VFI2, table, s.Config.VFI.FreqMargin, mode)
+				phased, err := sim.RunPhased(pl.Workload, meshSys, configs, sim.DefaultDVFSTransition())
+				if err != nil {
+					return err
+				}
+				exec, _, edp := phased.Report.Relative(pl.Baseline.Report)
+				if mode == sim.PhaseUtilMean {
+					rows[i].ExecMean, rows[i].MeanEDP = exec, edp
+					return nil
+				}
+				rows[i].ExecMaxCore, rows[i].MaxCoreEDP = exec, edp
+				for p := 1; p < len(configs); p++ {
+					for j := range configs[p].Points {
+						if configs[p].Points[j] != configs[p-1].Points[j] {
+							rows[i].Transitions++
+							break
 						}
 					}
-				})
-			}(i, m, pl, mode, meshSys)
+				}
+				return nil
+			}})
 		}
 	}
-	wg.Wait()
-	for _, err := range errs {
-		if err != nil {
-			return nil, err
-		}
+	if err := s.pool.Run(jobs...); err != nil {
+		return nil, err
 	}
 	return rows, nil
 }

@@ -113,7 +113,9 @@ func BuildPipeline(cfg Config, app *apps.App) (*Pipeline, error) {
 // sweep orchestrator) that compose their own system set from the returned
 // profile and plan while still deduplicating design work across scenarios
 // through the shared cache. The returned workload is the one the profile
-// was characterized with; fromCache reports a design-cache hit.
+// was characterized with; fromCache reports a design-cache hit. The probe
+// and design run as jobs on pool; a caller that is itself running inside
+// a pool job passes nil, so they run inline instead of waiting for a slot.
 func BuildDesign(cfg Config, app *apps.App, pool *sim.Pool, cacheDir string) (*sim.Workload, platform.Profile, vfi.Plan, bool, error) {
 	w, err := app.Workload(cfg.Build.Chip.NumCores())
 	if err != nil {
@@ -180,49 +182,31 @@ func buildPipeline(cfg Config, app *apps.App, pool *sim.Pool, cacheDir string, s
 	// distinct destination, so they can run concurrently in any order
 	// without changing the result.
 	var wiMinHop, wiMaxWireless *sim.RunResult
-	jobs := []struct {
-		stage string
-		dst   **sim.RunResult
-		build func() (*sim.System, error)
-	}{
-		{"sim:nvfi-mesh", &pl.Baseline, func() (*sim.System, error) { return sim.NVFIMeshMapped(cfg.Build, prof.Traffic) }},
-		{"sim:vfi1-mesh", &pl.VFI1Mesh, func() (*sim.System, error) { return sim.VFIMesh(cfg.Build, plan.VFI1, prof.Traffic) }},
-		{"sim:vfi2-mesh", &pl.VFI2Mesh, func() (*sim.System, error) { return sim.VFIMesh(cfg.Build, plan.VFI2, prof.Traffic) }},
-		{"sim:winoc-min-hop", &wiMinHop, func() (*sim.System, error) {
+	simJob := func(stage string, dst **sim.RunResult, build func() (*sim.System, error)) sim.Job {
+		return sim.Job{Name: stage, Detail: app.Name, Run: func() error {
+			ob.stage(stage, "start")
+			defer ob.stage(stage, "done")
+			sys, err := build()
+			if err != nil {
+				return err
+			}
+			*dst, err = sim.Run(w, sys)
+			return err
+		}}
+	}
+	err = pool.Run(
+		simJob("sim:nvfi-mesh", &pl.Baseline, func() (*sim.System, error) { return sim.NVFIMeshMapped(cfg.Build, prof.Traffic) }),
+		simJob("sim:vfi1-mesh", &pl.VFI1Mesh, func() (*sim.System, error) { return sim.VFIMesh(cfg.Build, plan.VFI1, prof.Traffic) }),
+		simJob("sim:vfi2-mesh", &pl.VFI2Mesh, func() (*sim.System, error) { return sim.VFIMesh(cfg.Build, plan.VFI2, prof.Traffic) }),
+		simJob("sim:winoc-min-hop", &wiMinHop, func() (*sim.System, error) {
 			return sim.VFIWiNoC(cfg.Build, plan.VFI2, prof.Traffic, sim.MinHop)
-		}},
-		{"sim:winoc-max-wireless", &wiMaxWireless, func() (*sim.System, error) {
+		}),
+		simJob("sim:winoc-max-wireless", &wiMaxWireless, func() (*sim.System, error) {
 			return sim.VFIWiNoC(cfg.Build, plan.VFI2, prof.Traffic, sim.MaxWireless)
-		}},
-	}
-	errs := make([]error, len(jobs))
-	var wg sync.WaitGroup
-	for i, job := range jobs {
-		wg.Add(1)
-		go func(i int, stage string, dst **sim.RunResult, build func() (*sim.System, error)) {
-			defer wg.Done()
-			pool.DoNamed(stage, app.Name, func() {
-				ob.stage(stage, "start")
-				defer ob.stage(stage, "done")
-				sys, err := build()
-				if err != nil {
-					errs[i] = err
-					return
-				}
-				res, err := sim.Run(w, sys)
-				if err != nil {
-					errs[i] = err
-					return
-				}
-				*dst = res
-			})
-		}(i, job.stage, job.dst, job.build)
-	}
-	wg.Wait()
-	for _, err := range errs { // first error in fixed job order, deterministically
-		if err != nil {
-			return nil, fmt.Errorf("expt: %s: %w", app.Name, err)
-		}
+		}),
+	)
+	if err != nil {
+		return nil, fmt.Errorf("expt: %s: %w", app.Name, err)
 	}
 
 	pl.WiNoC[sim.MinHop] = wiMinHop
@@ -247,35 +231,36 @@ func designFlow(cfg Config, app *apps.App, w *sim.Workload, pool *sim.Pool, cach
 		}
 	}
 	ob.cache(false)
+	// Probe and design are sequential leaf jobs: each holds one slot, and
+	// neither acquires another.
 	var prof platform.Profile
-	var probeErr error
-	pool.DoNamed("probe-sim", app.Name, func() {
+	err := pool.Run(sim.Job{Name: "probe-sim", Detail: app.Name, Run: func() error {
 		ob.stage("probe-sim", "start")
 		defer ob.stage("probe-sim", "done")
 		probeSys, err := sim.NVFIMesh(cfg.Build)
 		if err != nil {
-			probeErr = err
-			return
+			return err
 		}
 		probeRes, err := sim.Run(w, probeSys)
 		if err != nil {
-			probeErr = fmt.Errorf("expt: %s profiling run: %w", app.Name, err)
-			return
+			return fmt.Errorf("expt: %s profiling run: %w", app.Name, err)
 		}
 		prof = probeRes.Profile()
-	})
-	if probeErr != nil {
-		return platform.Profile{}, vfi.Plan{}, false, probeErr
+		return nil
+	}})
+	if err != nil {
+		return platform.Profile{}, vfi.Plan{}, false, err
 	}
 	var plan vfi.Plan
-	var designErr error
-	pool.DoNamed("vfi-design", app.Name, func() {
+	err = pool.Run(sim.Job{Name: "vfi-design", Detail: app.Name, Run: func() error {
 		ob.stage("vfi-design", "start")
 		defer ob.stage("vfi-design", "done")
-		plan, designErr = vfi.Design(prof, cfg.VFI)
-	})
-	if designErr != nil {
-		return platform.Profile{}, vfi.Plan{}, false, fmt.Errorf("expt: %s VFI design: %w", app.Name, designErr)
+		var err error
+		plan, err = vfi.Design(prof, cfg.VFI)
+		return err
+	}})
+	if err != nil {
+		return platform.Profile{}, vfi.Plan{}, false, fmt.Errorf("expt: %s VFI design: %w", app.Name, err)
 	}
 	if cacheDir != "" {
 		saveDesign(cacheDir, cfg, app.Name, prof, plan) // best effort

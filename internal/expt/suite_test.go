@@ -1,6 +1,7 @@
 package expt
 
 import (
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -159,5 +160,35 @@ func TestParallelSuiteMatchesSerial(t *testing.T) {
 		if got != want {
 			t.Errorf("%s differs between serial and parallel suites:\n--- serial ---\n%s--- parallel ---\n%s", r.name, want, got)
 		}
+	}
+}
+
+// oneSlotBound is far above a serial full regeneration, even under -race;
+// a one-slot run still going after it is deadlocked, not slow.
+const oneSlotBound = 2 * time.Minute
+
+// TestOneSlotSnapshot drives every figure and study that acquires the
+// suite pool through a pool of one slot. There, a job that acquires the
+// same pool again waits forever for the slot it holds, so finishing at all
+// proves no acquiring path nests — including the func-valued sim jobs of
+// buildPipeline, which no static call walk can follow.
+func TestOneSlotSnapshot(t *testing.T) {
+	if testing.Short() {
+		t.Skip("regenerates every figure serially")
+	}
+	done := make(chan error, 1)
+	go func() {
+		_, err := CollectSnapshot(NewSuite(DefaultConfig(), WithParallelism(1)))
+		done <- err
+	}()
+	select {
+	case err := <-done:
+		if err != nil {
+			t.Fatal(err)
+		}
+	case <-time.After(oneSlotBound):
+		buf := make([]byte, 1<<20)
+		t.Logf("goroutines:\n%s", buf[:runtime.Stack(buf, true)])
+		t.Fatalf("CollectSnapshot on a one-slot pool still running after %v: nested acquisition of the same sim.Pool?", oneSlotBound)
 	}
 }

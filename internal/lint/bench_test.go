@@ -2,7 +2,7 @@ package lint
 
 import "testing"
 
-// BenchmarkSuiteRun times a full nine-analyzer run over the entire
+// BenchmarkSuiteRun times a full eight-analyzer run over the entire
 // repository — module discovery, loading, type-checking, CFG/dataflow
 // construction, and every analyzer, exactly the work `wivfi-lint ./...`
 // does. CI runs it once per push and gates the wall clock with

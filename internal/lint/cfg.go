@@ -1,8 +1,8 @@
 package lint
 
 // Control-flow graphs for the flow-sensitive analyzers (locksafe, and the
-// reaching-definitions pass under poolsafe/seedflow/cachekey). Stdlib-only,
-// like the rest of the suite: built straight over go/ast, no x/tools.
+// reaching-definitions pass under seedflow/cachekey). Stdlib-only, like
+// the rest of the suite: built straight over go/ast, no x/tools.
 //
 // A funcCFG is a graph of basic blocks per function *body* (FuncDecl or
 // FuncLit — closures get their own CFGs; a closure's execution time is

@@ -6,13 +6,12 @@ package lint
 //     memory (the lint targets plus every module-internal dependency pulled
 //     in during type-checking), mapping *types.Func objects to their
 //     declarations. This is what makes the bounded interprocedural passes
-//     (poolsafe call walks, locksafe re-lock summaries, cachekey producer
-//     closures) possible without x/tools: the source importer already
-//     parsed the dependency ASTs, the index just keeps them addressable.
+//     (locksafe re-lock summaries, cachekey producer closures) possible
+//     without x/tools: the source importer already parsed the dependency
+//     ASTs, the index just keeps them addressable.
 //   - reaching definitions: a classic forward gen/kill pass over a funcCFG,
 //     answering "which assignments may this identifier's value come from" —
-//     the tracing primitive under seedflow and poolsafe origin
-//     classification.
+//     the tracing primitive under seedflow.
 //   - fnScope: the lexical chain of function bodies (FuncDecl plus nested
 //     FuncLits) so closures can resolve free variables against their
 //     enclosing function's definitions. Closure bodies get flow-INsensitive

@@ -2,6 +2,8 @@ package lint
 
 import (
 	"flag"
+	"go/importer"
+	"go/token"
 	"os"
 	"path/filepath"
 	"strings"
@@ -20,6 +22,15 @@ func fixtureRoot(t *testing.T) string {
 	return abs
 }
 
+// The fixture tests share one file set and one stdlib source importer, so
+// the standard library is type-checked once per test binary instead of
+// once per fixture test. Each loadFixtures call still gets fresh module and
+// fixture Packages, and with them its own suppression-use state.
+var (
+	fixtureFset = token.NewFileSet()
+	fixtureStd  = importer.ForCompiler(fixtureFset, "source", nil)
+)
+
 // loadFixtures loads the named fixture packages (dir names under
 // testdata/lint) through the production loader, under their real
 // module-qualified import paths so fixtures can import repo packages.
@@ -30,7 +41,7 @@ func loadFixtures(t *testing.T, names ...string) (*Module, []*Package, string) {
 		t.Fatal(err)
 	}
 	root := fixtureRoot(t)
-	loader := NewLoader(mod)
+	loader := &Loader{Module: mod, Fset: fixtureFset, std: fixtureStd, pkgs: map[string]*Package{}, loads: map[string]bool{}}
 	var pkgs []*Package
 	for _, name := range names {
 		dir := filepath.Join(root, name)
@@ -125,13 +136,6 @@ func TestSweepFixtures(t *testing.T) {
 		func(cfg *Config, paths []string) { cfg.ResultPackages = append(cfg.ResultPackages, paths...) })
 }
 
-func TestPoolSafeFixtures(t *testing.T) {
-	// The fixtures import the real wivfi/internal/sim.Pool, which the
-	// default config already names in PoolTypes — no scoping needed.
-	runFixture(t, "poolsafe", []string{"poolsafe_pos", "poolsafe_neg"},
-		func(cfg *Config, paths []string) {})
-}
-
 // scopeCacheKey points the cachekey roots at the fixtures' local
 // Config/Request/KeyOf declarations.
 func scopeCacheKey(cfg *Config, paths []string) {
@@ -177,7 +181,7 @@ func TestAnnotationHygieneFixtures(t *testing.T) {
 func TestNegativesStayClean(t *testing.T) {
 	names := []string{
 		"det_neg", "nilsafe_neg", "stdout_neg", "counter_neg", "sweep_neg",
-		"poolsafe_neg", "cachekey_neg", "locksafe_neg", "leaksafe_neg", "seedflow_neg",
+		"cachekey_neg", "locksafe_neg", "leaksafe_neg", "seedflow_neg",
 	}
 	mod, pkgs, root := loadFixtures(t, names...)
 	cfg := DefaultConfig(mod.Path)

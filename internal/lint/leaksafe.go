@@ -10,8 +10,10 @@ package lint
 //   - sync.WaitGroup.Done (almost always deferred) — the launcher Waits;
 //   - a send on / close of a channel — someone receives the completion;
 //   - a receive, select, or range over a channel — the goroutine drains a
-//     work queue that closing terminates, or watches a done/ctx channel;
-//   - acquiring a configured pool slot — the pool bounds and accounts it.
+//     work queue that closing terminates, or watches a done/ctx channel.
+//
+// Pool work needs no goroutine of its own: sim.Pool.Run launches and joins
+// its job goroutines itself.
 //
 // The check is per-goroutine-body and syntactic over the resolved body
 // (closure literal or static callee declaration); a goroutine whose body
@@ -25,7 +27,7 @@ import (
 // LeakSafeAnalyzer enforces the goroutine join/cancel contract.
 var LeakSafeAnalyzer = &Analyzer{
 	Name: "leaksafe",
-	Doc:  "goroutines in result-producing packages need a join/cancel path (WaitGroup, channel, or pool slot)",
+	Doc:  "goroutines in result-producing packages need a join/cancel path (WaitGroup or channel)",
 	Keys: []string{"leak"},
 	Run:  runLeakSafe,
 }
@@ -48,7 +50,7 @@ func runLeakSafe(p *Pass) {
 			}
 			if !hasJoinPath(p, body) {
 				p.Reportf(g.Pos(), "leak",
-					"goroutine has no join or cancel path (no WaitGroup.Done, channel operation, or pool slot): its work can be dropped or outlive the run — join it, or annotate //lint:leak <why> if it is joined externally")
+					"goroutine has no join or cancel path (no WaitGroup.Done or channel operation): its work can be dropped or outlive the run — join it, or annotate //lint:leak <why> if it is joined externally")
 			}
 			return true
 		})
@@ -98,9 +100,6 @@ func hasJoinPath(p *Pass, body *ast.BlockStmt) bool {
 			}
 			if id, ok := ast.Unparen(n.Fun).(*ast.Ident); ok && id.Name == "close" && info.Uses[id] == nil {
 				found = true // builtin close
-			}
-			if _, _, ok := poolAcquire(p.Config, info, n); ok {
-				found = true
 			}
 		}
 		return !found

@@ -1,6 +1,6 @@
 // Package lint is the repo's custom static-analysis suite: a small,
 // stdlib-only analyzer framework (go/parser + go/types, no x/tools
-// dependency, so it runs offline) plus the nine analyzers that
+// dependency, so it runs offline) plus the eight analyzers that
 // mechanically enforce the contracts the paper reproduction depends on.
 //
 // Four are AST-level pattern checks:
@@ -21,13 +21,10 @@
 //     constants, so a typo'd metric name is a compile-visible diagnostic
 //     instead of a silently empty manifest row.
 //
-// Five are flow-sensitive, built on the cfg.go/dataflow.go engine (basic
+// Four are flow-sensitive, built on the cfg.go/dataflow.go engine (basic
 // blocks, reaching definitions, and bounded interprocedural call walks
 // over every package the loader has in memory):
 //
-//   - poolsafe: a job holding a sim.Pool slot must not transitively
-//     re-acquire from the same pool (nested acquisition deadlocks under
-//     saturation — the PR 9 incident, machine-checked).
 //   - cachekey: every serialized field reachable from the hash-root
 //     structs must feed expt.ConfigHash, and every field of a request
 //     struct must reach a RequestKey call — new fields that silently
@@ -36,7 +33,7 @@
 //     acquisition, or calls that re-lock the same receiver; every path
 //     from Lock to return must unlock.
 //   - leaksafe: goroutines launched in result packages need a join/cancel
-//     path (WaitGroup, channel, or pool slot).
+//     path (WaitGroup or channel).
 //   - seedflow: rand sources in result packages must be seeded from
 //     config/seed parameters or named constants, traced through
 //     assignments and calls.
@@ -141,10 +138,9 @@ type Config struct {
 	// MetricFuncs are the constructors whose name argument must be a
 	// declared constant, qualified as "import/path.FuncName".
 	MetricFuncs []string
-	// PoolTypes are the bounded worker-pool types whose Do/DoNamed methods
-	// acquire an admission slot, qualified as "import/path.TypeName";
-	// poolsafe guards their nested acquisition, locksafe and leaksafe
-	// treat them as blocking/joining primitives.
+	// PoolTypes are the bounded worker-pool types whose Run method waits
+	// for admission slots, qualified as "import/path.TypeName"; locksafe
+	// treats it as a blocking call.
 	PoolTypes []string
 	// HashRoots are the struct types whose JSON serialization feeds the
 	// design-cache content hash; cachekey audits every struct reachable
@@ -211,7 +207,6 @@ func Analyzers() []*Analyzer {
 		NilsafeAnalyzer,
 		StdoutPureAnalyzer,
 		CounterSafeAnalyzer,
-		PoolSafeAnalyzer,
 		CacheKeyAnalyzer,
 		LockSafeAnalyzer,
 		LeakSafeAnalyzer,

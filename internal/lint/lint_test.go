@@ -292,7 +292,7 @@ func TestDefaultConfigCoversRoadmapPackages(t *testing.T) {
 		t.Error("NilsafePackages must cover internal/obs and internal/timeline")
 	}
 	if !contains(cfg.PoolTypes, "wivfi/internal/sim.Pool") {
-		t.Error("PoolTypes must cover sim.Pool (the PR 9 deadlock contract)")
+		t.Error("PoolTypes must cover sim.Pool (locksafe: no pool wait under a held lock)")
 	}
 	if !contains(cfg.HashRoots, "wivfi/internal/expt.Config") {
 		t.Error("HashRoots must cover expt.Config")

@@ -278,7 +278,7 @@ func applyLockNode(p *Pass, state lockState, n ast.Node, report func(ast.Node, s
 				}
 				return true
 			}
-			if _, _, ok := poolAcquire(p.Config, info, m); ok {
+			if poolAcquire(p.Config, info, m) {
 				hazard(m, "pool slot acquisition")
 				return true
 			}
@@ -406,4 +406,15 @@ func lockLabels(keys []lockKey) string {
 		parts[i] = k.label()
 	}
 	return strings.Join(parts, ", ")
+}
+
+// poolAcquire reports whether call waits for worker-pool admission: Run on
+// a configured pool type.
+func poolAcquire(cfg Config, info *types.Info, call *ast.CallExpr) bool {
+	fn := staticCallee(info, call)
+	if fn == nil || fn.Name() != "Run" {
+		return false
+	}
+	recv := fn.Type().(*types.Signature).Recv()
+	return recv != nil && contains(cfg.PoolTypes, typeQName(recv.Type()))
 }

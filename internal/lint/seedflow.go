@@ -212,3 +212,21 @@ func mentionsNamedConst(info *types.Info, e ast.Expr) bool {
 	})
 	return found
 }
+
+// baseIdent returns the root identifier of a selector/star/paren chain.
+func baseIdent(e ast.Expr) *ast.Ident {
+	for {
+		switch x := ast.Unparen(e).(type) {
+		case *ast.Ident:
+			return x
+		case *ast.SelectorExpr:
+			e = x.X
+		case *ast.StarExpr:
+			e = x.X
+		case *ast.UnaryExpr:
+			e = x.X
+		default:
+			return nil
+		}
+	}
+}

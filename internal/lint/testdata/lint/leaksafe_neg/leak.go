@@ -1,13 +1,9 @@
 // Package leaksafe_neg holds the sanctioned goroutine idioms that must
 // stay clean under leaksafe: WaitGroup joins, channel-delivered results,
-// close-terminated queue drains, and pool-bounded work.
+// and close-terminated queue drains.
 package leaksafe_neg
 
-import (
-	"sync"
-
-	"wivfi/internal/sim"
-)
+import "sync"
 
 // waitGroup joins every worker through wg.Done/Wait.
 func waitGroup(xs []float64) float64 {
@@ -45,13 +41,5 @@ func drainWorker(work chan int, done *sync.WaitGroup) {
 		defer done.Done()
 		for range work {
 		}
-	}()
-}
-
-// poolBounded runs the work under a pool admission slot: the pool bounds
-// and accounts the goroutine.
-func poolBounded(pool *sim.Pool, job func()) {
-	go func() {
-		pool.Do(job)
 	}()
 }

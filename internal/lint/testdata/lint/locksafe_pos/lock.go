@@ -68,7 +68,7 @@ func drainUnderLock(b *box, ch chan int) {
 func poolUnderLock(b *box, pool *sim.Pool) {
 	b.mu.Lock()
 	defer b.mu.Unlock()
-	pool.Do(func() {})
+	_ = pool.Run()
 }
 
 type counter struct {

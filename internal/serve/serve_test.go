@@ -7,6 +7,7 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"runtime"
 	"strings"
 	"sync"
 	"testing"
@@ -490,5 +491,35 @@ func TestLatencyHistogramOnMetrics(t *testing.T) {
 		if !strings.Contains(raw, want) {
 			t.Errorf("/metrics missing %q", want)
 		}
+	}
+}
+
+// TestOneSlotColdDesign serves one cold design request from a server whose
+// shared pool has a single slot. Any pool job on the request path that
+// acquired the same pool again would wait forever for the slot it holds,
+// so the response arriving at all proves the path has no nesting.
+func TestOneSlotColdDesign(t *testing.T) {
+	const bound = 2 * time.Minute
+	_, ts := newTestServer(t, Options{Parallelism: 1})
+	done := make(chan *http.Response, 1)
+	go func() {
+		resp, err := http.Post(ts.URL+"/v1/design", "application/json", strings.NewReader(`{"app":"mm"}`))
+		if err != nil {
+			t.Error(err)
+		}
+		done <- resp
+	}()
+	select {
+	case resp := <-done:
+		if resp == nil {
+			return
+		}
+		if raw := body(t, resp); resp.StatusCode != http.StatusOK {
+			t.Fatalf("status = %d, want 200: %s", resp.StatusCode, raw)
+		}
+	case <-time.After(bound):
+		buf := make([]byte, 1<<20)
+		t.Logf("goroutines:\n%s", buf[:runtime.Stack(buf, true)])
+		t.Fatalf("cold request on a one-slot server still running after %v: nested acquisition of the same sim.Pool?", bound)
 	}
 }

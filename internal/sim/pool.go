@@ -3,6 +3,8 @@ package sim
 import (
 	"fmt"
 	"runtime"
+	"runtime/debug"
+	"sync"
 	"time"
 
 	"wivfi/internal/obs"
@@ -10,8 +12,8 @@ import (
 
 // Telemetry: jobs admitted, total time jobs waited for a slot, and the
 // number in flight (with high-water mark). Counters are always live and
-// allocation-free; the spans in DoNamed record only while a recorder is
-// installed.
+// allocation-free; the per-job spans in Run record only while a recorder
+// is installed.
 // Metric names registered below. Declared constants (enforced by
 // wivfi-lint countersafe) so every lookup site shares one authoritative
 // spelling.
@@ -30,8 +32,8 @@ var (
 // Pool bounds the number of CPU-heavy jobs (system simulations, annealing
 // passes) running concurrently. The experiment harness shares one Pool per
 // Suite so that fanning out many pipelines does not oversubscribe the host:
-// any number of goroutines may queue work, at most cap(sem) of them compute
-// at once.
+// any number of goroutines may call Run, at most cap(sem) jobs compute at
+// once.
 //
 // A nil *Pool is valid and runs every job inline, which keeps call sites
 // free of nil checks and makes serial execution (-j 1 semantics with no
@@ -69,27 +71,76 @@ func (p *Pool) Size() int {
 	return cap(p.sem)
 }
 
-// Do runs fn once an admission slot is free and releases the slot when fn
-// returns. Callers must not call Do from inside fn (the pool is a simple
-// semaphore; nested acquisition can deadlock when the pool is saturated
-// with parents waiting on children). The harness always acquires slots for
-// leaf jobs only.
-func (p *Pool) Do(fn func()) { p.DoNamed("", "", fn) }
+// Job is one leaf unit of pool work. Name and Detail label its trace span
+// (an empty Name records none); Name also identifies the job in a
+// re-raised panic.
+type Job struct {
+	Name, Detail string
+	Run          func() error
+}
 
-// DoNamed is Do plus a tracing span: when a recorder is installed and
-// name is non-empty, fn's execution is recorded as a span named name
-// (detail distinguishes instances) on the track of the admitting pool
-// slot, so traces show one lane per concurrent simulation. With telemetry
-// disabled it behaves exactly like Do.
-func (p *Pool) DoNamed(name, detail string, fn func()) {
+// JobPanic is the value Run re-panics with on the caller's goroutine when
+// a job panicked: the job's Name, the original panic value and the stack
+// of the goroutine the job ran on.
+type JobPanic struct {
+	Job   string
+	Value any
+	Stack []byte
+}
+
+func (e *JobPanic) Error() string {
+	return fmt.Sprintf("sim: pool job %q panicked: %v\n\njob goroutine stack:\n%s", e.Job, e.Value, e.Stack)
+}
+
+// Run executes jobs, at most Size() at a time, each on its own goroutine
+// holding one admission slot for its whole run, and waits for all of them.
+// It returns the first non-nil error in slice order, whatever order the
+// jobs finish in. A nil pool runs the jobs inline, in order.
+//
+// Jobs must be leaves: a job must never call Run on the same pool, since
+// with every slot held by a parent waiting on its children the pool
+// deadlocks. Size-1 pools make such nesting deadlock every time, which the
+// one-slot tests of the expt and serve packages rely on to prove no
+// acquiring path nests. A caller that is itself running inside a job
+// passes a nil pool to whatever it calls.
+//
+// If a job panics, its siblings still run to completion and release their
+// slots; Run then re-panics with a *JobPanic for the first panicking job in
+// slice order.
+func (p *Pool) Run(jobs ...Job) error {
+	errs := make([]error, len(jobs))
+	panics := make([]*JobPanic, len(jobs))
 	if p == nil {
-		if name != "" && obs.Enabled() {
-			sp := obs.StartSpan(name, detail)
-			defer sp.End()
+		for i, job := range jobs {
+			panics[i], errs[i] = call(job, 0)
 		}
-		fn()
-		return
+	} else {
+		var wg sync.WaitGroup
+		wg.Add(len(jobs))
+		for i := range jobs {
+			go func(i int) {
+				defer wg.Done()
+				panics[i], errs[i] = p.admit(jobs[i])
+			}(i)
+		}
+		wg.Wait()
 	}
+	for _, pn := range panics {
+		if pn != nil {
+			panic(pn)
+		}
+	}
+	for _, err := range errs {
+		if err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// admit runs job once an admission slot is free, on that slot's trace
+// track, and releases the slot when the job returns or panics.
+func (p *Pool) admit(job Job) (*JobPanic, error) {
 	enqueued := time.Now()
 	slot := <-p.sem
 	poolQueueWait.Add(int64(time.Since(enqueued)))
@@ -99,9 +150,24 @@ func (p *Pool) DoNamed(name, detail string, fn func()) {
 		poolInFlight.Add(-1)
 		p.sem <- slot
 	}()
-	if name != "" && obs.Enabled() {
-		sp := obs.StartSpanOn(obs.TrackFor(fmt.Sprintf("pool-slot-%02d", slot)), name, detail)
+	track := int32(0)
+	if job.Name != "" && obs.Enabled() {
+		track = obs.TrackFor(fmt.Sprintf("pool-slot-%02d", slot))
+	}
+	return call(job, track)
+}
+
+// call runs job under its span on track, converting a panic into a
+// *JobPanic that carries the panicking goroutine's stack.
+func call(job Job, track int32) (pn *JobPanic, err error) {
+	if job.Name != "" && obs.Enabled() {
+		sp := obs.StartSpanOn(track, job.Name, job.Detail)
 		defer sp.End()
 	}
-	fn()
+	defer func() {
+		if r := recover(); r != nil {
+			pn = &JobPanic{Job: job.Name, Value: r, Stack: debug.Stack()}
+		}
+	}()
+	return nil, job.Run()
 }

@@ -5,7 +5,7 @@ import (
 	"math/rand"
 	"runtime"
 	"sort"
-	"sync"
+	"sync/atomic"
 	"time"
 
 	"wivfi/internal/apps"
@@ -119,54 +119,39 @@ func Run(spec *Spec, opts Options) (*Result, error) {
 	if par <= 0 {
 		par = runtime.GOMAXPROCS(0)
 	}
-	pool := sim.NewPool(par)
 	fresh := make([]Record, len(todo))
-	var (
-		wg         sync.WaitGroup
-		journalErr error
-		mu         sync.Mutex // guards journalErr and the done counter below
-		completed  int
-	)
+	var completed atomic.Int64
+	jobs := make([]sim.Job, len(todo))
 	for i, sc := range todo {
-		wg.Add(1)
-		go func(i int, sc Scenario) {
-			defer wg.Done()
-			pool.DoNamed("sweep:scenario", sc.Label(), func() {
-				inFlightGauge.Add(1)
-				defer inFlightGauge.Add(-1)
-				rec := runScenario(sc, opts.CacheDir)
-				fresh[i] = rec
-				completedCounter.Add(1)
-				if rec.Error != "" {
-					errorCounter.Add(1)
-				}
-				if rec.DESDeviation > spec.AnalyticTolerance {
-					outlierCounter.Add(1)
-				}
-				obs.Logf("sweep: %s done in %d ms (cache_hit=%v err=%q)", sc.Label(), rec.WallMS, rec.CacheHit, rec.Error)
-				var jerr error
-				if journal != nil {
-					jerr = journal.Append(rec)
-				}
-				mu.Lock()
-				completed++
-				n := res.Resumed + completed
-				if jerr != nil && journalErr == nil {
-					journalErr = jerr
-				}
-				mu.Unlock()
-				if opts.OnRecord != nil {
-					opts.OnRecord(rec, false)
-				}
-				if opts.OnProgress != nil {
-					opts.OnProgress(n, res.Planned)
-				}
-			})
-		}(i, sc)
+		jobs[i] = sim.Job{Name: "sweep:scenario", Detail: sc.Label(), Run: func() error {
+			inFlightGauge.Add(1)
+			defer inFlightGauge.Add(-1)
+			rec := runScenario(sc, opts.CacheDir)
+			fresh[i] = rec
+			completedCounter.Add(1)
+			if rec.Error != "" {
+				errorCounter.Add(1)
+			}
+			if rec.DESDeviation > spec.AnalyticTolerance {
+				outlierCounter.Add(1)
+			}
+			obs.Logf("sweep: %s done in %d ms (cache_hit=%v err=%q)", sc.Label(), rec.WallMS, rec.CacheHit, rec.Error)
+			var jerr error
+			if journal != nil {
+				jerr = journal.Append(rec)
+			}
+			n := res.Resumed + int(completed.Add(1))
+			if opts.OnRecord != nil {
+				opts.OnRecord(rec, false)
+			}
+			if opts.OnProgress != nil {
+				opts.OnProgress(n, res.Planned)
+			}
+			return jerr
+		}}
 	}
-	wg.Wait()
-	if journalErr != nil {
-		return nil, journalErr
+	if err := sim.NewPool(par).Run(jobs...); err != nil {
+		return nil, err
 	}
 
 	for _, rec := range fresh {
