@@ -180,12 +180,12 @@ func BenchmarkStealingCaseStudy(b *testing.B) {
 
 // ---- ablations ----
 
-// BenchmarkQPSolvers compares the exact branch-and-bound against the
-// simulated-annealing solver on a 12-core instance (the largest size B&B
-// handles comfortably).
-func BenchmarkQPSolvers(b *testing.B) {
-	rng := rand.New(rand.NewSource(1))
-	n, m := 12, 3
+// randomQP builds a seeded n-core, m-cluster instance: uniform
+// utilizations, traffic on each off-diagonal pair with the given density
+// (1 = every pair, the density of the paper's profiled matrices) and
+// equal-split quantile target means.
+func randomQP(seed int64, n, m int, density float64) *qp.Problem {
+	rng := rand.New(rand.NewSource(seed))
 	util := make([]float64, n)
 	for i := range util {
 		util[i] = rng.Float64()
@@ -194,30 +194,29 @@ func BenchmarkQPSolvers(b *testing.B) {
 	for i := range comm {
 		comm[i] = make([]float64, n)
 		for j := range comm[i] {
-			if i != j {
+			if i != j && (density >= 1 || rng.Float64() < density) {
 				comm[i][j] = rng.Float64()
 			}
 		}
 	}
-	var targets []float64
-	{
-		s := append([]float64(nil), util...)
-		for a := 0; a < n; a++ {
-			for c := a + 1; c < n; c++ {
-				if s[c] < s[a] {
-					s[a], s[c] = s[c], s[a]
-				}
-			}
+	s := append([]float64(nil), util...)
+	sort.Float64s(s)
+	targets := make([]float64, m)
+	for g := 0; g < m; g++ {
+		var sum float64
+		for k := 0; k < n/m; k++ {
+			sum += s[g*(n/m)+k]
 		}
-		for g := 0; g < m; g++ {
-			var sum float64
-			for k := 0; k < n/m; k++ {
-				sum += s[g*(n/m)+k]
-			}
-			targets = append(targets, sum/float64(n/m))
-		}
+		targets[g] = sum / float64(n/m)
 	}
-	prob := &qp.Problem{N: n, M: m, Comm: comm, Util: util, TargetMeans: targets, Wc: 1, Wu: 1}
+	return &qp.Problem{N: n, M: m, Comm: comm, Util: util, TargetMeans: targets, Wc: 1, Wu: 1}
+}
+
+// BenchmarkQPSolvers compares the exact branch-and-bound against the
+// simulated-annealing solver on a 12-core instance (the largest size B&B
+// handles comfortably).
+func BenchmarkQPSolvers(b *testing.B) {
+	prob := randomQP(1, 12, 3, 1)
 	b.Run("branch-and-bound", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			if _, err := qp.BranchAndBound(prob, 50_000_000); err != nil {
@@ -354,32 +353,7 @@ func BenchmarkWIFailureStudy(b *testing.B) {
 // BenchmarkKLRefinement is the partitioning-quality ablation: plain anneal
 // vs anneal + Kernighan-Lin refinement on a 64-core instance.
 func BenchmarkKLRefinement(b *testing.B) {
-	rng := rand.New(rand.NewSource(5))
-	n, m := 64, 4
-	util := make([]float64, n)
-	for i := range util {
-		util[i] = rng.Float64()
-	}
-	comm := make([][]float64, n)
-	for i := range comm {
-		comm[i] = make([]float64, n)
-		for j := range comm[i] {
-			if i != j && rng.Float64() < 0.3 {
-				comm[i][j] = rng.Float64()
-			}
-		}
-	}
-	s := append([]float64(nil), util...)
-	sort.Float64s(s)
-	targets := make([]float64, m)
-	for g := 0; g < m; g++ {
-		var sum float64
-		for k := 0; k < n/m; k++ {
-			sum += s[g*(n/m)+k]
-		}
-		targets[g] = sum / float64(n/m)
-	}
-	prob := &qp.Problem{N: n, M: m, Comm: comm, Util: util, TargetMeans: targets, Wc: 1, Wu: 1}
+	prob := randomQP(5, 64, 4, 0.3)
 	b.Run("anneal", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			if _, err := qp.Anneal(prob, qp.DefaultAnnealOptions()); err != nil {
@@ -394,4 +368,17 @@ func BenchmarkKLRefinement(b *testing.B) {
 			}
 		}
 	})
+}
+
+// BenchmarkAnnealQP is one default-options anneal of a dense 144-core,
+// 4-cluster instance: the size of a 12x12 sweep scenario's VFI clustering.
+// CI gates it with a loose wall-clock budget (testdata/kernel-bench-budget).
+func BenchmarkAnnealQP(b *testing.B) {
+	prob := randomQP(7, 144, 4, 1)
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		if _, err := qp.Anneal(prob, qp.DefaultAnnealOptions()); err != nil {
+			b.Fatal(err)
+		}
+	}
 }

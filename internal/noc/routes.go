@@ -253,12 +253,24 @@ func (rt *RouteTable) buildXY() error {
 		return 0, fmt.Errorf("noc: XY routing needs mesh link %d -> %d", from, to)
 	}
 	for src := 0; src < n; src++ {
+		// Every XY route is exactly Manhattan-distance long, so one backing
+		// slice holds all of src's routes. Each route is a capped subslice:
+		// PathAdjIndices hands them out, and an append by a caller must not
+		// run into the next route.
+		total := 0
+		for dst := 0; dst < n; dst++ {
+			total += chip.ManhattanHops(src, dst)
+		}
+		buf := make([]int, total)
 		rt.paths[src] = make([][]int, n)
+		off := 0
 		for dst := 0; dst < n; dst++ {
 			if src == dst {
 				continue
 			}
-			var path []int
+			end := off + chip.ManhattanHops(src, dst)
+			path := buf[off:off:end]
+			off = end
 			cur := src
 			for cur != dst {
 				cr, cc := chip.Coord(cur)

@@ -233,6 +233,51 @@ func TestWiNoCShortensLongRoutes(t *testing.T) {
 	}
 }
 
+// TestBuildXYAllocsLinear pins the per-source backing slice of XY route
+// building: one 16x16 build allocates O(n) times (a few per source), not
+// once or more per ordered pair.
+func TestBuildXYAllocsLinear(t *testing.T) {
+	chip := platform.DefaultChip()
+	chip.Rows, chip.Cols = 16, 16
+	tp := topo.Mesh(chip)
+	n := tp.NumSwitches()
+	var failed error
+	avg := testing.AllocsPerRun(3, func() {
+		if _, err := BuildRoutes(tp, DefaultLinkCosts(), XY); err != nil {
+			failed = err
+		}
+	})
+	if failed != nil {
+		t.Fatal(failed)
+	}
+	if limit := float64(4 * n); avg > limit {
+		t.Errorf("16x16 XY build allocates %.0f times, want at most %.0f (4 per switch)", avg, limit)
+	}
+}
+
+// TestXYRoutesAreCapped checks that routes sharing one backing slice are
+// exactly Manhattan-long and capped at that length, so appending to one
+// handed out by PathAdjIndices cannot overwrite its neighbour.
+func TestXYRoutesAreCapped(t *testing.T) {
+	rt := meshRT(t, XY)
+	chip := platform.DefaultChip()
+	n := chip.NumCores()
+	for s := 0; s < n; s++ {
+		for d := 0; d < n; d++ {
+			p := rt.PathAdjIndices(s, d)
+			if s == d {
+				if p != nil {
+					t.Fatalf("route %d -> %d = %v, want nil", s, d, p)
+				}
+				continue
+			}
+			if len(p) != chip.ManhattanHops(s, d) || cap(p) != len(p) {
+				t.Fatalf("route %d -> %d has len %d cap %d, want both %d", s, d, len(p), cap(p), chip.ManhattanHops(s, d))
+			}
+		}
+	}
+}
+
 func TestXYRequiresMesh(t *testing.T) {
 	chip := platform.DefaultChip()
 	tp, err := topo.SmallWorld(chip, topo.DefaultSmallWorldConfig())

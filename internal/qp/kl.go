@@ -2,12 +2,13 @@ package qp
 
 import "fmt"
 
-// KLRefine improves a feasible equal-size partition with a Kernighan-Lin
-// style pass: repeatedly build a sequence of best-gain swaps with both
-// endpoints locked after each swap, keep the best prefix of the sequence,
-// and iterate until a full pass yields no improvement. Unlike the plain
-// steepest-descent polish inside Anneal, KL can escape shallow local optima
-// by accepting temporarily-worsening swaps inside a pass.
+// KLRefine improves a feasible partition (one honoring SizeOf) with a
+// Kernighan-Lin style pass: repeatedly build a sequence of best-gain swaps
+// with both endpoints locked after each swap, keep the best prefix of the
+// sequence, and iterate until a full pass yields no improvement. Unlike the
+// plain steepest-descent polish inside Anneal, KL can escape shallow local
+// optima by accepting temporarily-worsening swaps inside a pass. Swaps only
+// exchange cores, so every cluster keeps its size.
 //
 // The input assignment is not modified; the refined assignment and its
 // cost are returned.
@@ -20,8 +21,9 @@ func KLRefine(p *Problem, assign []int) ([]int, float64, error) {
 	}
 	cur := append([]int(nil), assign...)
 	curCost := p.Cost(cur)
+	gt := newGainTable(p)
 	for pass := 0; pass < p.N; pass++ {
-		improved, newCost := klPass(p, cur, curCost)
+		improved, newCost := klPass(gt, cur, curCost)
 		if !improved {
 			break
 		}
@@ -31,31 +33,33 @@ func KLRefine(p *Problem, assign []int) ([]int, float64, error) {
 }
 
 // klPass performs one KL sequence on cur in place. It returns whether the
-// pass improved the cost, and the new cost.
-func klPass(p *Problem, cur []int, curCost float64) (bool, float64) {
-	locked := make([]bool, p.N)
+// pass improved the cost, and the new cost. gt is reset to cur and then
+// tracks the pass's working copy, so each step scans all pairs in O(n²).
+func klPass(gt *gainTable, cur []int, curCost float64) (bool, float64) {
+	n := len(cur)
+	locked := make([]bool, n)
 	type step struct {
 		a, b  int
 		delta float64
 	}
 	var seq []step
-	work := append([]int(nil), cur...)
-	cost := curCost
+	gt.reset(cur)
+	work := gt.assign
 
 	// Build a sequence of up to n/2 best-gain swaps, locking participants.
-	for len(seq) < p.N/2 {
+	for len(seq) < n/2 {
 		bestA, bestB := -1, -1
 		bestDelta := 0.0
 		first := true
-		for a := 0; a < p.N; a++ {
+		for a := 0; a < n; a++ {
 			if locked[a] {
 				continue
 			}
-			for b := a + 1; b < p.N; b++ {
+			for b := a + 1; b < n; b++ {
 				if locked[b] || work[a] == work[b] {
 					continue
 				}
-				d := p.swapDelta(work, a, b)
+				d := gt.delta(a, b)
 				if first || d < bestDelta {
 					bestA, bestB, bestDelta = a, b, d
 					first = false
@@ -65,9 +69,8 @@ func klPass(p *Problem, cur []int, curCost float64) (bool, float64) {
 		if bestA < 0 {
 			break
 		}
-		work[bestA], work[bestB] = work[bestB], work[bestA]
+		gt.swap(bestA, bestB)
 		locked[bestA], locked[bestB] = true, true
-		cost += bestDelta
 		seq = append(seq, step{bestA, bestB, bestDelta})
 	}
 

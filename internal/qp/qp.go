@@ -15,10 +15,15 @@
 //     increments are non-negative, so a partial assignment whose cost already
 //     meets the incumbent can be pruned without losing optimality. Practical
 //     up to n ≈ 16.
-//   - Anneal: multi-start simulated annealing over equal-size partitions
-//     using pairwise swap moves with O(n) incremental cost deltas, followed
+//   - Anneal: multi-start simulated annealing over partitions with the
+//     prescribed cluster sizes (SizeOf), using pairwise swap moves followed
 //     by steepest-descent polishing. Used for the paper's n = 64, m = 4
 //     instances and validated against BranchAndBound on small instances.
+//
+// Anneal, its polish and KLRefine all read one Kernighan-Lin gain table
+// (gain.go): per core v and cluster j, the traffic G[v][j] that v exchanges
+// with cluster j. A swap's cost delta is then O(1) instead of an O(n) scan
+// of two traffic rows, and an applied swap updates the table in O(n).
 package qp
 
 import (
@@ -84,17 +89,13 @@ func (p *Problem) Validate() error {
 	return nil
 }
 
-// ClusterSize returns n/m, the mandated size of every cluster in the
-// classic equal split.
-func (p *Problem) ClusterSize() int { return p.N / p.M }
-
-// SizeOf returns the mandated size of cluster j, honoring an unequal
-// Sizes prescription when present.
+// SizeOf returns the mandated size of cluster j: Sizes[j] under an unequal
+// prescription, n/m in the classic equal split.
 func (p *Problem) SizeOf(j int) int {
 	if p.Sizes != nil {
 		return p.Sizes[j]
 	}
-	return p.ClusterSize()
+	return p.N / p.M
 }
 
 // PhiComm implements Eq. 2: the normalized inter-cluster communication cost
@@ -130,46 +131,6 @@ func (p *Problem) Cost(assign []int) float64 {
 func (p *Problem) utilCost(i, j int) float64 {
 	d := p.Util[i] - p.TargetMeans[j]
 	return p.Wu * d * d
-}
-
-// swapDelta returns the change in Cost caused by swapping cores a and b
-// between their (distinct) clusters under assignment assign. O(n).
-func (p *Problem) swapDelta(assign []int, a, b int) float64 {
-	ja, jb := assign[a], assign[b]
-	if ja == jb {
-		return 0
-	}
-	delta := p.utilCost(a, jb) - p.utilCost(a, ja) +
-		p.utilCost(b, ja) - p.utilCost(b, jb)
-	intra := p.PhiComm(0, 0) // 1/sqrt(m)
-	gain := 1 - intra        // per-unit-traffic saving of moving a pair intra-cluster
-	// Communication terms touching a or b change only when the peer's
-	// cluster relationship flips. After the swap a lives in jb and b in ja.
-	for c := 0; c < p.N; c++ {
-		if c == a || c == b {
-			continue
-		}
-		jc := assign[c]
-		fa := p.Comm[a][c] + p.Comm[c][a]
-		if fa != 0 {
-			if jc == ja {
-				delta += p.Wc * fa * gain // was intra, becomes inter
-			} else if jc == jb {
-				delta -= p.Wc * fa * gain // was inter, becomes intra
-			}
-		}
-		fb := p.Comm[b][c] + p.Comm[c][b]
-		if fb != 0 {
-			if jc == jb {
-				delta += p.Wc * fb * gain
-			} else if jc == ja {
-				delta -= p.Wc * fb * gain
-			}
-		}
-	}
-	// The a<->b pair itself keeps the same relationship (inter-cluster
-	// before and after), so it contributes no delta.
-	return delta
 }
 
 // Solution is the result of a solver run.
@@ -291,7 +252,8 @@ func DefaultAnnealOptions() AnnealOptions {
 }
 
 // Anneal solves the instance heuristically. The result is always a feasible
-// equal-size partition; Exact is false even if the optimum was found.
+// partition honoring the cluster sizes (SizeOf); Exact is false even if the
+// optimum was found.
 func Anneal(p *Problem, opts AnnealOptions) (Solution, error) {
 	if err := p.Validate(); err != nil {
 		return Solution{}, err
@@ -299,20 +261,36 @@ func Anneal(p *Problem, opts AnnealOptions) (Solution, error) {
 	if opts.Restarts <= 0 || opts.Sweeps <= 0 {
 		return Solution{}, fmt.Errorf("qp: anneal needs positive restarts and sweeps")
 	}
+	// NaN fails every comparison, so this also rejects NaN temperatures.
+	if !(opts.EndTemp > 0 && opts.EndTemp <= opts.StartTemp && !math.IsInf(opts.StartTemp, 1)) {
+		return Solution{}, fmt.Errorf("qp: anneal needs finite temperatures with 0 < end <= start, got start=%v end=%v",
+			opts.StartTemp, opts.EndTemp)
+	}
+	sol, _ := anneal(p, opts)
+	return sol, nil
+}
+
+// anneal is Anneal on validated input. Every restart rebuilds one gain
+// table, so each swap proposal costs O(1) and each accepted swap O(n). The
+// table is returned tracking the last restart's polished assignment.
+func anneal(p *Problem, opts AnnealOptions) (Solution, *gainTable) {
 	rng := rand.New(rand.NewSource(opts.Seed))
 	best := Solution{Cost: math.Inf(1)}
+	gt := newGainTable(p)
+	assign := gt.assign
+	coolRate := math.Pow(opts.EndTemp/opts.StartTemp, 1/float64(opts.Sweeps))
 	for r := 0; r < opts.Restarts; r++ {
-		assign := GreedySeed(p)
+		start := GreedySeed(p)
 		if r > 0 {
 			// diversify later restarts with random swaps
 			for k := 0; k < p.N; k++ {
 				a, b := rng.Intn(p.N), rng.Intn(p.N)
-				assign[a], assign[b] = assign[b], assign[a]
+				start[a], start[b] = start[b], start[a]
 			}
 		}
-		cost := p.Cost(assign)
+		gt.reset(start)
+		cost := p.Cost(start)
 		temp := opts.StartTemp
-		coolRate := math.Pow(opts.EndTemp/opts.StartTemp, 1/float64(opts.Sweeps))
 		for sweep := 0; sweep < opts.Sweeps; sweep++ {
 			for move := 0; move < p.N; move++ {
 				a := rng.Intn(p.N)
@@ -320,35 +298,37 @@ func Anneal(p *Problem, opts AnnealOptions) (Solution, error) {
 				if assign[a] == assign[b] {
 					continue
 				}
-				d := p.swapDelta(assign, a, b)
+				d := gt.delta(a, b)
 				if d <= 0 || rng.Float64() < math.Exp(-d/temp) {
-					assign[a], assign[b] = assign[b], assign[a]
+					gt.swap(a, b)
 					cost += d
 				}
 			}
 			temp *= coolRate
 		}
-		cost = polish(p, assign, cost)
+		cost = polish(gt, cost)
 		if cost < best.Cost {
 			best.Cost = cost
-			best.Assign = append([]int(nil), assign...)
+			best.Assign = append(best.Assign[:0], assign...)
 		}
 	}
-	return best, nil
+	return best, gt
 }
 
-// polish runs steepest-descent pairwise swaps until no improving swap
-// exists, returning the final cost.
-func polish(p *Problem, assign []int, cost float64) float64 {
+// polish runs steepest-descent pairwise swaps on the table's assignment
+// until no improving swap exists, returning the final cost. Each step
+// scans all pairs in O(n²).
+func polish(gt *gainTable, cost float64) float64 {
+	assign := gt.assign
 	for {
 		bestDelta := -1e-12
 		bestA, bestB := -1, -1
-		for a := 0; a < p.N; a++ {
-			for b := a + 1; b < p.N; b++ {
+		for a := range assign {
+			for b := a + 1; b < len(assign); b++ {
 				if assign[a] == assign[b] {
 					continue
 				}
-				if d := p.swapDelta(assign, a, b); d < bestDelta {
+				if d := gt.delta(a, b); d < bestDelta {
 					bestDelta, bestA, bestB = d, a, b
 				}
 			}
@@ -356,7 +336,7 @@ func polish(p *Problem, assign []int, cost float64) float64 {
 		if bestA < 0 {
 			return cost
 		}
-		assign[bestA], assign[bestB] = assign[bestB], assign[bestA]
+		gt.swap(bestA, bestB)
 		cost += bestDelta
 	}
 }

@@ -10,6 +10,18 @@ import (
 
 // randomProblem builds a feasible random instance with max-normalized inputs.
 func randomProblem(rng *rand.Rand, n, m int) *Problem {
+	util, comm := randomInputs(rng, n)
+	return &Problem{
+		N: n, M: m,
+		Comm:        stats.NormalizeMatrixMax(comm),
+		Util:        stats.NormalizeMax(util),
+		TargetMeans: stats.QuartileMeans(util, m),
+		Wc:          1, Wu: 1,
+	}
+}
+
+// randomInputs draws n utilizations and a 40%-dense traffic matrix.
+func randomInputs(rng *rand.Rand, n int) ([]float64, [][]float64) {
 	util := make([]float64, n)
 	for i := range util {
 		util[i] = rng.Float64()
@@ -23,13 +35,7 @@ func randomProblem(rng *rand.Rand, n, m int) *Problem {
 			}
 		}
 	}
-	return &Problem{
-		N: n, M: m,
-		Comm:        stats.NormalizeMatrixMax(comm),
-		Util:        stats.NormalizeMax(util),
-		TargetMeans: stats.QuartileMeans(util, m),
-		Wc:          1, Wu: 1,
-	}
+	return util, comm
 }
 
 func feasible(t *testing.T, p *Problem, assign []int) {
@@ -42,9 +48,40 @@ func feasible(t *testing.T, p *Problem, assign []int) {
 		counts[j]++
 	}
 	for j, c := range counts {
-		if c != p.ClusterSize() {
-			t.Fatalf("cluster %d holds %d cores, want %d", j, c, p.ClusterSize())
+		if c != p.SizeOf(j) {
+			t.Fatalf("cluster %d holds %d cores, want %d", j, c, p.SizeOf(j))
 		}
+	}
+}
+
+// randomSizes splits n cores into m clusters of at least one core each,
+// drawn so that the clusters are usually unequal.
+func randomSizes(rng *rand.Rand, n, m int) []int {
+	sizes := make([]int, m)
+	for j := range sizes {
+		sizes[j] = 1
+	}
+	for k := m; k < n; k++ {
+		sizes[rng.Intn(m)]++
+	}
+	return sizes
+}
+
+// randomUnequalProblem is randomProblem with a prescribed unequal split,
+// its target means taken per group the way vfi.BuildProblem does.
+func randomUnequalProblem(rng *rand.Rand, sizes []int) *Problem {
+	n := 0
+	for _, s := range sizes {
+		n += s
+	}
+	util, comm := randomInputs(rng, n)
+	normU := stats.NormalizeMax(util)
+	return &Problem{
+		N: n, M: len(sizes), Sizes: sizes,
+		Comm:        stats.NormalizeMatrixMax(comm),
+		Util:        normU,
+		TargetMeans: stats.GroupMeansBySizes(normU, sizes),
+		Wc:          1, Wu: 1,
 	}
 }
 
@@ -184,6 +221,91 @@ func TestBranchAndBoundMatchesBruteForce(t *testing.T) {
 	}
 }
 
+// TestBranchAndBoundMatchesBruteForceUnequal covers the prescribed
+// unequal splits the sweep's skewed island axis uses: B&B must honour
+// every SizeOf(j) and find the brute-force optimum over all m^n
+// assignments with those cluster sizes.
+func TestBranchAndBoundMatchesBruteForceUnequal(t *testing.T) {
+	rng := rand.New(rand.NewSource(47))
+	for _, sizes := range [][]int{{2, 4}, {1, 5}, {4, 2}, {1, 2, 4}, {3, 1, 3}} {
+		for trial := 0; trial < 4; trial++ {
+			p := randomUnequalProblem(rng, sizes)
+			sol, err := BranchAndBound(p, 1_000_000)
+			if err != nil {
+				t.Fatal(err)
+			}
+			feasible(t, p, sol.Assign)
+			best := math.Inf(1)
+			assign := make([]int, p.N)
+			counts := make([]int, p.M)
+			var enumerate func(i int)
+			enumerate = func(i int) {
+				if i == p.N {
+					if c := p.Cost(assign); c < best {
+						best = c
+					}
+					return
+				}
+				for j := 0; j < p.M; j++ {
+					if counts[j] == p.SizeOf(j) {
+						continue
+					}
+					assign[i] = j
+					counts[j]++
+					enumerate(i + 1)
+					counts[j]--
+				}
+			}
+			enumerate(0)
+			if math.Abs(sol.Cost-best) > 1e-9 {
+				t.Errorf("sizes %v trial %d: B&B cost %v != brute force %v", sizes, trial, sol.Cost, best)
+			}
+		}
+	}
+}
+
+// TestAnnealFeasibleOnUnequalSizes: the annealer and KL only ever swap,
+// so every prescribed cluster size survives, and neither heuristic beats
+// the exact optimum. (Swap-only moves can stall on a tiny skewed split:
+// the 1/3/4 instance below ends 2.2% above its optimum.)
+func TestAnnealFeasibleOnUnequalSizes(t *testing.T) {
+	rng := rand.New(rand.NewSource(61))
+	for trial := 0; trial < 6; trial++ {
+		n, m := 8+rng.Intn(40), 2+rng.Intn(4)
+		p := randomUnequalProblem(rng, randomSizes(rng, n, m))
+		sol, err := Anneal(p, DefaultAnnealOptions())
+		if err != nil {
+			t.Fatal(err)
+		}
+		feasible(t, p, sol.Assign)
+		refined, err := SolveRefined(p, DefaultAnnealOptions())
+		if err != nil {
+			t.Fatal(err)
+		}
+		feasible(t, p, refined.Assign)
+	}
+	for _, sizes := range [][]int{{2, 6}, {1, 3, 4}} {
+		p := randomUnequalProblem(rng, sizes)
+		exact, err := BranchAndBound(p, 10_000_000)
+		if err != nil {
+			t.Fatal(err)
+		}
+		feasible(t, p, exact.Assign)
+		for name, solve := range map[string]func(*Problem, AnnealOptions) (Solution, error){
+			"anneal": Anneal, "anneal+kl": SolveRefined,
+		} {
+			heur, err := solve(p, DefaultAnnealOptions())
+			if err != nil {
+				t.Fatal(err)
+			}
+			feasible(t, p, heur.Assign)
+			if heur.Cost < exact.Cost-1e-9 {
+				t.Errorf("sizes %v: %s cost %v beats proven optimum %v", sizes, name, heur.Cost, exact.Cost)
+			}
+		}
+	}
+}
+
 func TestBranchAndBoundNodeCap(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	p := randomProblem(rng, 12, 3)
@@ -220,16 +342,22 @@ func TestSwapDeltaMatchesFullRecompute(t *testing.T) {
 			assign[a], assign[b] = assign[b], assign[a]
 		}
 		base := p.Cost(assign)
+		gt := newGainTable(p)
+		gt.reset(assign)
 		for k := 0; k < 20; k++ {
 			a, b := rng.Intn(p.N), rng.Intn(p.N)
 			if assign[a] == assign[b] {
 				continue
 			}
-			d := p.swapDelta(assign, a, b)
+			d, dt := p.swapDelta(assign, a, b), gt.delta(a, b)
 			assign[a], assign[b] = assign[b], assign[a]
+			gt.swap(a, b)
 			after := p.Cost(assign)
 			if math.Abs((base+d)-after) > 1e-9 {
 				t.Fatalf("delta mismatch: base %v + delta %v != %v", base, d, after)
+			}
+			if math.Abs((base+dt)-after) > 1e-9 {
+				t.Fatalf("table delta mismatch: base %v + delta %v != %v", base, dt, after)
 			}
 			base = after
 		}
@@ -297,8 +425,27 @@ func TestAnnealScalesTo64Cores(t *testing.T) {
 func TestAnnealRejectsBadOptions(t *testing.T) {
 	rng := rand.New(rand.NewSource(19))
 	p := randomProblem(rng, 8, 2)
-	if _, err := Anneal(p, AnnealOptions{}); err == nil {
-		t.Error("zero-valued options accepted")
+	for _, tc := range []struct {
+		name string
+		opts AnnealOptions
+	}{
+		{"zero value", AnnealOptions{}},
+		{"zero temperatures", AnnealOptions{Restarts: 1, Sweeps: 1}},
+		{"zero end temperature", AnnealOptions{Restarts: 1, Sweeps: 1, StartTemp: 1}},
+		{"negative temperatures", AnnealOptions{Restarts: 1, Sweeps: 1, StartTemp: -1, EndTemp: -2}},
+		{"end above start", AnnealOptions{Restarts: 1, Sweeps: 1, StartTemp: 1e-4, EndTemp: 1}},
+		{"NaN start", AnnealOptions{Restarts: 1, Sweeps: 1, StartTemp: math.NaN(), EndTemp: 1e-4}},
+		{"NaN end", AnnealOptions{Restarts: 1, Sweeps: 1, StartTemp: 1, EndTemp: math.NaN()}},
+		{"infinite start", AnnealOptions{Restarts: 1, Sweeps: 1, StartTemp: math.Inf(1), EndTemp: 1e-4}},
+		{"infinite both", AnnealOptions{Restarts: 1, Sweeps: 1, StartTemp: math.Inf(1), EndTemp: math.Inf(1)}},
+	} {
+		if _, err := Anneal(p, tc.opts); err == nil {
+			t.Errorf("%s: options %+v accepted", tc.name, tc.opts)
+		}
+	}
+	// Equal temperatures are a valid constant-temperature schedule.
+	if _, err := Anneal(p, AnnealOptions{Restarts: 1, Sweeps: 1, StartTemp: 0.5, EndTemp: 0.5}); err != nil {
+		t.Errorf("constant temperature rejected: %v", err)
 	}
 }
 
