@@ -1,9 +1,6 @@
 package noc
 
 import (
-	"fmt"
-	"math"
-
 	"wivfi/internal/energy"
 	"wivfi/internal/topo"
 )
@@ -55,18 +52,8 @@ type AnalyticResult struct {
 // the inflated path latency plus wormhole serialization.
 func Analytic(rt *RouteTable, traffic [][]float64, nm energy.NetworkModel, cfg AnalyticConfig) (AnalyticResult, error) {
 	n := rt.topo.NumSwitches()
-	if len(traffic) != n {
-		return AnalyticResult{}, fmt.Errorf("noc: traffic matrix has %d rows for %d switches", len(traffic), n)
-	}
-	for i, row := range traffic {
-		if len(row) != n {
-			return AnalyticResult{}, fmt.Errorf("noc: traffic row %d has %d cols", i, len(row))
-		}
-		for j, v := range row {
-			if v < 0 || math.IsNaN(v) {
-				return AnalyticResult{}, fmt.Errorf("noc: bad traffic %v at (%d,%d)", v, i, j)
-			}
-		}
+	if err := checkTraffic(traffic, n); err != nil {
+		return AnalyticResult{}, err
 	}
 
 	// Pass 1: accumulate load per directed wireline link (indexed

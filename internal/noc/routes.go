@@ -186,55 +186,33 @@ func pqPop(q []pqItem) (pqItem, []pqItem) {
 }
 
 // dijkstraScratch holds the per-source working arrays so an all-pairs
-// route build allocates them once instead of once per source.
+// search allocates them once instead of once per source.
 type dijkstraScratch struct {
 	dist                []float64
-	prevState, prevLink []int
+	prevState, prevEdge []int
 	done                []bool
 	heap                []pqItem
-	rev                 []int
 }
 
 // BuildRoutes computes routes for every ordered pair under the given mode.
 func BuildRoutes(t *topo.Topology, costs LinkCosts, mode RoutingMode) (*RouteTable, error) {
-	return buildRoutesWithCost(t, costs, mode, nil)
-}
-
-// buildRoutesWithCost is BuildRoutes with an optional per-link cost
-// override used by congestion-aware refinement.
-func buildRoutesWithCost(t *topo.Topology, costs LinkCosts, mode RoutingMode, costFn func(u, ai int) float64) (*RouteTable, error) {
 	if err := t.Validate(); err != nil {
 		return nil, fmt.Errorf("noc: invalid topology: %w", err)
 	}
 	rt := &RouteTable{topo: t, costs: costs, mode: mode}
-	n := t.NumSwitches()
-	rt.paths = make([][][]int, n)
+	rt.paths = make([][][]int, t.NumSwitches())
 	switch mode {
 	case XY:
 		if err := rt.buildXY(); err != nil {
 			return nil, err
 		}
-	case Shortest:
-		var scr dijkstraScratch
-		for src := 0; src < n; src++ {
-			rt.paths[src] = rt.dijkstra(src, nil, costFn, &scr)
-		}
-	case UpDown:
-		up := upDirections(t)
-		var scr dijkstraScratch
-		for src := 0; src < n; src++ {
-			rt.paths[src] = rt.dijkstra(src, up, costFn, &scr)
+	case Shortest, UpDown:
+		g := newGraph(t, costs, mode)
+		if err := rt.solve(g, g.cost); err != nil {
+			return nil, err
 		}
 	default:
 		return nil, fmt.Errorf("noc: unknown routing mode %d", mode)
-	}
-	// sanity: every pair routed
-	for src := 0; src < n; src++ {
-		for dst := 0; dst < n; dst++ {
-			if src != dst && rt.paths[src][dst] == nil {
-				return nil, fmt.Errorf("noc: no %v route %d -> %d", mode, src, dst)
-			}
-		}
 	}
 	return rt, nil
 }
@@ -299,69 +277,108 @@ func (rt *RouteTable) buildXY() error {
 	return nil
 }
 
-// upDirections classifies every directed link as "up" (true) or "down"
-// (false) using BFS levels from switch 0, ties broken by lower id. The
-// result is indexed [from][adjacencyIndex].
-func upDirections(t *topo.Topology) [][]bool {
+// graph is a topology flattened for route search, in compressed sparse
+// row form: the links of switch u are entries off[u] to off[u+1]-1 in
+// adjacency order, so entry e of u is adjacency index e-off[u]. It is
+// built once per routing call.
+type graph struct {
+	n   int
+	off []int
+	to  []int
+	// cost is the static routing cost of each entry (LinkCosts.linkCost).
+	cost []float64
+	// channel is the wireless channel of each entry, -1 for wireline.
+	channel []int
+	// up is the up*/down* direction of each entry (see newGraph); nil for
+	// unconstrained search.
+	up []bool
+}
+
+// newGraph flattens a validated topology for search under mode (Shortest
+// or UpDown). For UpDown every entry is classified as "up" or "down" from
+// BFS levels rooted at switch 0, ties broken by lower id.
+func newGraph(t *topo.Topology, costs LinkCosts, mode RoutingMode) *graph {
 	n := t.NumSwitches()
+	g := &graph{n: n, off: make([]int, n+1)}
+	for u, links := range t.Adj {
+		g.off[u+1] = g.off[u] + len(links)
+	}
+	m := g.off[n]
+	g.to = make([]int, m)
+	g.cost = make([]float64, m)
+	g.channel = make([]int, m)
+	for u, links := range t.Adj {
+		for ai, l := range links {
+			e := g.off[u] + ai
+			g.to[e] = l.To
+			g.cost[e] = costs.linkCost(l)
+			g.channel[e] = -1
+			if l.Type == topo.Wireless {
+				g.channel[e] = l.Channel
+			}
+		}
+	}
+	if mode != UpDown {
+		return g
+	}
 	level := make([]int, n)
 	for i := range level {
 		level[i] = -1
 	}
 	level[0] = 0
-	queue := []int{0}
-	for len(queue) > 0 {
-		u := queue[0]
-		queue = queue[1:]
-		for _, l := range t.Adj[u] {
-			if level[l.To] == -1 {
-				level[l.To] = level[u] + 1
-				queue = append(queue, l.To)
+	queue := append(make([]int, 0, n), 0)
+	for head := 0; head < len(queue); head++ {
+		u := queue[head]
+		for _, v := range g.to[g.off[u]:g.off[u+1]] {
+			if level[v] == -1 {
+				level[v] = level[u] + 1
+				queue = append(queue, v)
 			}
 		}
 	}
-	up := make([][]bool, n)
-	for u := range t.Adj {
-		up[u] = make([]bool, len(t.Adj[u]))
-		for ai, l := range t.Adj[u] {
-			v := l.To
-			up[u][ai] = level[v] < level[u] || (level[v] == level[u] && v < u)
+	g.up = make([]bool, m)
+	for u := 0; u < n; u++ {
+		for e := g.off[u]; e < g.off[u+1]; e++ {
+			v := g.to[e]
+			g.up[e] = level[v] < level[u] || (level[v] == level[u] && v < u)
 		}
 	}
-	return up
+	return g
 }
 
-// search runs the constrained shortest-path search from src, leaving the
-// final dist/prevState/prevLink arrays in scr and returning the number of
-// search states. With up == nil the search is unconstrained; otherwise the
-// up*/down* rule applies: state 0 may take up or down links (down
-// transitions to state 1), state 1 may only take down links. States are
-// encoded as node + phase*n. costFn, when non-nil, overrides the static link
-// cost (congestion-aware refinement). It is the one relax loop behind both
-// dijkstra (which extracts paths) and RoutedAvgHops (which only counts
-// hops), so the two cannot disagree on a tie.
-func search(t *topo.Topology, costs LinkCosts, src int, up [][]bool, costFn func(u, ai int) float64, scr *dijkstraScratch) int {
-	n := t.NumSwitches()
+// search runs the constrained shortest-path search from src over g with
+// per-entry link costs cost, leaving the final dist/prevState/prevEdge
+// arrays in scr and returning the number of search states. With g.up ==
+// nil the search is unconstrained; otherwise the up*/down* rule applies:
+// phase 0 may take up or down links (down moves to phase 1), phase 1 may
+// only take down links. States are encoded as node + phase*n. prevEdge
+// holds graph entries; entries of one node share its offset, so comparing
+// them in the tie-break compares adjacency indices. It is the one relax
+// loop behind BuildRoutes, RefineRoutes and RoutedAvgHops, so none of
+// them can disagree with another on a tie.
+func search(g *graph, cost []float64, src int, scr *dijkstraScratch) int {
+	n := g.n
 	numStates := n
-	if up != nil {
+	if g.up != nil {
 		numStates = 2 * n
 	}
 	if cap(scr.dist) < numStates {
 		scr.dist = make([]float64, numStates)
 		scr.prevState = make([]int, numStates)
-		scr.prevLink = make([]int, numStates)
+		scr.prevEdge = make([]int, numStates)
 		scr.done = make([]bool, numStates)
 	}
 	dist := scr.dist[:numStates]
 	prevState := scr.prevState[:numStates]
-	prevLink := scr.prevLink[:numStates]
+	prevEdge := scr.prevEdge[:numStates]
 	done := scr.done[:numStates]
 	for i := range dist {
 		dist[i] = math.Inf(1)
 		prevState[i] = -1
-		prevLink[i] = -1
+		prevEdge[i] = -1
 		done[i] = false
 	}
+	up := g.up
 	dist[src] = 0 // phase 0
 	q := append(scr.heap[:0], pqItem{state: src})
 	for len(q) > 0 {
@@ -372,31 +389,29 @@ func search(t *topo.Topology, costs LinkCosts, src int, up [][]bool, costFn func
 			continue
 		}
 		done[s] = true
-		node, phase := s%n, s/n
-		for ai, l := range t.Adj[node] {
-			var nextPhase int
+		node, descended := s, false
+		if s >= n {
+			node, descended = s-n, true
+		}
+		ds := dist[s]
+		for e, end := g.off[node], g.off[node+1]; e < end; e++ {
+			ns := g.to[e]
 			if up != nil {
-				if up[node][ai] {
-					if phase == 1 {
+				if up[e] {
+					if descended {
 						continue // cannot go up after going down
 					}
-					nextPhase = 0
 				} else {
-					nextPhase = 1
+					ns += n
 				}
 			}
-			ns := l.To + nextPhase*n
-			lc := costs.linkCost(l)
-			if costFn != nil {
-				lc = costFn(node, ai)
-			}
-			c := dist[s] + lc
+			c := ds + cost[e]
 			if c < dist[ns]-1e-12 ||
 				(math.Abs(c-dist[ns]) <= 1e-12 && prevState[ns] != -1 &&
-					(s < prevState[ns] || (s == prevState[ns] && ai < prevLink[ns]))) {
+					(s < prevState[ns] || (s == prevState[ns] && e < prevEdge[ns]))) {
 				dist[ns] = c
 				prevState[ns] = s
-				prevLink[ns] = ai
+				prevEdge[ns] = e
 				q = pqPush(q, pqItem{state: ns, cost: c})
 			}
 		}
@@ -419,49 +434,92 @@ func (scr *dijkstraScratch) terminal(dst, n, numStates int) int {
 	return best
 }
 
-// dijkstra computes the routes from src (see search), as adjacency-index
-// paths.
-func (rt *RouteTable) dijkstra(src int, up [][]bool, costFn func(u, ai int) float64, scr *dijkstraScratch) [][]int {
-	n := rt.topo.NumSwitches()
-	numStates := search(rt.topo, rt.costs, src, up, costFn, scr)
-	paths := make([][]int, n)
-	for dst := 0; dst < n; dst++ {
-		if dst == src {
-			continue
+// solve fills rt.paths with one search per source under the per-entry
+// link costs cost. Each source's routes are capped subslices of one
+// backing slice sized by their summed hop counts, so an append to one
+// handed out by PathAdjIndices cannot run into the next; the per-source
+// rows of the table share one slice the same way.
+func (rt *RouteTable) solve(g *graph, cost []float64) error {
+	n := g.n
+	var scr dijkstraScratch
+	hops := make([]int, n)
+	rows := make([][]int, n*n)
+	for src := 0; src < n; src++ {
+		numStates := search(g, cost, src, &scr)
+		total := 0
+		for dst := 0; dst < n; dst++ {
+			hops[dst] = 0
+			if dst == src {
+				continue
+			}
+			best := scr.terminal(dst, n, numStates)
+			if best < 0 {
+				return fmt.Errorf("noc: no %v route %d -> %d", rt.mode, src, dst)
+			}
+			for s := best; s != src; s = scr.prevState[s] {
+				hops[dst]++
+			}
+			total += hops[dst]
 		}
-		best := scr.terminal(dst, n, numStates)
-		if best < 0 {
-			continue // caller reports the error
+		buf := make([]int, total)
+		paths := rows[src*n : (src+1)*n : (src+1)*n]
+		for dst := 0; dst < n; dst++ {
+			if dst == src {
+				continue
+			}
+			h := hops[dst]
+			path := buf[:h:h]
+			buf = buf[h:]
+			for s := scr.terminal(dst, n, numStates); s != src; s = scr.prevState[s] {
+				h--
+				u := scr.prevState[s]
+				if u >= n {
+					u -= n
+				}
+				path[h] = scr.prevEdge[s] - g.off[u]
+			}
+			paths[dst] = path
 		}
-		rev := scr.rev[:0]
-		for s := best; s != src; s = scr.prevState[s] {
-			rev = append(rev, scr.prevLink[s])
-		}
-		scr.rev = rev
-		path := make([]int, len(rev))
-		for i := range rev {
-			path[i] = rev[len(rev)-1-i]
-		}
-		paths[dst] = path
+		rt.paths[src] = paths
 	}
-	return paths
+	return nil
+}
+
+// checkTraffic rejects a traffic matrix that is not n×n or holds a
+// negative or NaN rate.
+func checkTraffic(traffic [][]float64, n int) error {
+	if len(traffic) != n {
+		return fmt.Errorf("noc: traffic matrix has %d rows for %d switches", len(traffic), n)
+	}
+	for i, row := range traffic {
+		if len(row) != n {
+			return fmt.Errorf("noc: traffic row %d has %d cols", i, len(row))
+		}
+		for j, v := range row {
+			if v < 0 || math.IsNaN(v) {
+				return fmt.Errorf("noc: bad traffic %v at (%d,%d)", v, i, j)
+			}
+		}
+	}
+	return nil
 }
 
 // RoutedAvgHops returns BuildRoutes(t, costs, mode).AvgHops(traffic)
 // without materializing the route table: each source's search tree is
 // walked back from every destination to count hops, so no path slices are
 // built. It is the scoring kernel of WI-placement annealing, which reads
-// only the weighted hop count of each proposal. The topology is validated
-// and every pair must be routable, exactly as BuildRoutes requires; the
-// result is bit-identical because the search, the tie-break and the
-// accumulation order are the same.
+// only the weighted hop count of each proposal. A nil traffic matrix
+// weighs every pair equally; any other must be n×n, non-negative and free
+// of NaN. The topology is validated and every pair must be routable,
+// exactly as BuildRoutes requires; the result is bit-identical because the
+// search, the tie-break and the accumulation order are the same.
 func RoutedAvgHops(t *topo.Topology, costs LinkCosts, mode RoutingMode, traffic [][]float64) (float64, error) {
-	var up [][]bool
-	switch mode {
-	case Shortest:
-	case UpDown:
-		up = upDirections(t)
-	default:
+	if traffic != nil {
+		if err := checkTraffic(traffic, t.NumSwitches()); err != nil {
+			return 0, err
+		}
+	}
+	if mode != Shortest && mode != UpDown {
 		rt, err := BuildRoutes(t, costs, mode)
 		if err != nil {
 			return 0, err
@@ -471,11 +529,12 @@ func RoutedAvgHops(t *topo.Topology, costs LinkCosts, mode RoutingMode, traffic 
 	if err := t.Validate(); err != nil {
 		return 0, fmt.Errorf("noc: invalid topology: %w", err)
 	}
-	n := t.NumSwitches()
+	g := newGraph(t, costs, mode)
+	n := g.n
 	var scr dijkstraScratch
 	var num, den float64
 	for src := 0; src < n; src++ {
-		numStates := search(t, costs, src, up, nil, &scr)
+		numStates := search(g, g.cost, src, &scr)
 		for dst := 0; dst < n; dst++ {
 			if dst == src {
 				continue
@@ -502,65 +561,102 @@ func RoutedAvgHops(t *topo.Topology, costs LinkCosts, mode RoutingMode, traffic 
 	return num / den, nil
 }
 
-// RefineRoutes rebuilds the route table with congestion-aware link costs:
-// starting from the given table, each iteration measures the per-link (and
-// per-wireless-channel) load the traffic matrix induces on the current
-// routes, inflates every link's cost by an M/D/1 waiting factor, and
-// re-solves the (mode-constrained) shortest paths. This models the
-// per-application routing-table configuration an irregular NoC performs:
-// hot links — saturated wireless channels, the up*/down* root — shed load
-// to colder alternatives. XY tables are returned unchanged (dimension-order
-// routing is oblivious by construction).
+// RefineRoutes rebuilds the route table with congestion-aware link costs.
+// It models the per-application routing-table configuration an irregular
+// NoC performs: hot links — saturated wireless channels, the up*/down*
+// root — shed load to colder alternatives. XY tables are returned
+// unchanged (dimension-order routing is oblivious by construction).
+//
+// The loads the traffic matrix induces on rt's routes seed the first
+// iteration. Each iteration inflates every link's static cost by an M/D/1
+// waiting factor, 1/(1-min(rho, maxUtil)), with rho the link's load, or
+// its wireless channel's pooled load, and re-solves the (mode-constrained)
+// shortest paths. Intermediate iterations never build a route table: the
+// next iteration's loads are summed straight from each source's search
+// tree, in the same (src, dst) order a table walk would use. Only the last
+// iteration materializes routes. traffic must be n×n, non-negative and
+// free of NaN.
 func RefineRoutes(rt *RouteTable, traffic [][]float64, iterations int, maxUtil float64) (*RouteTable, error) {
 	if rt.mode == XY || iterations <= 0 {
 		return rt, nil
 	}
-	if maxUtil <= 0 || maxUtil >= 1 {
+	if !(maxUtil > 0 && maxUtil < 1) {
 		return nil, fmt.Errorf("noc: bad max utilization %v", maxUtil)
 	}
 	t := rt.topo
 	n := t.NumSwitches()
-	cur := rt
-	for it := 0; it < iterations; it++ {
-		// measure loads on the current routes
-		linkLoad := newLinkLoads(t)
-		channelLoad := make([]float64, topo.NumChannels)
-		for s := 0; s < n; s++ {
-			for d := 0; d < n; d++ {
-				f := traffic[s][d]
-				if f == 0 || s == d {
-					continue
-				}
-				node := s
-				for _, ai := range cur.paths[s][d] {
-					l := t.Adj[node][ai]
-					linkLoad[node][ai] += f
-					if l.Type == topo.Wireless {
-						channelLoad[l.Channel] += f
-					}
-					node = l.To
-				}
+	if err := checkTraffic(traffic, n); err != nil {
+		return nil, err
+	}
+	if err := t.Validate(); err != nil {
+		return nil, fmt.Errorf("noc: invalid topology: %w", err)
+	}
+	g := newGraph(t, rt.costs, rt.mode)
+	load := make([]float64, len(g.to))
+	var channelLoad [topo.NumChannels]float64
+	addLoad := func(e int, f float64) {
+		load[e] += f
+		if ch := g.channel[e]; ch >= 0 {
+			channelLoad[ch] += f
+		}
+	}
+	for s := 0; s < n; s++ {
+		for d := 0; d < n; d++ {
+			f := traffic[s][d]
+			if f == 0 || s == d {
+				continue
+			}
+			u := s
+			for _, ai := range rt.paths[s][d] {
+				e := g.off[u] + ai
+				addLoad(e, f)
+				u = g.to[e]
 			}
 		}
-		costFn := func(u, ai int) float64 {
-			l := t.Adj[u][ai]
-			base := cur.costs.linkCost(l)
-			rho := linkLoad[u][ai]
-			if l.Type == topo.Wireless {
-				rho = channelLoad[l.Channel]
+	}
+	cost := make([]float64, len(g.to))
+	var scr dijkstraScratch
+	for it := 0; ; it++ {
+		for e := range cost {
+			rho := load[e]
+			if ch := g.channel[e]; ch >= 0 {
+				rho = channelLoad[ch]
 			}
 			if rho > maxUtil {
 				rho = maxUtil
 			}
-			return base / (1 - rho)
+			cost[e] = g.cost[e] / (1 - rho)
 		}
-		next, err := buildRoutesWithCost(t, cur.costs, cur.mode, costFn)
-		if err != nil {
-			return nil, err
+		if it == iterations-1 {
+			break
 		}
-		cur = next
+		clear(load)
+		channelLoad = [topo.NumChannels]float64{}
+		for src := 0; src < n; src++ {
+			numStates := search(g, cost, src, &scr)
+			for dst := 0; dst < n; dst++ {
+				if dst == src {
+					continue
+				}
+				best := scr.terminal(dst, n, numStates)
+				if best < 0 {
+					return nil, fmt.Errorf("noc: no %v route %d -> %d", rt.mode, src, dst)
+				}
+				f := traffic[src][dst]
+				if f == 0 {
+					continue
+				}
+				for s := best; s != src; s = scr.prevState[s] {
+					addLoad(scr.prevEdge[s], f)
+				}
+			}
+		}
 	}
-	return cur, nil
+	out := &RouteTable{topo: t, costs: rt.costs, mode: rt.mode, paths: make([][][]int, n)}
+	if err := out.solve(g, cost); err != nil {
+		return nil, err
+	}
+	return out, nil
 }
 
 // newLinkLoads returns zeroed per-link accumulators indexed

@@ -126,9 +126,10 @@ func TestUpDownNoUpAfterDown(t *testing.T) {
 	}
 }
 
-// upDirectionsForTest re-derives the BFS up/down orientation.
+// upDirectionsForTest re-derives the BFS up/down orientation with the
+// preserved reference, independently of the search graph.
 func upDirectionsForTest(t *topo.Topology) [][]bool {
-	return upDirections(t)
+	return refUpDirections(t)
 }
 
 // TestChannelDependencyAcyclic is the deadlock-freedom invariant: the
@@ -456,5 +457,8 @@ func TestRefineRoutesRejectsBadUtil(t *testing.T) {
 	traffic := zeroTraffic(64)
 	if _, err := RefineRoutes(rt, traffic, 1, 1.5); err == nil {
 		t.Error("max utilization 1.5 accepted")
+	}
+	if _, err := RefineRoutes(rt, traffic, 1, math.NaN()); err == nil {
+		t.Error("max utilization NaN accepted")
 	}
 }
