@@ -50,84 +50,102 @@ type AnalyticResult struct {
 // loads are pooled per channel before the factor is applied (this is how
 // the token MAC's serialization shows up analytically). Packet latency is
 // the inflated path latency plus wormhole serialization.
+//
+// The evaluation is two walks over the flat route store with one O(links)
+// pass between them: the first sums each link's (or channel's) load, the
+// middle pass turns every link's load into its inflated latency term and
+// its hop energy, and the second sums those per pair in hop order, so
+// each pair's floats are added exactly as a per-hop evaluation would.
 func Analytic(rt *RouteTable, traffic [][]float64, nm energy.NetworkModel, cfg AnalyticConfig) (AnalyticResult, error) {
-	n := rt.topo.NumSwitches()
+	g := rt.g
+	n := g.n
 	if err := checkTraffic(traffic, n); err != nil {
 		return AnalyticResult{}, err
 	}
 
-	// Pass 1: accumulate load per directed wireline link (indexed
-	// [from][adjacency index]) and per wireless channel.
-	linkLoad := newLinkLoads(rt.topo)
-	channelLoad := make([]float64, topo.NumChannels)
+	// Pass 1: accumulate load per directed wireline link and per wireless
+	// channel.
+	m := len(g.to)
+	scratch := make([]float64, 3*m)
+	load, term, hopPJ := scratch[:m], scratch[m:2*m], scratch[2*m:]
+	var channelLoad [topo.NumChannels]float64
 	for s := 0; s < n; s++ {
-		for d := 0; d < n; d++ {
-			f := traffic[s][d]
+		row, off := traffic[s], rt.hopOff[s*n:(s+1)*n+1]
+		for d, f := range row {
 			if f == 0 || s == d {
 				continue
 			}
-			cur := s
-			for _, ai := range rt.paths[s][d] {
-				l := rt.topo.Adj[cur][ai]
-				if l.Type == topo.Wireless {
-					channelLoad[l.Channel] += f
-				} else {
-					linkLoad[cur][ai] += f
+			r := rt.hop[off[d]:off[d+1]]
+			if !g.wireless { // no channel to pool: skip the per-hop test
+				for _, e := range r {
+					load[e] += f
 				}
-				cur = l.To
+				continue
+			}
+			for _, e := range r {
+				if ch := g.channel[e]; ch >= 0 {
+					channelLoad[ch] += f
+				} else {
+					load[e] += f
+				}
 			}
 		}
 	}
 
-	contention := func(load float64) float64 {
-		rho := load
-		if rho > cfg.MaxUtilization {
-			rho = cfg.MaxUtilization
-		}
-		return 1 / (1 - rho)
-	}
-
-	// Pass 2: per-pair latency and energy, traffic weighted.
-	var totFlits, latNum, hopNum, pjNum, wirelessFlitHops, totalFlitHops float64
+	// Per link: the contention-inflated latency term and the hop energy.
+	// The product is stored, so pass 2 adds the same rounded value a
+	// per-hop evaluation would.
 	maxUtil := 0.0
 	for _, cl := range channelLoad {
 		if cl > maxUtil {
 			maxUtil = cl
 		}
 	}
+	for e, ch := range g.channel {
+		rho := load[e]
+		if ch >= 0 {
+			rho = channelLoad[ch]
+		} else if rho > maxUtil {
+			maxUtil = rho
+		}
+		if rho > cfg.MaxUtilization {
+			rho = cfg.MaxUtilization
+		}
+		term[e] = g.base[e] * (1 / (1 - rho))
+	}
+	g.hopEnergyPJ(nm, hopPJ)
+
+	// Pass 2: per-pair latency and energy, traffic weighted.
+	var totFlits, latNum, hopNum, pjNum, wirelessFlitHops, totalFlitHops float64
 	for s := 0; s < n; s++ {
-		for d := 0; d < n; d++ {
-			f := traffic[s][d]
+		row, off := traffic[s], rt.hopOff[s*n:(s+1)*n+1]
+		for d, f := range row {
 			if f == 0 || s == d {
 				continue
 			}
 			var lat, pj float64
-			cur := s
-			hops := 0
-			for _, ai := range rt.paths[s][d] {
-				l := rt.topo.Adj[cur][ai]
-				base := rt.costs.baseLatency(l)
-				if l.Type == topo.Wireless {
-					lat += base * contention(channelLoad[l.Channel])
-					pj += nm.WirelessHopPJ()
-					wirelessFlitHops += f
-				} else {
-					load := linkLoad[cur][ai]
-					if load > maxUtil {
-						maxUtil = load
-					}
-					lat += base * contention(load)
-					pj += nm.WirelineHopPJ(l.LengthMM)
+			r := rt.hop[off[d]:off[d+1]]
+			if !g.wireless { // no channel to pool: skip the per-hop test
+				for _, e := range r {
+					lat += term[e]
+					pj += hopPJ[e]
+					totalFlitHops += f
 				}
-				totalFlitHops += f
-				hops++
-				cur = l.To
+			} else {
+				for _, e := range r {
+					lat += term[e]
+					pj += hopPJ[e]
+					if g.channel[e] >= 0 {
+						wirelessFlitHops += f
+					}
+					totalFlitHops += f
+				}
 			}
 			pj += nm.SwitchPJPerFlitPort // ejection
 			lat += cfg.PacketFlits - 1   // wormhole serialization
 			totFlits += f
 			latNum += f * lat
-			hopNum += f * float64(hops)
+			hopNum += f * float64(len(r))
 			pjNum += f * pj
 		}
 	}

@@ -1,13 +1,17 @@
 package noc_test
 
 import (
+	"math/rand"
 	"testing"
 
 	"wivfi/internal/apps"
+	"wivfi/internal/energy"
 	"wivfi/internal/expt"
 	"wivfi/internal/noc"
 	"wivfi/internal/place"
+	"wivfi/internal/platform"
 	"wivfi/internal/sim"
+	"wivfi/internal/topo"
 )
 
 // BenchmarkAnalyticWiNoC is one analytic network evaluation on the
@@ -44,6 +48,44 @@ func BenchmarkAnalyticWiNoC(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, err := noc.Analytic(sys.Routes, traffic, cfg.Build.NetModel, cfg.Build.Analytic); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkAnalyticMesh16 is one analytic evaluation of a 16x16 XY mesh
+// under seeded dense traffic scaled to one flit per cycle of total
+// injection.
+func BenchmarkAnalyticMesh16(b *testing.B) {
+	tp := topo.Mesh(platform.Chip{Rows: 16, Cols: 16, TileMM: 2.5})
+	rt, err := noc.BuildRoutes(tp, noc.DefaultLinkCosts(), noc.XY)
+	if err != nil {
+		b.Fatal(err)
+	}
+	n := tp.NumSwitches()
+	rng := rand.New(rand.NewSource(1))
+	traffic := make([][]float64, n)
+	var total float64
+	for s := range traffic {
+		traffic[s] = make([]float64, n)
+		for d := range traffic[s] {
+			if s != d {
+				traffic[s][d] = rng.Float64()
+				total += traffic[s][d]
+			}
+		}
+	}
+	for _, row := range traffic {
+		for d := range row {
+			row[d] /= total
+		}
+	}
+	nm := energy.DefaultNetworkModel()
+	cfg := noc.DefaultAnalyticConfig()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := noc.Analytic(rt, traffic, nm, cfg); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -260,7 +260,7 @@ func TestDESLongPathRoutingIdentical(t *testing.T) {
 
 	// The head flit's forward events must walk the routed adjacency
 	// sequence hop by hop.
-	adjSeq := rt.paths[0][63]
+	adjSeq := rt.PathAdjIndices(0, 63)
 	nodeSeq := rt.Path(0, 63)
 	hops := len(adjSeq)
 	if got.res.TotalFlitHops != int64(3*hops) {

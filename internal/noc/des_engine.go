@@ -52,8 +52,9 @@ type injEvent struct {
 }
 
 // desEngine holds all simulator state in struct-of-arrays form. Directed
-// links (adjacency entries) are flattened to ids base[u]..base[u+1]-1; the
-// input buffer fed by link li lives at flat id linkRev[li].
+// links are the route table's edge ids, base[u]..base[u+1]-1 at switch u,
+// so a packet's route is read as link ids directly; the input buffer fed
+// by link li lives at flat id linkRev[li].
 type desEngine struct {
 	// cache keys: topology-derived arrays are rebuilt only when these
 	// change between runs.
@@ -93,12 +94,12 @@ type desEngine struct {
 	// head changes (push into an empty buffer, or pop), so the per-cycle
 	// phases compare timestamps instead of rescanning arena state.
 	headEligAt  []int64  // cycle the head becomes arbitrable; farFuture if never
-	headDesired []int32  // output adjacency the head routes to, valid when arbitrable
+	headDesired []int32  // output link id the head routes to, valid when arbitrable
 	headEjectAt []int64  // cycle the head becomes ejectable here; farFuture if never
 	nodeEligAt  []int64  // lazy lower bound over the node's headEligAt
 	nodeEjectAt []int64  // lazy lower bound over the node's headEjectAt
 	injEligAt   []int64  // cycle the injection front becomes arbitrable (exact)
-	injDesired  []int32  // output adjacency of the injection front
+	injDesired  []int32  // output link id of the injection front
 	nodeBufs    []int32  // non-empty input buffers per switch
 	nodeBinds   []int32  // live output bindings per switch
 	bindMask    []uint64 // bound outputs per switch (bit 63 shared beyond 63)
@@ -120,8 +121,8 @@ type desEngine struct {
 	pktInject   []int64
 	pktInjected []int32
 	pktEjected  []int32
-	pktHeadHop  []int32 // hops completed by the head flit: O(1) route lookup
-	pktRoute    [][]int // adjacency indices, shared with rt.paths
+	pktHeadHop  []int32   // hops completed by the head flit: O(1) route lookup
+	pktRoute    [][]int32 // link ids, shared with the route table
 	bySrc       [][]int32
 	localID     []int
 	localLat    []int64
@@ -176,17 +177,7 @@ func (e *desEngine) bind(rt *RouteTable, nm energy.NetworkModel, cfg DESConfig) 
 		e.nmValid = false
 	}
 	if !e.nmValid || e.nm != nm {
-		t := rt.topo
-		for u := 0; u < e.n; u++ {
-			for ai, l := range t.Adj[u] {
-				li := e.base[u] + int32(ai)
-				if l.Type == topo.Wireless {
-					e.linkEnergyPJ[li] = nm.WirelessHopPJ()
-				} else {
-					e.linkEnergyPJ[li] = nm.WirelineHopPJ(l.LengthMM)
-				}
-			}
-		}
+		rt.g.hopEnergyPJ(nm, e.linkEnergyPJ)
 		e.nm = nm
 		e.nmValid = true
 	}
@@ -207,9 +198,8 @@ func (e *desEngine) rebuild(rt *RouteTable, cfg DESConfig) error {
 	e.words = (n + 63) / 64
 
 	e.base = growI32(e.base, n+1)
-	e.base[0] = 0
-	for u := 0; u < n; u++ {
-		e.base[u+1] = e.base[u] + int32(len(t.Adj[u]))
+	for u, off := range rt.g.off {
+		e.base[u] = int32(off)
 	}
 	e.linkTo = growI32(e.linkTo, numLinks)
 	e.linkRev = growI32(e.linkRev, numLinks)
@@ -404,7 +394,7 @@ func (e *desEngine) loadPackets(packets []Packet) {
 		e.pktInjected = append(e.pktInjected, 0)
 		e.pktEjected = append(e.pktEjected, 0)
 		e.pktHeadHop = append(e.pktHeadHop, 0)
-		e.pktRoute = append(e.pktRoute, e.rt.paths[pk.Src][pk.Dst])
+		e.pktRoute = append(e.pktRoute, e.rt.route(pk.Src, pk.Dst))
 		e.bySrc[pk.Src] = append(e.bySrc[pk.Src], p)
 	}
 	e.numRouted = len(e.pktID)
@@ -420,7 +410,7 @@ func (e *desEngine) loadPackets(packets []Packet) {
 		}
 		p := e.bySrc[u][0]
 		e.injEligAt[u] = e.pktInject[p]
-		e.injDesired[u] = int32(e.pktRoute[p][0])
+		e.injDesired[u] = e.pktRoute[p][0]
 		if e.pktInject[p] <= 0 {
 			e.injReady[u] = true
 			e.refreshNodeBit(u)
@@ -599,7 +589,7 @@ func (e *desEngine) run(cfg DESConfig, hooks desHooks) (DESResult, int) {
 					fq := b0 + int32(q)
 					at := e.headEligAt[fq]
 					if at <= cycle {
-						wantMask |= wantBit(int(e.headDesired[fq]))
+						wantMask |= wantBit(int(e.headDesired[fq] - b0))
 					}
 					if at < minElig {
 						minElig = at
@@ -607,7 +597,7 @@ func (e *desEngine) run(cfg DESConfig, hooks desHooks) (DESResult, int) {
 				}
 				e.nodeEligAt[u] = minElig
 				if e.injEligAt[u] <= cycle {
-					wantMask |= wantBit(int(e.injDesired[u]))
+					wantMask |= wantBit(int(e.injDesired[u] - b0))
 				}
 				if wantMask == 0 && e.nodeBinds[u] == 0 {
 					continue
@@ -695,7 +685,7 @@ func (e *desEngine) run(cfg DESConfig, hooks desHooks) (DESResult, int) {
 					if srcQ := e.bindSrcQ[li]; int(srcQ) != deg {
 						fq := b0 + srcQ
 						if e.headEligAt[fq] <= cycle {
-							d := int(e.headDesired[fq])
+							d := int(e.headDesired[fq] - b0)
 							wantMask |= wantBit(d)
 							if d > ai {
 								outMask |= wantBit(d)
@@ -725,7 +715,7 @@ func (e *desEngine) run(cfg DESConfig, hooks desHooks) (DESResult, int) {
 							// may itself be arbitrable for a later output.
 							e.advanceInjQueue(u, cycle)
 							if e.injEligAt[u] <= cycle {
-								d := int(e.injDesired[u])
+								d := int(e.injDesired[u] - b0)
 								wantMask |= wantBit(d)
 								if d > ai {
 									outMask |= wantBit(d)
@@ -816,14 +806,14 @@ func (e *desEngine) pickCandidate(u, ai, deg int, cycle int64) (int32, int32, bo
 		}
 		if q == deg {
 			// Injection queue: the oldest not-fully-injected packet at u.
-			if e.injEligAt[u] <= cycle && int(e.injDesired[u]) == ai {
+			if e.injEligAt[u] <= cycle && e.injDesired[u] == li {
 				e.rrPtr[li] = int32((q + 1) % numQ)
 				return e.bySrc[u][e.injPtr[u]], int32(deg), true
 			}
 			continue
 		}
 		fq := b0 + int32(q)
-		if e.headEligAt[fq] <= cycle && int(e.headDesired[fq]) == ai {
+		if e.headEligAt[fq] <= cycle && e.headDesired[fq] == li {
 			e.rrPtr[li] = int32((q + 1) % numQ)
 			h := &e.arena[e.bufStart[fq]+e.bufHead[fq]]
 			return h.pkt, int32(q), true
@@ -852,7 +842,7 @@ func (e *desEngine) arbitrate(u, ai, deg int, cycle int64) bool {
 			if h.arrived >= cycle || h.idx != 0 || int(e.pktDst[h.pkt]) == u {
 				continue
 			}
-			if e.pktRoute[h.pkt][e.pktHeadHop[h.pkt]] == ai {
+			if e.pktRoute[h.pkt][e.pktHeadHop[h.pkt]] == li {
 				return true
 			}
 		} else {
@@ -865,7 +855,7 @@ func (e *desEngine) arbitrate(u, ai, deg int, cycle int64) bool {
 			if e.pktInject[p] > cycle || e.pktInjected[p] != 0 {
 				continue
 			}
-			if e.pktRoute[p][0] == ai {
+			if e.pktRoute[p][0] == li {
 				return true
 			}
 		}
@@ -965,7 +955,7 @@ func (e *desEngine) setHeadState(b int32, v int) {
 		return
 	}
 	e.headEligAt[b] = h.arrived + 1
-	e.headDesired[b] = int32(e.pktRoute[h.pkt][e.pktHeadHop[h.pkt]])
+	e.headDesired[b] = e.pktRoute[h.pkt][e.pktHeadHop[h.pkt]]
 	if h.arrived+1 < e.nodeEligAt[v] {
 		e.nodeEligAt[v] = h.arrived + 1
 	}
@@ -993,7 +983,7 @@ func (e *desEngine) advanceInjQueue(u int, cycle int64) {
 	if ptr := int(e.injPtr[u]); ptr < len(e.bySrc[u]) && e.pktInjected[e.bySrc[u][ptr]] == 0 {
 		p := e.bySrc[u][ptr]
 		e.injEligAt[u] = e.pktInject[p]
-		e.injDesired[u] = int32(e.pktRoute[p][0])
+		e.injDesired[u] = e.pktRoute[p][0]
 	} else {
 		e.injEligAt[u] = farFuture
 	}

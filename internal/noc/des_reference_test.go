@@ -53,7 +53,7 @@ func runDESReference(rt *RouteTable, packets []Packet, nm energy.NetworkModel, c
 			continue
 		}
 		ps.nodeSeq = rt.Path(pk.Src, pk.Dst)
-		ps.adjSeq = rt.paths[pk.Src][pk.Dst]
+		ps.adjSeq = rt.PathAdjIndices(pk.Src, pk.Dst)
 		states = append(states, ps)
 		bySrc[pk.Src] = append(bySrc[pk.Src], ps)
 	}

@@ -16,12 +16,12 @@ import (
 
 // sameRoutes fails unless got and want hold identical adjacency-index
 // routes for every ordered pair.
-func sameRoutes(t *testing.T, label string, got, want *RouteTable) {
+func sameRoutes(t *testing.T, label string, got *RouteTable, want *refTable) {
 	t.Helper()
 	n := want.topo.NumSwitches()
 	for s := 0; s < n; s++ {
 		for d := 0; d < n; d++ {
-			g, w := got.PathAdjIndices(s, d), want.PathAdjIndices(s, d)
+			g, w := got.PathAdjIndices(s, d), want.paths[s][d]
 			if (g == nil) != (w == nil) || len(g) != len(w) {
 				t.Fatalf("%s: route %d -> %d = %v, reference %v", label, s, d, g, w)
 			}
@@ -79,9 +79,13 @@ func TestRefineRoutesMatchesReference(t *testing.T) {
 		traffic := randomTraffic(rng, tp.NumSwitches(), []float64{1e-3, 1e-2, 5e-2}[rng.Intn(3)])
 		label := fmt.Sprintf("case %d (%dx%d %s %v, %d iterations, clip %v)",
 			c, tp.Chip.Rows, tp.Chip.Cols, tp.Name, mode, iterations, maxUtil)
-		static, err := refBuildRoutes(tp, costs, mode)
+		refStatic, err := refBuildRoutes(tp, costs, mode)
 		if err != nil {
 			t.Fatalf("%s: reference: %v", label, err)
+		}
+		static, err := BuildRoutes(tp, costs, mode)
+		if err != nil {
+			t.Fatalf("%s: %v", label, err)
 		}
 		load, err := Analytic(static, traffic, nm, AnalyticConfig{PacketFlits: 1, MaxUtilization: maxUtil})
 		if err != nil {
@@ -92,7 +96,7 @@ func TestRefineRoutesMatchesReference(t *testing.T) {
 		} else {
 			unclipped++
 		}
-		want, err := refRefineRoutes(static, traffic, iterations, maxUtil)
+		want, err := refRefineRoutes(refStatic, traffic, iterations, maxUtil)
 		if err != nil {
 			t.Fatalf("%s: reference: %v", label, err)
 		}
@@ -136,7 +140,7 @@ func TestRoutedAvgHopsMatchesReference(t *testing.T) {
 
 // TestRoutingRejectsBadTraffic: every traffic-reading routing kernel
 // rejects a malformed matrix with Analytic's error instead of panicking or
-// folding a NaN or negative rate into link costs.
+// folding a NaN, infinite or negative rate into link costs.
 func TestRoutingRejectsBadTraffic(t *testing.T) {
 	rt := winocRT(t, UpDown)
 	n := rt.topo.NumSwitches()
@@ -156,6 +160,8 @@ func TestRoutingRejectsBadTraffic(t *testing.T) {
 		{"ragged", ragged},
 		{"NaN", withEntry(0, 1, math.NaN())},
 		{"negative", withEntry(2, 3, -0.1)},
+		{"+Inf", withEntry(4, 5, math.Inf(1))},
+		{"-Inf", withEntry(6, 7, math.Inf(-1))},
 	} {
 		call := func(name string, f func() error) string {
 			defer func() {

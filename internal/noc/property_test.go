@@ -30,7 +30,7 @@ func cdgAcyclic(rt *RouteTable) bool {
 			}
 			cur := s
 			prev := -1
-			for _, ai := range rt.paths[s][d] {
+			for _, ai := range rt.PathAdjIndices(s, d) {
 				curID := id[link{cur, ai}]
 				if prev >= 0 && !edge[[2]int{prev, curID}] {
 					edge[[2]int{prev, curID}] = true

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 
+	"wivfi/internal/energy"
 	"wivfi/internal/topo"
 )
 
@@ -13,6 +14,21 @@ import (
 // congestion-aware refinement that rebuilds a whole route table each
 // iteration. The flat-graph kernel in routes.go must reproduce every route
 // it picks (kernel_differential_test.go).
+//
+// The reference tables store routes as adjacency-index paths, the format
+// the flat edge-id store replaced, and carry the per-hop dimension-order
+// builder, Analytic and PathEnergyPJ that walked them. The flat-store
+// kernels must reproduce their every bit (flat_differential_test.go).
+
+// refTable is a route table in the adjacency-index format: paths[src][dst]
+// is the list of adjacency indices, the k-th entry indexing topo.Adj[cur]
+// where cur is the switch reached after k-1 hops. Empty when src == dst.
+type refTable struct {
+	topo  *topo.Topology
+	costs LinkCosts
+	mode  RoutingMode
+	paths [][][]int
+}
 
 // refScratch holds the per-source working arrays of the reference search.
 type refScratch struct {
@@ -24,17 +40,17 @@ type refScratch struct {
 }
 
 // refBuildRoutes is BuildRoutes on the reference search.
-func refBuildRoutes(t *topo.Topology, costs LinkCosts, mode RoutingMode) (*RouteTable, error) {
+func refBuildRoutes(t *topo.Topology, costs LinkCosts, mode RoutingMode) (*refTable, error) {
 	return refBuildRoutesWithCost(t, costs, mode, nil)
 }
 
 // refBuildRoutesWithCost is BuildRoutes with an optional per-link cost
 // override used by congestion-aware refinement.
-func refBuildRoutesWithCost(t *topo.Topology, costs LinkCosts, mode RoutingMode, costFn func(u, ai int) float64) (*RouteTable, error) {
+func refBuildRoutesWithCost(t *topo.Topology, costs LinkCosts, mode RoutingMode, costFn func(u, ai int) float64) (*refTable, error) {
 	if err := t.Validate(); err != nil {
 		return nil, fmt.Errorf("noc: invalid topology: %w", err)
 	}
-	rt := &RouteTable{topo: t, costs: costs, mode: mode}
+	rt := &refTable{topo: t, costs: costs, mode: mode}
 	n := t.NumSwitches()
 	rt.paths = make([][][]int, n)
 	switch mode {
@@ -187,7 +203,7 @@ func (scr *refScratch) terminal(dst, n, numStates int) int {
 
 // refDijkstra computes the routes from src (see refSearch), as
 // adjacency-index paths.
-func (rt *RouteTable) refDijkstra(src int, up [][]bool, costFn func(u, ai int) float64, scr *refScratch) [][]int {
+func (rt *refTable) refDijkstra(src int, up [][]bool, costFn func(u, ai int) float64, scr *refScratch) [][]int {
 	n := rt.topo.NumSwitches()
 	numStates := refSearch(rt.topo, rt.costs, src, up, costFn, scr)
 	paths := make([][]int, n)
@@ -218,7 +234,7 @@ func (rt *RouteTable) refDijkstra(src int, up [][]bool, costFn func(u, ai int) f
 // load the traffic matrix induces on the current routes, inflates every
 // link's cost by an M/D/1 waiting factor through a cost closure, and
 // rebuilds the whole table.
-func refRefineRoutes(rt *RouteTable, traffic [][]float64, iterations int, maxUtil float64) (*RouteTable, error) {
+func refRefineRoutes(rt *refTable, traffic [][]float64, iterations int, maxUtil float64) (*refTable, error) {
 	if rt.mode == XY || iterations <= 0 {
 		return rt, nil
 	}
@@ -268,4 +284,226 @@ func refRefineRoutes(rt *RouteTable, traffic [][]float64, iterations int, maxUti
 		cur = next
 	}
 	return cur, nil
+}
+
+// buildXY fills dimension-order routes; the topology must be the mesh.
+func (rt *refTable) buildXY() error {
+	t := rt.topo
+	chip := t.Chip
+	n := t.NumSwitches()
+	findLink := func(from, to int) (int, error) {
+		for ai, l := range t.Adj[from] {
+			if l.To == to && l.Type == topo.Wireline {
+				return ai, nil
+			}
+		}
+		return 0, fmt.Errorf("noc: XY routing needs mesh link %d -> %d", from, to)
+	}
+	for src := 0; src < n; src++ {
+		// Every XY route is exactly Manhattan-distance long, so one backing
+		// slice holds all of src's routes. Each route is a capped subslice:
+		// PathAdjIndices hands them out, and an append by a caller must not
+		// run into the next route.
+		total := 0
+		for dst := 0; dst < n; dst++ {
+			total += chip.ManhattanHops(src, dst)
+		}
+		buf := make([]int, total)
+		rt.paths[src] = make([][]int, n)
+		off := 0
+		for dst := 0; dst < n; dst++ {
+			if src == dst {
+				continue
+			}
+			end := off + chip.ManhattanHops(src, dst)
+			path := buf[off:off:end]
+			off = end
+			cur := src
+			for cur != dst {
+				cr, cc := chip.Coord(cur)
+				dr, dc := chip.Coord(dst)
+				var next int
+				switch {
+				case cc < dc:
+					next = chip.ID(cr, cc+1)
+				case cc > dc:
+					next = chip.ID(cr, cc-1)
+				case cr < dr:
+					next = chip.ID(cr+1, cc)
+				default:
+					next = chip.ID(cr-1, cc)
+				}
+				ai, err := findLink(cur, next)
+				if err != nil {
+					return err
+				}
+				path = append(path, ai)
+				cur = next
+			}
+			rt.paths[src][dst] = path
+		}
+	}
+	return nil
+}
+
+// newLinkLoads returns zeroed per-link accumulators indexed
+// [from][adjacency index], all rows carved from one backing array.
+func newLinkLoads(t *topo.Topology) [][]float64 {
+	total := 0
+	for _, links := range t.Adj {
+		total += len(links)
+	}
+	buf := make([]float64, total)
+	loads := make([][]float64, len(t.Adj))
+	for u, links := range t.Adj {
+		loads[u], buf = buf[:len(links):len(links)], buf[len(links):]
+	}
+	return loads
+}
+
+// PathEnergyPJ returns the per-flit energy of the src->dst route under the
+// network energy model: one switch traversal per hop plus the destination
+// ejection port, plus link energies. It walks the stored route in place —
+// no PathLinks slice — because the phase-energy loop in internal/sim calls
+// it once per routed pair per phase.
+func (rt *refTable) PathEnergyPJ(src, dst int, nm energy.NetworkModel) float64 {
+	if src == dst {
+		return 0
+	}
+	var pj float64
+	cur := src
+	for _, ai := range rt.paths[src][dst] {
+		l := rt.topo.Adj[cur][ai]
+		if l.Type == topo.Wireless {
+			pj += nm.WirelessHopPJ()
+		} else {
+			pj += nm.WirelineHopPJ(l.LengthMM)
+		}
+		cur = l.To
+	}
+	pj += nm.SwitchPJPerFlitPort
+	return pj
+}
+
+// AvgHops returns the traffic-weighted mean hop count for a traffic matrix
+// (any non-negative weights). With a nil matrix it returns the uniform
+// all-pairs average.
+func (rt *refTable) AvgHops(traffic [][]float64) float64 {
+	n := rt.topo.NumSwitches()
+	var num, den float64
+	for s := 0; s < n; s++ {
+		for d := 0; d < n; d++ {
+			if s == d {
+				continue
+			}
+			w := 1.0
+			if traffic != nil {
+				w = traffic[s][d]
+			}
+			num += w * float64(len(rt.paths[s][d]))
+			den += w
+		}
+	}
+	if den == 0 {
+		return 0
+	}
+	return num / den
+}
+
+// refAnalytic is Analytic walking adjacency-index routes hop by hop.
+func refAnalytic(rt *refTable, traffic [][]float64, nm energy.NetworkModel, cfg AnalyticConfig) (AnalyticResult, error) {
+	n := rt.topo.NumSwitches()
+	if err := checkTraffic(traffic, n); err != nil {
+		return AnalyticResult{}, err
+	}
+
+	// Pass 1: accumulate load per directed wireline link (indexed
+	// [from][adjacency index]) and per wireless channel.
+	linkLoad := newLinkLoads(rt.topo)
+	channelLoad := make([]float64, topo.NumChannels)
+	for s := 0; s < n; s++ {
+		for d := 0; d < n; d++ {
+			f := traffic[s][d]
+			if f == 0 || s == d {
+				continue
+			}
+			cur := s
+			for _, ai := range rt.paths[s][d] {
+				l := rt.topo.Adj[cur][ai]
+				if l.Type == topo.Wireless {
+					channelLoad[l.Channel] += f
+				} else {
+					linkLoad[cur][ai] += f
+				}
+				cur = l.To
+			}
+		}
+	}
+
+	contention := func(load float64) float64 {
+		rho := load
+		if rho > cfg.MaxUtilization {
+			rho = cfg.MaxUtilization
+		}
+		return 1 / (1 - rho)
+	}
+
+	// Pass 2: per-pair latency and energy, traffic weighted.
+	var totFlits, latNum, hopNum, pjNum, wirelessFlitHops, totalFlitHops float64
+	maxUtil := 0.0
+	for _, cl := range channelLoad {
+		if cl > maxUtil {
+			maxUtil = cl
+		}
+	}
+	for s := 0; s < n; s++ {
+		for d := 0; d < n; d++ {
+			f := traffic[s][d]
+			if f == 0 || s == d {
+				continue
+			}
+			var lat, pj float64
+			cur := s
+			hops := 0
+			for _, ai := range rt.paths[s][d] {
+				l := rt.topo.Adj[cur][ai]
+				base := rt.costs.baseLatency(l)
+				if l.Type == topo.Wireless {
+					lat += base * contention(channelLoad[l.Channel])
+					pj += nm.WirelessHopPJ()
+					wirelessFlitHops += f
+				} else {
+					load := linkLoad[cur][ai]
+					if load > maxUtil {
+						maxUtil = load
+					}
+					lat += base * contention(load)
+					pj += nm.WirelineHopPJ(l.LengthMM)
+				}
+				totalFlitHops += f
+				hops++
+				cur = l.To
+			}
+			pj += nm.SwitchPJPerFlitPort // ejection
+			lat += cfg.PacketFlits - 1   // wormhole serialization
+			totFlits += f
+			latNum += f * lat
+			hopNum += f * float64(hops)
+			pjNum += f * pj
+		}
+	}
+	if totFlits == 0 {
+		return AnalyticResult{}, nil
+	}
+	res := AnalyticResult{
+		AvgLatencyCycles:   latNum / totFlits,
+		AvgHops:            hopNum / totFlits,
+		EnergyPJPerFlit:    pjNum / totFlits,
+		MaxLinkUtilization: maxUtil,
+	}
+	if totalFlitHops > 0 {
+		res.WirelessFraction = wirelessFlitHops / totalFlitHops
+	}
+	res.NetworkEDP = res.EnergyPJPerFlit * res.AvgLatencyCycles
+	return res, nil
 }

@@ -22,6 +22,7 @@ package noc
 import (
 	"fmt"
 	"math"
+	"slices"
 
 	"wivfi/internal/energy"
 	"wivfi/internal/topo"
@@ -108,16 +109,27 @@ func (m RoutingMode) String() string {
 	}
 }
 
-// RouteTable holds one deterministic route (a sequence of adjacency
-// indices) for every ordered switch pair.
+// RouteTable holds one deterministic route for every ordered switch pair.
+// A route is a run of edge ids: entries of the table's flattened graph g,
+// so edge e leaves switch u at adjacency index e-g.off[u]. Every consumer
+// (Analytic, RefineRoutes, the DES, the static link statistics) indexes
+// its per-link state by these ids, so the table holds the one link
+// numbering they share.
 type RouteTable struct {
 	topo  *topo.Topology
 	costs LinkCosts
 	mode  RoutingMode
-	// paths[src][dst] is the list of adjacency indices: the k-th entry is
-	// the index into topo.Adj[cur] of the k-th link, where cur is the
-	// switch reached after k-1 hops. Empty when src == dst.
-	paths [][][]int
+	g     *graph
+	// The route from src to dst is hop[hopOff[k]:hopOff[k+1]] with
+	// k = src*n+dst, in hop order; empty when src == dst.
+	hopOff []int32
+	hop    []int32
+}
+
+// route returns the edge ids of the src->dst route (shared storage).
+func (rt *RouteTable) route(src, dst int) []int32 {
+	k := src*rt.g.n + dst
+	return rt.hop[rt.hopOff[k]:rt.hopOff[k+1]]
 }
 
 // Topology returns the routed topology.
@@ -199,104 +211,127 @@ func BuildRoutes(t *topo.Topology, costs LinkCosts, mode RoutingMode) (*RouteTab
 	if err := t.Validate(); err != nil {
 		return nil, fmt.Errorf("noc: invalid topology: %w", err)
 	}
-	rt := &RouteTable{topo: t, costs: costs, mode: mode}
-	rt.paths = make([][][]int, t.NumSwitches())
+	rt := &RouteTable{topo: t, costs: costs, mode: mode, g: newGraph(t, costs, mode)}
+	var err error
 	switch mode {
 	case XY:
-		if err := rt.buildXY(); err != nil {
-			return nil, err
-		}
+		err = rt.buildXY()
 	case Shortest, UpDown:
-		g := newGraph(t, costs, mode)
-		if err := rt.solve(g, g.cost); err != nil {
-			return nil, err
-		}
+		err = rt.solve(rt.g.cost)
 	default:
-		return nil, fmt.Errorf("noc: unknown routing mode %d", mode)
+		err = fmt.Errorf("noc: unknown routing mode %d", mode)
+	}
+	if err != nil {
+		return nil, err
 	}
 	return rt, nil
 }
 
 // buildXY fills dimension-order routes; the topology must be the mesh.
+// Each hop is read from a per-switch table of the first wireline entry
+// towards each mesh neighbour, and every route is exactly its
+// Manhattan distance long, so the hop store is sized once up front.
 func (rt *RouteTable) buildXY() error {
-	t := rt.topo
-	chip := t.Chip
-	n := t.NumSwitches()
-	findLink := func(from, to int) (int, error) {
-		for ai, l := range t.Adj[from] {
-			if l.To == to && l.Type == topo.Wireline {
-				return ai, nil
+	g := rt.g
+	chip := rt.topo.Chip
+	n := g.n
+	// step[4*u+k] is u's entry towards its neighbour one column right
+	// (k=0), one column left (1), one row down (2) or one row up (3); -1
+	// when u has no wireline link there.
+	step := make([]int32, 4*n)
+	for u := 0; u < n; u++ {
+		r, c := chip.Coord(u)
+		nbr := [4]int{-1, -1, -1, -1}
+		if c+1 < chip.Cols {
+			nbr[0] = chip.ID(r, c+1)
+		}
+		if c > 0 {
+			nbr[1] = chip.ID(r, c-1)
+		}
+		if r+1 < chip.Rows {
+			nbr[2] = chip.ID(r+1, c)
+		}
+		if r > 0 {
+			nbr[3] = chip.ID(r-1, c)
+		}
+		for k, v := range nbr {
+			step[4*u+k] = -1
+			for e := g.off[u]; v >= 0 && e < g.off[u+1]; e++ {
+				if g.to[e] == v && g.channel[e] < 0 {
+					step[4*u+k] = int32(e)
+					break
+				}
 			}
 		}
-		return 0, fmt.Errorf("noc: XY routing needs mesh link %d -> %d", from, to)
 	}
+	total := 0
 	for src := 0; src < n; src++ {
-		// Every XY route is exactly Manhattan-distance long, so one backing
-		// slice holds all of src's routes. Each route is a capped subslice:
-		// PathAdjIndices hands them out, and an append by a caller must not
-		// run into the next route.
-		total := 0
 		for dst := 0; dst < n; dst++ {
 			total += chip.ManhattanHops(src, dst)
 		}
-		buf := make([]int, total)
-		rt.paths[src] = make([][]int, n)
-		off := 0
+	}
+	rt.hopOff = make([]int32, n*n+1)
+	rt.hop = make([]int32, total)
+	k := int32(0)
+	for src := 0; src < n; src++ {
+		sr, sc := chip.Coord(src)
 		for dst := 0; dst < n; dst++ {
-			if src == dst {
-				continue
-			}
-			end := off + chip.ManhattanHops(src, dst)
-			path := buf[off:off:end]
-			off = end
-			cur := src
-			for cur != dst {
-				cr, cc := chip.Coord(cur)
-				dr, dc := chip.Coord(dst)
-				var next int
+			rt.hopOff[src*n+dst] = k
+			dr, dc := chip.Coord(dst)
+			cur, r, c := src, sr, sc
+			for r != dr || c != dc {
+				var dir int
 				switch {
-				case cc < dc:
-					next = chip.ID(cr, cc+1)
-				case cc > dc:
-					next = chip.ID(cr, cc-1)
-				case cr < dr:
-					next = chip.ID(cr+1, cc)
+				case c < dc:
+					dir, c = 0, c+1
+				case c > dc:
+					dir, c = 1, c-1
+				case r < dr:
+					dir, r = 2, r+1
 				default:
-					next = chip.ID(cr-1, cc)
+					dir, r = 3, r-1
 				}
-				ai, err := findLink(cur, next)
-				if err != nil {
-					return err
+				e := step[4*cur+dir]
+				if e < 0 {
+					return fmt.Errorf("noc: XY routing needs mesh link %d -> %d", cur, chip.ID(r, c))
 				}
-				path = append(path, ai)
-				cur = next
+				rt.hop[k] = e
+				k++
+				cur = g.to[e]
 			}
-			rt.paths[src][dst] = path
 		}
 	}
+	rt.hopOff[n*n] = k
 	return nil
 }
 
-// graph is a topology flattened for route search, in compressed sparse
-// row form: the links of switch u are entries off[u] to off[u+1]-1 in
-// adjacency order, so entry e of u is adjacency index e-off[u]. It is
-// built once per routing call.
+// graph is a topology flattened in compressed sparse row form: the links
+// of switch u are entries off[u] to off[u+1]-1 in adjacency order, so
+// entry e of u is adjacency index e-off[u]. A route table builds one at
+// construction and keeps it: its entry numbers are the table's edge ids.
 type graph struct {
 	n   int
 	off []int
 	to  []int
 	// cost is the static routing cost of each entry (LinkCosts.linkCost).
 	cost []float64
+	// base is the uncontended traversal cycles of each entry
+	// (LinkCosts.baseLatency).
+	base []float64
+	// lengthMM is the wire length of each entry.
+	lengthMM []float64
 	// channel is the wireless channel of each entry, -1 for wireline.
 	channel []int
+	// wireless reports whether any entry has a channel.
+	wireless bool
 	// up is the up*/down* direction of each entry (see newGraph); nil for
 	// unconstrained search.
 	up []bool
 }
 
-// newGraph flattens a validated topology for search under mode (Shortest
-// or UpDown). For UpDown every entry is classified as "up" or "down" from
-// BFS levels rooted at switch 0, ties broken by lower id.
+// newGraph flattens a validated topology for routing under mode. For
+// UpDown every entry is classified as "up" or "down" from BFS levels
+// rooted at switch 0, ties broken by lower id.
 func newGraph(t *topo.Topology, costs LinkCosts, mode RoutingMode) *graph {
 	n := t.NumSwitches()
 	g := &graph{n: n, off: make([]int, n+1)}
@@ -306,15 +341,20 @@ func newGraph(t *topo.Topology, costs LinkCosts, mode RoutingMode) *graph {
 	m := g.off[n]
 	g.to = make([]int, m)
 	g.cost = make([]float64, m)
+	g.base = make([]float64, m)
+	g.lengthMM = make([]float64, m)
 	g.channel = make([]int, m)
 	for u, links := range t.Adj {
 		for ai, l := range links {
 			e := g.off[u] + ai
 			g.to[e] = l.To
 			g.cost[e] = costs.linkCost(l)
+			g.base[e] = costs.baseLatency(l)
+			g.lengthMM[e] = l.LengthMM
 			g.channel[e] = -1
 			if l.Type == topo.Wireless {
 				g.channel[e] = l.Channel
+				g.wireless = true
 			}
 		}
 	}
@@ -434,21 +474,33 @@ func (scr *dijkstraScratch) terminal(dst, n, numStates int) int {
 	return best
 }
 
-// solve fills rt.paths with one search per source under the per-entry
-// link costs cost. Each source's routes are capped subslices of one
-// backing slice sized by their summed hop counts, so an append to one
-// handed out by PathAdjIndices cannot run into the next; the per-source
-// rows of the table share one slice the same way.
-func (rt *RouteTable) solve(g *graph, cost []float64) error {
+// hopEnergyPJ fills pj[e] with the per-flit link energy of entry e under
+// nm: the wireless hop energy, or the wireline energy of the entry's
+// length.
+func (g *graph) hopEnergyPJ(nm energy.NetworkModel, pj []float64) {
+	for e, ch := range g.channel {
+		if ch >= 0 {
+			pj[e] = nm.WirelessHopPJ()
+		} else {
+			pj[e] = nm.WirelineHopPJ(g.lengthMM[e])
+		}
+	}
+}
+
+// solve fills the route store with one search per source over rt.g under
+// the per-entry link costs cost. The search leaves graph entries in
+// prevEdge, which are the table's edge ids, so each route is copied out
+// as it stands.
+func (rt *RouteTable) solve(cost []float64) error {
+	g := rt.g
 	n := g.n
 	var scr dijkstraScratch
-	hops := make([]int, n)
-	rows := make([][]int, n*n)
+	rt.hopOff = make([]int32, n*n+1)
+	var hop []int32
 	for src := 0; src < n; src++ {
 		numStates := search(g, cost, src, &scr)
 		total := 0
 		for dst := 0; dst < n; dst++ {
-			hops[dst] = 0
 			if dst == src {
 				continue
 			}
@@ -457,36 +509,34 @@ func (rt *RouteTable) solve(g *graph, cost []float64) error {
 				return fmt.Errorf("noc: no %v route %d -> %d", rt.mode, src, dst)
 			}
 			for s := best; s != src; s = scr.prevState[s] {
-				hops[dst]++
+				total++
 			}
-			total += hops[dst]
 		}
-		buf := make([]int, total)
-		paths := rows[src*n : (src+1)*n : (src+1)*n]
+		if need := len(hop) + total; need > cap(hop) {
+			// Extrapolate the final size from the sources routed so far,
+			// so the store is resized a few times, not once per source.
+			est := max(need/(src+1)*n+need/8, need)
+			hop = slices.Grow(hop, est-len(hop))
+		}
 		for dst := 0; dst < n; dst++ {
+			start := len(hop)
+			rt.hopOff[src*n+dst] = int32(start)
 			if dst == src {
 				continue
 			}
-			h := hops[dst]
-			path := buf[:h:h]
-			buf = buf[h:]
 			for s := scr.terminal(dst, n, numStates); s != src; s = scr.prevState[s] {
-				h--
-				u := scr.prevState[s]
-				if u >= n {
-					u -= n
-				}
-				path[h] = scr.prevEdge[s] - g.off[u]
+				hop = append(hop, int32(scr.prevEdge[s]))
 			}
-			paths[dst] = path
+			slices.Reverse(hop[start:])
 		}
-		rt.paths[src] = paths
 	}
+	rt.hopOff[n*n] = int32(len(hop))
+	rt.hop = hop
 	return nil
 }
 
 // checkTraffic rejects a traffic matrix that is not n×n or holds a
-// negative or NaN rate.
+// negative, NaN or infinite rate.
 func checkTraffic(traffic [][]float64, n int) error {
 	if len(traffic) != n {
 		return fmt.Errorf("noc: traffic matrix has %d rows for %d switches", len(traffic), n)
@@ -496,7 +546,7 @@ func checkTraffic(traffic [][]float64, n int) error {
 			return fmt.Errorf("noc: traffic row %d has %d cols", i, len(row))
 		}
 		for j, v := range row {
-			if v < 0 || math.IsNaN(v) {
+			if !(v >= 0 && v <= math.MaxFloat64) { // negative, NaN or ±Inf
 				return fmt.Errorf("noc: bad traffic %v at (%d,%d)", v, i, j)
 			}
 		}
@@ -509,8 +559,8 @@ func checkTraffic(traffic [][]float64, n int) error {
 // walked back from every destination to count hops, so no path slices are
 // built. It is the scoring kernel of WI-placement annealing, which reads
 // only the weighted hop count of each proposal. A nil traffic matrix
-// weighs every pair equally; any other must be n×n, non-negative and free
-// of NaN. The topology is validated and every pair must be routable,
+// weighs every pair equally; any other must be n×n, non-negative and
+// finite. The topology is validated and every pair must be routable,
 // exactly as BuildRoutes requires; the result is bit-identical because the
 // search, the tie-break and the accumulation order are the same.
 func RoutedAvgHops(t *topo.Topology, costs LinkCosts, mode RoutingMode, traffic [][]float64) (float64, error) {
@@ -575,7 +625,7 @@ func RoutedAvgHops(t *topo.Topology, costs LinkCosts, mode RoutingMode, traffic 
 // next iteration's loads are summed straight from each source's search
 // tree, in the same (src, dst) order a table walk would use. Only the last
 // iteration materializes routes. traffic must be n×n, non-negative and
-// free of NaN.
+// finite.
 func RefineRoutes(rt *RouteTable, traffic [][]float64, iterations int, maxUtil float64) (*RouteTable, error) {
 	if rt.mode == XY || iterations <= 0 {
 		return rt, nil
@@ -591,7 +641,7 @@ func RefineRoutes(rt *RouteTable, traffic [][]float64, iterations int, maxUtil f
 	if err := t.Validate(); err != nil {
 		return nil, fmt.Errorf("noc: invalid topology: %w", err)
 	}
-	g := newGraph(t, rt.costs, rt.mode)
+	g := rt.g
 	load := make([]float64, len(g.to))
 	var channelLoad [topo.NumChannels]float64
 	addLoad := func(e int, f float64) {
@@ -606,11 +656,8 @@ func RefineRoutes(rt *RouteTable, traffic [][]float64, iterations int, maxUtil f
 			if f == 0 || s == d {
 				continue
 			}
-			u := s
-			for _, ai := range rt.paths[s][d] {
-				e := g.off[u] + ai
-				addLoad(e, f)
-				u = g.to[e]
+			for _, e := range rt.route(s, d) {
+				addLoad(int(e), f)
 			}
 		}
 	}
@@ -652,43 +699,39 @@ func RefineRoutes(rt *RouteTable, traffic [][]float64, iterations int, maxUtil f
 			}
 		}
 	}
-	out := &RouteTable{topo: t, costs: rt.costs, mode: rt.mode, paths: make([][][]int, n)}
-	if err := out.solve(g, cost); err != nil {
+	out := &RouteTable{topo: t, costs: rt.costs, mode: rt.mode, g: g}
+	if err := out.solve(cost); err != nil {
 		return nil, err
 	}
 	return out, nil
 }
 
-// newLinkLoads returns zeroed per-link accumulators indexed
-// [from][adjacency index], all rows carved from one backing array.
-func newLinkLoads(t *topo.Topology) [][]float64 {
-	total := 0
-	for _, links := range t.Adj {
-		total += len(links)
+// PathAdjIndices returns the route from src to dst as adjacency indices:
+// the k-th entry indexes topo.Adj of the switch reached after k hops. The
+// slice is freshly built; nil when src == dst.
+func (rt *RouteTable) PathAdjIndices(src, dst int) []int {
+	r := rt.route(src, dst)
+	if len(r) == 0 {
+		return nil
 	}
-	buf := make([]float64, total)
-	loads := make([][]float64, len(t.Adj))
-	for u, links := range t.Adj {
-		loads[u], buf = buf[:len(links):len(links)], buf[len(links):]
+	out := make([]int, len(r))
+	u := src
+	for i, e := range r {
+		out[i] = int(e) - rt.g.off[u]
+		u = rt.g.to[e]
 	}
-	return loads
+	return out
 }
 
-// PathAdjIndices returns the route from src to dst as adjacency indices
-// (shared storage; callers must not mutate).
-func (rt *RouteTable) PathAdjIndices(src, dst int) []int { return rt.paths[src][dst] }
-
 // Hops returns the hop count of the src->dst route (0 when src == dst).
-func (rt *RouteTable) Hops(src, dst int) int { return len(rt.paths[src][dst]) }
+func (rt *RouteTable) Hops(src, dst int) int { return len(rt.route(src, dst)) }
 
 // Path returns the switch sequence of the route from src to dst, inclusive
 // of both endpoints.
 func (rt *RouteTable) Path(src, dst int) []int {
 	path := []int{src}
-	cur := src
-	for _, ai := range rt.paths[src][dst] {
-		cur = rt.topo.Adj[cur][ai].To
-		path = append(path, cur)
+	for _, e := range rt.route(src, dst) {
+		path = append(path, rt.g.to[e])
 	}
 	return path
 }
@@ -697,47 +740,66 @@ func (rt *RouteTable) Path(src, dst int) []int {
 func (rt *RouteTable) PathLinks(src, dst int) []topo.Link {
 	var links []topo.Link
 	cur := src
-	for _, ai := range rt.paths[src][dst] {
-		l := rt.topo.Adj[cur][ai]
-		links = append(links, l)
-		cur = l.To
+	for _, e := range rt.route(src, dst) {
+		links = append(links, rt.topo.Adj[cur][int(e)-rt.g.off[cur]])
+		cur = rt.g.to[e]
 	}
 	return links
 }
 
 // PathEnergyPJ returns the per-flit energy of the src->dst route under the
 // network energy model: one switch traversal per hop plus the destination
-// ejection port, plus link energies. It walks the stored route in place —
-// no PathLinks slice — because the phase-energy loop in internal/sim calls
-// it once per routed pair per phase.
+// ejection port, plus link energies.
 func (rt *RouteTable) PathEnergyPJ(src, dst int, nm energy.NetworkModel) float64 {
 	if src == dst {
 		return 0
 	}
+	g := rt.g
 	var pj float64
-	cur := src
-	for _, ai := range rt.paths[src][dst] {
-		l := rt.topo.Adj[cur][ai]
-		if l.Type == topo.Wireless {
+	for _, e := range rt.route(src, dst) {
+		if g.channel[e] >= 0 {
 			pj += nm.WirelessHopPJ()
 		} else {
-			pj += nm.WirelineHopPJ(l.LengthMM)
+			pj += nm.WirelineHopPJ(g.lengthMM[e])
 		}
-		cur = l.To
 	}
 	pj += nm.SwitchPJPerFlitPort
 	return pj
+}
+
+// RoutedEnergyPJ returns the network energy of moving traffic (an n×n
+// flit-count matrix) over the table's routes: the sum over routed pairs of
+// traffic[src][dst] × PathEnergyPJ(src, dst, nm), in (src, dst) order. The
+// per-link energies are computed once, not once per hop of every pair.
+func (rt *RouteTable) RoutedEnergyPJ(traffic [][]float64, nm energy.NetworkModel) float64 {
+	g := rt.g
+	n := g.n
+	hopPJ := make([]float64, len(g.to))
+	g.hopEnergyPJ(nm, hopPJ)
+	var total float64
+	for src := 0; src < n; src++ {
+		row, off := traffic[src], rt.hopOff[src*n:(src+1)*n+1]
+		for dst, f := range row {
+			if f == 0 || src == dst {
+				continue
+			}
+			var pj float64
+			for _, e := range rt.hop[off[dst]:off[dst+1]] {
+				pj += hopPJ[e]
+			}
+			pj += nm.SwitchPJPerFlitPort
+			total += f * pj
+		}
+	}
+	return total
 }
 
 // RouteCostCycles returns the total routing cost (the objective Dijkstra
 // minimizes, including the wireless token bias) of the src->dst route.
 func (rt *RouteTable) RouteCostCycles(src, dst int) float64 {
 	var cycles float64
-	cur := src
-	for _, ai := range rt.paths[src][dst] {
-		l := rt.topo.Adj[cur][ai]
-		cycles += rt.costs.linkCost(l)
-		cur = l.To
+	for _, e := range rt.route(src, dst) {
+		cycles += rt.g.cost[e]
 	}
 	return cycles
 }
@@ -745,11 +807,8 @@ func (rt *RouteTable) RouteCostCycles(src, dst int) float64 {
 // BaseLatencyCycles returns the uncontended head-flit latency of the route.
 func (rt *RouteTable) BaseLatencyCycles(src, dst int) float64 {
 	var cycles float64
-	cur := src
-	for _, ai := range rt.paths[src][dst] {
-		l := rt.topo.Adj[cur][ai]
-		cycles += rt.costs.baseLatency(l)
-		cur = l.To
+	for _, e := range rt.route(src, dst) {
+		cycles += rt.g.base[e]
 	}
 	return cycles
 }

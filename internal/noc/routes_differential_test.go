@@ -167,7 +167,7 @@ func analyticMapReference(rt *RouteTable, traffic [][]float64, nm energy.Network
 				continue
 			}
 			cur := s
-			for _, ai := range rt.paths[s][d] {
+			for _, ai := range rt.PathAdjIndices(s, d) {
 				l := rt.topo.Adj[cur][ai]
 				if l.Type == topo.Wireless {
 					channelLoad[l.Channel] += f
@@ -201,7 +201,7 @@ func analyticMapReference(rt *RouteTable, traffic [][]float64, nm energy.Network
 			var lat, pj float64
 			cur := s
 			hops := 0
-			for _, ai := range rt.paths[s][d] {
+			for _, ai := range rt.PathAdjIndices(s, d) {
 				l := rt.topo.Adj[cur][ai]
 				base := rt.costs.baseLatency(l)
 				if l.Type == topo.Wireless {

@@ -112,7 +112,7 @@ func TestUpDownNoUpAfterDown(t *testing.T) {
 			}
 			cur := s
 			descended := false
-			for _, ai := range rt.paths[s][d] {
+			for _, ai := range rt.PathAdjIndices(s, d) {
 				if up[cur][ai] {
 					if descended {
 						t.Fatalf("route %d->%d goes up after down", s, d)
@@ -157,7 +157,7 @@ func TestChannelDependencyAcyclic(t *testing.T) {
 				}
 				cur := s
 				prev := -1
-				for _, ai := range rt.paths[s][d] {
+				for _, ai := range rt.PathAdjIndices(s, d) {
 					curID := id[link{cur, ai}]
 					if prev >= 0 && !edge[[2]int{prev, curID}] {
 						edge[[2]int{prev, curID}] = true
@@ -352,7 +352,7 @@ func TestBuildRoutesDeterministic(t *testing.T) {
 	b := winocRT(t, UpDown)
 	for s := 0; s < 64; s++ {
 		for d := 0; d < 64; d++ {
-			pa, pb := a.paths[s][d], b.paths[s][d]
+			pa, pb := a.PathAdjIndices(s, d), b.PathAdjIndices(s, d)
 			if len(pa) != len(pb) {
 				t.Fatalf("route (%d,%d) length differs", s, d)
 			}
@@ -418,7 +418,7 @@ func TestRefineRoutesShiftsLoadOffHotLinks(t *testing.T) {
 			}
 			cur := s
 			descended := false
-			for _, ai := range refined.paths[s][d] {
+			for _, ai := range refined.PathAdjIndices(s, d) {
 				if up[cur][ai] {
 					if descended {
 						t.Fatalf("refined route %d->%d violates up*/down*", s, d)

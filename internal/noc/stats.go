@@ -61,29 +61,35 @@ func staticLinkStats(rt *RouteTable, packets []Packet, cycles int64) []LinkStat 
 	type key struct{ from, to int }
 	// Index each link the first time a walk crosses it: the metadata is in
 	// hand at that moment, so no per-key O(degree) adjacency rescan is
-	// needed afterwards. (An earlier version counted into a bare map and
-	// then rescanned Adj[from] once per aggregated link.)
+	// needed afterwards. slot caches each edge id's index (plus one), so
+	// the map is consulted once per edge, not once per hop.
+	g := rt.g
 	idx := map[key]int{}
+	slot := make([]int, len(g.to))
 	var links []LinkStat
 	for _, pk := range packets {
 		if pk.Src == pk.Dst {
 			continue
 		}
 		cur := pk.Src
-		for _, ai := range rt.paths[pk.Src][pk.Dst] {
-			l := rt.topo.Adj[cur][ai]
-			k := key{cur, l.To}
-			i, ok := idx[k]
-			if !ok {
-				i = len(links)
-				idx[k] = i
-				links = append(links, LinkStat{
-					From: cur, To: l.To,
-					Type: l.Type, Channel: l.Channel,
-				})
+		for _, e := range rt.route(pk.Src, pk.Dst) {
+			i := slot[e] - 1
+			if i < 0 {
+				k := key{cur, g.to[e]}
+				var ok bool
+				if i, ok = idx[k]; !ok {
+					l := rt.topo.Adj[cur][int(e)-g.off[cur]]
+					i = len(links)
+					idx[k] = i
+					links = append(links, LinkStat{
+						From: cur, To: l.To,
+						Type: l.Type, Channel: l.Channel,
+					})
+				}
+				slot[e] = i + 1
 			}
 			links[i].Flits += int64(pk.Flits)
-			cur = l.To
+			cur = g.to[e]
 		}
 	}
 	if cycles > 0 {

@@ -142,6 +142,33 @@ func islands(assign []int) int {
 	return m
 }
 
+// TestSwapDeltaMatchesReference: the folded-traffic swap delta returns
+// the bits of the per-call column read it replaced, and the annealer
+// built on it ends on the reference mapping, on random islands and
+// traffic at 8x8, 12x12 and 16x16 (the paper's apps: paper_test.go). The
+// reference annealer costs seconds per 16x16 instance, so that size runs
+// one traffic draw, and a race build runs 8x8 only.
+func TestSwapDeltaMatchesReference(t *testing.T) {
+	rng := rand.New(rand.NewSource(13))
+	dims := []int{8, 12, 16}
+	if raceEnabled {
+		dims = dims[:1]
+	}
+	for _, dim := range dims {
+		chip := platform.Chip{Rows: dim, Cols: dim, TileMM: 2.5}
+		n := chip.NumCores()
+		cases := [][][]float64{randomExactTraffic(rng, n), randTraffic(rng, n, 0.3)}
+		if dim == 16 {
+			cases = cases[:1]
+		}
+		for c, traffic := range cases {
+			if diff := diffSwapDeltas(chip, randomAssign(rng, n, 4), traffic, rng.Int63n(1000)); diff != "" {
+				t.Fatalf("%dx%d case %d: %s", dim, dim, c, diff)
+			}
+		}
+	}
+}
+
 // TestAnnealPinnedMatchesReference covers the max-wireless strategy's
 // pinned annealer, the other user of the Manhattan table.
 func TestAnnealPinnedMatchesReference(t *testing.T) {

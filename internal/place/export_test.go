@@ -5,4 +5,6 @@ package place
 var (
 	RefMinHopCount = refMinHopCount
 	DiffResults    = diffResults
+	DiffSwapDeltas = diffSwapDeltas
+	RaceEnabled    = raceEnabled
 )

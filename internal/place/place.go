@@ -157,6 +157,7 @@ func MapThreadsMinDistance(chip platform.Chip, assign []int, traffic [][]float64
 	m := initialClusterMapping(assign, quads, n)
 	rng := rand.New(rand.NewSource(seed))
 	dist := newHopTable(chip)
+	sym := newSymTraffic(traffic)
 	cost := mappingCost(traffic, m, dist)
 	temp := cost / float64(n*4)
 	if temp <= 0 {
@@ -170,7 +171,7 @@ func MapThreadsMinDistance(chip platform.Chip, assign []int, traffic [][]float64
 			if a == b || assign[a] != assign[b] {
 				continue
 			}
-			d := swapDelta(traffic, m, dist, a, b)
+			d := swapDelta(sym, m, dist, a, b)
 			if d <= 0 || rng.Float64() < math.Exp(-d/temp) {
 				applySwap(&m, a, b)
 				cost += d
@@ -178,7 +179,7 @@ func MapThreadsMinDistance(chip platform.Chip, assign []int, traffic [][]float64
 		}
 		temp *= cool
 	}
-	polishMapping(traffic, &m, dist, assign)
+	polishMapping(sym, &m, dist, assign)
 	return m, nil
 }
 
@@ -250,23 +251,43 @@ func mappingCost(traffic [][]float64, m Mapping, dist hopTable) float64 {
 	return sum
 }
 
+// symTraffic is a thread traffic matrix folded over its diagonal,
+// f[a*n+c] = traffic[a][c] + traffic[c][a], row-major, so the swap delta
+// reads two contiguous rows instead of a strided column of the matrix.
+type symTraffic struct {
+	n int
+	f []float64
+}
+
+func newSymTraffic(traffic [][]float64) symTraffic {
+	n := len(traffic)
+	s := symTraffic{n: n, f: make([]float64, n*n)}
+	for a := 0; a < n; a++ {
+		for c := 0; c < n; c++ {
+			s.f[a*n+c] = traffic[a][c] + traffic[c][a]
+		}
+	}
+	return s
+}
+
+// row returns thread a's traffic with every thread, both directions summed.
+func (s symTraffic) row(a int) []float64 { return s.f[a*s.n : (a+1)*s.n] }
+
 // swapDelta computes the cost change of swapping the tiles of threads a and
 // b in O(n).
-func swapDelta(traffic [][]float64, m Mapping, dist hopTable, a, b int) float64 {
+func swapDelta(sym symTraffic, m Mapping, dist hopTable, a, b int) float64 {
 	da, db := dist.row(m.ThreadToTile[a]), dist.row(m.ThreadToTile[b])
+	fa, fb := sym.row(a), sym.row(b)
 	var d float64
-	for c := range traffic {
+	for c, tc := range m.ThreadToTile {
 		if c == a || c == b {
 			continue
 		}
-		tc := m.ThreadToTile[c]
-		fa := traffic[a][c] + traffic[c][a]
-		if fa != 0 {
-			d += fa * (db[tc] - da[tc])
+		if f := fa[c]; f != 0 {
+			d += f * (db[tc] - da[tc])
 		}
-		fb := traffic[b][c] + traffic[c][b]
-		if fb != 0 {
-			d += fb * (da[tc] - db[tc])
+		if f := fb[c]; f != 0 {
+			d += f * (da[tc] - db[tc])
 		}
 	}
 	// the a-b pair itself: distance unchanged (swap is symmetric)
@@ -280,8 +301,8 @@ func applySwap(m *Mapping, a, b int) {
 }
 
 // polishMapping runs first-improvement swaps until a local optimum.
-func polishMapping(traffic [][]float64, m *Mapping, dist hopTable, assign []int) {
-	n := len(traffic)
+func polishMapping(sym symTraffic, m *Mapping, dist hopTable, assign []int) {
+	n := sym.n
 	improved := true
 	for improved {
 		improved = false
@@ -290,7 +311,7 @@ func polishMapping(traffic [][]float64, m *Mapping, dist hopTable, assign []int)
 				if assign[a] != assign[b] {
 					continue
 				}
-				if swapDelta(traffic, *m, dist, a, b) < -1e-12 {
+				if swapDelta(sym, *m, dist, a, b) < -1e-12 {
 					applySwap(m, a, b)
 					improved = true
 				}
@@ -599,6 +620,7 @@ func annealPinned(chip platform.Chip, assign []int, traffic [][]float64, m *Mapp
 	n := len(assign)
 	rng := rand.New(rand.NewSource(seed + 7))
 	dist := newHopTable(chip)
+	sym := newSymTraffic(traffic)
 	cost := mappingCost(traffic, *m, dist)
 	temp := cost / float64(n*4)
 	if temp <= 0 {
@@ -612,7 +634,7 @@ func annealPinned(chip platform.Chip, assign []int, traffic [][]float64, m *Mapp
 			if a == b || assign[a] != assign[b] || pinned[a] || pinned[b] {
 				continue
 			}
-			d := swapDelta(traffic, *m, dist, a, b)
+			d := swapDelta(sym, *m, dist, a, b)
 			if d <= 0 || rng.Float64() < math.Exp(-d/temp) {
 				applySwap(m, a, b)
 				cost += d
@@ -632,7 +654,7 @@ func annealPinned(chip platform.Chip, assign []int, traffic [][]float64, m *Mapp
 				if pinned[b] || assign[a] != assign[b] {
 					continue
 				}
-				if swapDelta(traffic, *m, dist, a, b) < -1e-12 {
+				if swapDelta(sym, *m, dist, a, b) < -1e-12 {
 					applySwap(m, a, b)
 					improved = true
 				}

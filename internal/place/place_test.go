@@ -172,7 +172,7 @@ func TestSwapDeltaMatchesRecompute(t *testing.T) {
 		if a == b || assign[a] != assign[b] {
 			continue
 		}
-		d := swapDelta(traffic, m, dist, a, b)
+		d := swapDelta(newSymTraffic(traffic), m, dist, a, b)
 		applySwap(&m, a, b)
 		after := mappingCost(traffic, m, dist)
 		if math.Abs(base+d-after) > 1e-9 {

@@ -1,8 +1,10 @@
 package place
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
+	"reflect"
 
 	"wivfi/internal/noc"
 	"wivfi/internal/platform"
@@ -51,6 +53,71 @@ func refSwapDelta(traffic [][]float64, m Mapping, dist func(x, y int) float64, a
 		}
 	}
 	return d
+}
+
+// refColumnSwapDelta is swapDelta reading both directions of each pair's
+// traffic from the matrix, row a and the strided column a, per call.
+func refColumnSwapDelta(traffic [][]float64, m Mapping, dist hopTable, a, b int) float64 {
+	da, db := dist.row(m.ThreadToTile[a]), dist.row(m.ThreadToTile[b])
+	var d float64
+	for c := range traffic {
+		if c == a || c == b {
+			continue
+		}
+		tc := m.ThreadToTile[c]
+		fa := traffic[a][c] + traffic[c][a]
+		if fa != 0 {
+			d += fa * (db[tc] - da[tc])
+		}
+		fb := traffic[b][c] + traffic[c][b]
+		if fb != 0 {
+			d += fb * (da[tc] - db[tc])
+		}
+	}
+	// the a-b pair itself: distance unchanged (swap is symmetric)
+	return d
+}
+
+// diffSwapDeltas compares swapDelta with refColumnSwapDelta on random
+// pairs of a few shuffled mappings, then the final mapping of
+// MapThreadsMinDistance with the reference annealer's. It returns "" when
+// every delta's bits and the mappings agree.
+func diffSwapDeltas(chip platform.Chip, assign []int, traffic [][]float64, seed int64) string {
+	n := chip.NumCores()
+	quads, err := topo.PartitionForAssign(chip, assign)
+	if err != nil {
+		return err.Error()
+	}
+	rng := rand.New(rand.NewSource(seed))
+	m := initialClusterMapping(assign, quads, n)
+	dist := newHopTable(chip)
+	sym := newSymTraffic(traffic)
+	for round := 0; round < 3; round++ {
+		for k := 0; k < n; k++ {
+			if a, b := rng.Intn(n), rng.Intn(n); a != b && assign[a] == assign[b] {
+				applySwap(&m, a, b)
+			}
+		}
+		for k := 0; k < 8*n; k++ {
+			a, b := rng.Intn(n), rng.Intn(n)
+			got, want := swapDelta(sym, m, dist, a, b), refColumnSwapDelta(traffic, m, dist, a, b)
+			if math.Float64bits(got) != math.Float64bits(want) {
+				return fmt.Sprintf("round %d: swapDelta(%d, %d) = %v, reference %v", round, a, b, got, want)
+			}
+		}
+	}
+	got, err := MapThreadsMinDistance(chip, assign, traffic, seed, 200)
+	if err != nil {
+		return err.Error()
+	}
+	want, err := refMapThreadsMinDistance(chip, assign, traffic, seed, 200)
+	if err != nil {
+		return err.Error()
+	}
+	if !reflect.DeepEqual(got, want) {
+		return "MapThreadsMinDistance mapping differs from the reference"
+	}
+	return ""
 }
 
 func refPolishMapping(traffic [][]float64, m *Mapping, dist func(x, y int) float64, assign []int) {

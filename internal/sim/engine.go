@@ -312,15 +312,7 @@ func runPhase(ph *Phase, s *System, freqs []float64) (PhaseResult, error) {
 	}
 	// Network energy: every flit travels its (possibly refined) route once.
 	if switchTraffic != nil {
-		var pj float64
-		for src := 0; src < n; src++ {
-			for dst := 0; dst < n; dst++ {
-				if f := switchTraffic[src][dst]; f != 0 && src != dst {
-					pj += f * routes.PathEnergyPJ(src, dst, s.NetModel)
-				}
-			}
-		}
-		pr.NetJ = pj * 1e-12
+		pr.NetJ = routes.RoutedEnergyPJ(switchTraffic, s.NetModel) * 1e-12
 	}
 	// Core energy: dynamic while busy, idle-clock for the rest, leakage
 	// for the whole phase, all at the thread's island operating point.

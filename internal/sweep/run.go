@@ -1,9 +1,11 @@
 package sweep
 
 import (
+	"cmp"
 	"fmt"
 	"math/rand"
 	"runtime"
+	"slices"
 	"sort"
 	"sync/atomic"
 	"time"
@@ -316,9 +318,13 @@ func probeFidelity(rec *Record, cfg expt.Config, traffic [][]float64, meshSys *s
 	rng := rand.New(rand.NewSource(probeSeed))
 	sampler := newSampler(tiles, total)
 	pkts := make([]noc.Packet, probePackets)
+	draws := make([]float64, probePackets)
 	for i := range pkts {
-		s, d := sampler.pick(rng)
-		pkts[i] = noc.Packet{ID: i, Src: s, Dst: d, Flits: probeFlits, Inject: rng.Int63n(probeHorizon + 1)}
+		draws[i] = sampler.draw(rng)
+		pkts[i] = noc.Packet{ID: i, Flits: probeFlits, Inject: rng.Int63n(probeHorizon + 1)}
+	}
+	for i, k := range sampler.resolve(draws) {
+		pkts[i].Src, pkts[i].Dst = k/sampler.n, k%sampler.n
 	}
 	des, err := noc.RunDES(meshSys.Routes, pkts, cfg.Build.NetModel, noc.DefaultDESConfig())
 	if err != nil {
@@ -336,8 +342,10 @@ func probeFidelity(rec *Record, cfg expt.Config, traffic [][]float64, meshSys *s
 	return nil
 }
 
-// sampler draws (src, dst) pairs proportional to a traffic matrix, one
-// early-exiting pass over a row-major flattened copy per draw.
+// sampler draws (src, dst) pairs proportional to a traffic matrix. A draw
+// is a point r in [0, total); it lands on the first entry k of the
+// row-major flattened matrix at which r, less each entry up to k in turn,
+// reaches zero, or on the last entry if it never does.
 type sampler struct {
 	n     int
 	flat  []float64
@@ -352,13 +360,71 @@ func newSampler(m [][]float64, total float64) *sampler {
 	return s
 }
 
-func (s *sampler) pick(rng *rand.Rand) (src, dst int) {
-	r := rng.Float64() * s.total
-	for k, f := range s.flat {
-		r -= f
-		if r <= 0 {
-			return k / s.n, k % s.n
+// draw takes the next draw's point from rng.
+func (s *sampler) draw(rng *rand.Rand) float64 { return rng.Float64() * s.total }
+
+// resolve returns the flat entry index each draw lands on, in one pass
+// over the matrix for all draws. Rounded subtraction of the same f is
+// monotone, so draws taken in ascending order keep their order as each
+// entry is subtracted: the draws still running are always a suffix, and
+// each one sees exactly the subtractions of a scan on its own, in the
+// same order. A draw at or below zero stays there, so one that ends a
+// block of entries at or below zero stopped inside it.
+func (s *sampler) resolve(draws []float64) []int {
+	order := make([]int, len(draws))
+	for i := range order {
+		order[i] = i
+	}
+	slices.SortStableFunc(order, func(a, b int) int { return cmp.Compare(draws[a], draws[b]) })
+	left := make([]float64, len(draws))
+	for j, i := range order {
+		left[j] = draws[i]
+	}
+	out := make([]int, len(draws))
+	lo := 0
+	// A draw at or below zero stops on the first entry, whatever it holds.
+	for lo < len(left) && left[lo] <= 0 {
+		out[order[lo]] = 0
+		lo++
+	}
+	// Subtract eight entries per pass over the running draws; a draw that
+	// reaches zero inside a block (the running ones stop in ascending
+	// order) is rescanned one entry at a time from its value on entry.
+	k := 0
+	for ; k+8 <= len(s.flat) && lo < len(left); k += 8 {
+		b := s.flat[k : k+8 : k+8]
+		f0, f1, f2, f3, f4, f5, f6, f7 := b[0], b[1], b[2], b[3], b[4], b[5], b[6], b[7]
+		for lo < len(left) {
+			v := left[lo]
+			if v-f0-f1-f2-f3-f4-f5-f6-f7 > 0 {
+				break
+			}
+			for i, f := range b {
+				if v -= f; v <= 0 {
+					out[order[lo]] = k + i
+					break
+				}
+			}
+			lo++
+		}
+		run := left[lo:]
+		for j, v := range run {
+			run[j] = v - f0 - f1 - f2 - f3 - f4 - f5 - f6 - f7
 		}
 	}
-	return s.n - 1, s.n - 1
+	for ; k < len(s.flat) && lo < len(left); k++ {
+		f := s.flat[k]
+		run := left[lo:]
+		for j := range run {
+			run[j] -= f
+		}
+		for lo < len(left) && left[lo] <= 0 {
+			out[order[lo]] = k
+			lo++
+		}
+	}
+	for ; lo < len(left); lo++ {
+		out[order[lo]] = len(s.flat) - 1
+	}
+	return out
 }
