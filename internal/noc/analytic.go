@@ -64,58 +64,48 @@ func Analytic(rt *RouteTable, traffic [][]float64, nm energy.NetworkModel, cfg A
 	}
 
 	// Pass 1: accumulate load per directed wireline link and per wireless
-	// channel.
+	// channel, each in its accumulator slot (g.slot).
 	m := len(g.to)
-	scratch := make([]float64, 3*m)
-	load, term, hopPJ := scratch[:m], scratch[m:2*m], scratch[2*m:]
-	var channelLoad [topo.NumChannels]float64
+	scratch := make([]float64, 4*m+topo.NumChannels)
+	acc, scratch := scratch[:m+topo.NumChannels], scratch[m+topo.NumChannels:]
+	term, hopPJ, wirelessHop := scratch[:m], scratch[m:2*m], scratch[2*m:]
 	for s := 0; s < n; s++ {
 		row, off := traffic[s], rt.hopOff[s*n:(s+1)*n+1]
 		for d, f := range row {
 			if f == 0 || s == d {
 				continue
 			}
-			r := rt.hop[off[d]:off[d+1]]
-			if !g.wireless { // no channel to pool: skip the per-hop test
-				for _, e := range r {
-					load[e] += f
-				}
-				continue
-			}
-			for _, e := range r {
-				if ch := g.channel[e]; ch >= 0 {
-					channelLoad[ch] += f
-				} else {
-					load[e] += f
-				}
+			for _, e := range rt.hop[off[d]:off[d+1]] {
+				acc[g.slot[e]] += f
 			}
 		}
 	}
 
-	// Per link: the contention-inflated latency term and the hop energy.
-	// The product is stored, so pass 2 adds the same rounded value a
-	// per-hop evaluation would.
+	// Per link: the contention-inflated latency term, the hop energy and
+	// a 0/1 wireless weight. The explicit conversion rounds the product
+	// before it is stored, so pass 2 adds the same value a per-hop
+	// evaluation would and no fused multiply-add can merge the two.
 	maxUtil := 0.0
-	for _, cl := range channelLoad {
-		if cl > maxUtil {
-			maxUtil = cl
+	for _, rho := range acc {
+		if rho > maxUtil {
+			maxUtil = rho
 		}
 	}
 	for e, ch := range g.channel {
-		rho := load[e]
-		if ch >= 0 {
-			rho = channelLoad[ch]
-		} else if rho > maxUtil {
-			maxUtil = rho
-		}
+		rho := acc[g.slot[e]]
 		if rho > cfg.MaxUtilization {
 			rho = cfg.MaxUtilization
 		}
-		term[e] = g.base[e] * (1 / (1 - rho))
+		term[e] = float64(g.base[e] * (1 / (1 - rho)))
+		if ch >= 0 {
+			wirelessHop[e] = 1
+		}
 	}
 	g.hopEnergyPJ(nm, hopPJ)
 
-	// Pass 2: per-pair latency and energy, traffic weighted.
+	// Pass 2: per-pair latency and energy, traffic weighted. f*wirelessHop
+	// is f or +0 exactly, so the wireless tally adds f on wireless hops
+	// alone.
 	var totFlits, latNum, hopNum, pjNum, wirelessFlitHops, totalFlitHops float64
 	for s := 0; s < n; s++ {
 		row, off := traffic[s], rt.hopOff[s*n:(s+1)*n+1]
@@ -125,21 +115,11 @@ func Analytic(rt *RouteTable, traffic [][]float64, nm energy.NetworkModel, cfg A
 			}
 			var lat, pj float64
 			r := rt.hop[off[d]:off[d+1]]
-			if !g.wireless { // no channel to pool: skip the per-hop test
-				for _, e := range r {
-					lat += term[e]
-					pj += hopPJ[e]
-					totalFlitHops += f
-				}
-			} else {
-				for _, e := range r {
-					lat += term[e]
-					pj += hopPJ[e]
-					if g.channel[e] >= 0 {
-						wirelessFlitHops += f
-					}
-					totalFlitHops += f
-				}
+			for _, e := range r {
+				lat += term[e]
+				pj += hopPJ[e]
+				wirelessFlitHops += f * wirelessHop[e]
+				totalFlitHops += f
 			}
 			pj += nm.SwitchPJPerFlitPort // ejection
 			lat += cfg.PacketFlits - 1   // wormhole serialization

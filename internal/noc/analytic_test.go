@@ -17,6 +17,14 @@ func zeroTraffic(n int) [][]float64 {
 	return m
 }
 
+// pathEnergyPJ is the per-flit energy of the src->dst route: the routed
+// energy of one flit on that pair alone.
+func pathEnergyPJ(rt *RouteTable, src, dst int, nm energy.NetworkModel) float64 {
+	traffic := zeroTraffic(rt.topo.NumSwitches())
+	traffic[src][dst] = 1
+	return rt.RoutedEnergyPJ(traffic, nm)
+}
+
 func TestAnalyticSingleFlowUncontended(t *testing.T) {
 	rt := meshRT(t, Shortest)
 	traffic := zeroTraffic(64)
@@ -34,7 +42,7 @@ func TestAnalyticSingleFlowUncontended(t *testing.T) {
 	if math.Abs(res.AvgLatencyCycles-wantLat) > 1e-9 {
 		t.Errorf("AvgLatency = %v, want %v", res.AvgLatencyCycles, wantLat)
 	}
-	wantPJ := rt.PathEnergyPJ(0, 1, defaultNM())
+	wantPJ := pathEnergyPJ(rt, 0, 1, defaultNM())
 	if math.Abs(res.EnergyPJPerFlit-wantPJ) > 1e-9 {
 		t.Errorf("EnergyPJPerFlit = %v, want %v", res.EnergyPJPerFlit, wantPJ)
 	}

@@ -185,20 +185,18 @@ func (e *desEngine) bind(rt *RouteTable, nm energy.NetworkModel, cfg DESConfig) 
 	return nil
 }
 
-// rebuild derives the flattened link/buffer layout from the topology.
+// rebuild derives the flattened link/buffer layout from the route table's
+// graph, whose entries are the engine's link ids.
 func (e *desEngine) rebuild(rt *RouteTable, cfg DESConfig) error {
-	t := rt.topo
-	n := t.NumSwitches()
-	numLinks := 0
-	for u := 0; u < n; u++ {
-		numLinks += len(t.Adj[u])
-	}
+	t, g := rt.topo, rt.g
+	n := g.n
+	numLinks := len(g.to)
 	e.rt = nil // invalidated until the rebuild succeeds
 	e.n = n
 	e.words = (n + 63) / 64
 
 	e.base = growI32(e.base, n+1)
-	for u, off := range rt.g.off {
+	for u, off := range g.off {
 		e.base[u] = int32(off)
 	}
 	e.linkTo = growI32(e.linkTo, numLinks)
@@ -213,33 +211,29 @@ func (e *desEngine) rebuild(rt *RouteTable, cfg DESConfig) error {
 
 	arenaSize := int32(0)
 	for u := 0; u < n; u++ {
-		for ai, l := range t.Adj[u] {
-			li := e.base[u] + int32(ai)
-			e.linkTo[li] = int32(l.To)
-			e.linkWireless[li] = l.Type == topo.Wireless
-			e.linkChannel[li] = int32(l.Channel)
-			d := int64(math.Round(rt.costs.baseLatency(l)))
-			if d < 1 {
-				d = 1
-			}
-			e.linkDelay[li] = d
-			// reverse direction: the input buffer at l.To fed by this link
+		for li := g.off[u]; li < g.off[u+1]; li++ {
+			v, ch := g.to[li], g.channel[li]
+			e.linkTo[li] = int32(v)
+			e.linkWireless[li] = ch >= 0
+			e.linkChannel[li] = int32(ch)
+			e.linkDelay[li] = max(int64(math.Round(g.base[li])), 1)
+			// reverse direction: the input buffer at v fed by this link
 			rev := int32(-1)
-			for aj, r := range t.Adj[l.To] {
-				if r.To == u && r.Type == l.Type && r.Channel == l.Channel {
-					rev = e.base[l.To] + int32(aj)
+			for r := g.off[v]; r < g.off[v+1]; r++ {
+				if g.to[r] == u && g.channel[r] == ch {
+					rev = int32(r)
 					break
 				}
 			}
 			if rev < 0 {
-				return fmt.Errorf("noc: link %d->%d has no reverse", u, l.To)
+				return fmt.Errorf("noc: link %d->%d has no reverse", u, v)
 			}
 			e.linkRev[li] = rev
 			// this link id doubles as the buffer id for flits arriving
-			// over Adj[u][ai] (symmetric storage, as in the reference).
+			// over it (symmetric storage, as in the reference).
 			e.bufNode[li] = int32(u)
 			depth := cfg.BufDepthFlits
-			if l.Type == topo.Wireless {
+			if ch >= 0 {
 				depth = cfg.WIBufDepthFlits
 			}
 			e.bufStart[li] = arenaSize

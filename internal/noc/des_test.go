@@ -176,7 +176,7 @@ func TestDESEnergyMatchesPathEnergy(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := 4 * rt.PathEnergyPJ(3, 42, nm)
+	want := 4 * pathEnergyPJ(rt, 3, 42, nm)
 	if math.Abs(res.EnergyPJ-want) > 1e-6 {
 		t.Errorf("DES energy %v != 4x path energy %v", res.EnergyPJ, want)
 	}

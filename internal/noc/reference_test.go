@@ -410,7 +410,9 @@ func (rt *refTable) AvgHops(traffic [][]float64) float64 {
 	return num / den
 }
 
-// refAnalytic is Analytic walking adjacency-index routes hop by hop.
+// refAnalytic is Analytic walking adjacency-index routes hop by hop. Each
+// latency product is rounded explicitly, as Analytic rounds it, so no
+// fused multiply-add can make the two differ.
 func refAnalytic(rt *refTable, traffic [][]float64, nm energy.NetworkModel, cfg AnalyticConfig) (AnalyticResult, error) {
 	n := rt.topo.NumSwitches()
 	if err := checkTraffic(traffic, n); err != nil {
@@ -469,7 +471,7 @@ func refAnalytic(rt *refTable, traffic [][]float64, nm energy.NetworkModel, cfg 
 				l := rt.topo.Adj[cur][ai]
 				base := rt.costs.baseLatency(l)
 				if l.Type == topo.Wireless {
-					lat += base * contention(channelLoad[l.Channel])
+					lat += float64(base * contention(channelLoad[l.Channel]))
 					pj += nm.WirelessHopPJ()
 					wirelessFlitHops += f
 				} else {
@@ -477,7 +479,7 @@ func refAnalytic(rt *refTable, traffic [][]float64, nm energy.NetworkModel, cfg 
 					if load > maxUtil {
 						maxUtil = load
 					}
-					lat += base * contention(load)
+					lat += float64(base * contention(load))
 					pj += nm.WirelineHopPJ(l.LengthMM)
 				}
 				totalFlitHops += f

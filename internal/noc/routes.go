@@ -322,8 +322,10 @@ type graph struct {
 	lengthMM []float64
 	// channel is the wireless channel of each entry, -1 for wireline.
 	channel []int
-	// wireless reports whether any entry has a channel.
-	wireless bool
+	// slot is the load accumulator of each entry: e itself for a wireline
+	// entry, len(to)+channel for a wireless one, so the entries of one
+	// channel pool their load in one slot.
+	slot []int32
 	// up is the up*/down* direction of each entry (see newGraph); nil for
 	// unconstrained search.
 	up []bool
@@ -344,6 +346,7 @@ func newGraph(t *topo.Topology, costs LinkCosts, mode RoutingMode) *graph {
 	g.base = make([]float64, m)
 	g.lengthMM = make([]float64, m)
 	g.channel = make([]int, m)
+	g.slot = make([]int32, m)
 	for u, links := range t.Adj {
 		for ai, l := range links {
 			e := g.off[u] + ai
@@ -352,9 +355,10 @@ func newGraph(t *topo.Topology, costs LinkCosts, mode RoutingMode) *graph {
 			g.base[e] = costs.baseLatency(l)
 			g.lengthMM[e] = l.LengthMM
 			g.channel[e] = -1
+			g.slot[e] = int32(e)
 			if l.Type == topo.Wireless {
 				g.channel[e] = l.Channel
-				g.wireless = true
+				g.slot[e] = int32(m + l.Channel)
 			}
 		}
 	}
@@ -641,15 +645,10 @@ func RefineRoutes(rt *RouteTable, traffic [][]float64, iterations int, maxUtil f
 	if err := t.Validate(); err != nil {
 		return nil, fmt.Errorf("noc: invalid topology: %w", err)
 	}
+	// Loads accumulate per link, or per wireless channel, in the graph's
+	// accumulator slots, exactly as Analytic pools them.
 	g := rt.g
-	load := make([]float64, len(g.to))
-	var channelLoad [topo.NumChannels]float64
-	addLoad := func(e int, f float64) {
-		load[e] += f
-		if ch := g.channel[e]; ch >= 0 {
-			channelLoad[ch] += f
-		}
-	}
+	load := make([]float64, len(g.to)+topo.NumChannels)
 	for s := 0; s < n; s++ {
 		for d := 0; d < n; d++ {
 			f := traffic[s][d]
@@ -657,7 +656,7 @@ func RefineRoutes(rt *RouteTable, traffic [][]float64, iterations int, maxUtil f
 				continue
 			}
 			for _, e := range rt.route(s, d) {
-				addLoad(int(e), f)
+				load[g.slot[e]] += f
 			}
 		}
 	}
@@ -665,10 +664,7 @@ func RefineRoutes(rt *RouteTable, traffic [][]float64, iterations int, maxUtil f
 	var scr dijkstraScratch
 	for it := 0; ; it++ {
 		for e := range cost {
-			rho := load[e]
-			if ch := g.channel[e]; ch >= 0 {
-				rho = channelLoad[ch]
-			}
+			rho := load[g.slot[e]]
 			if rho > maxUtil {
 				rho = maxUtil
 			}
@@ -678,7 +674,6 @@ func RefineRoutes(rt *RouteTable, traffic [][]float64, iterations int, maxUtil f
 			break
 		}
 		clear(load)
-		channelLoad = [topo.NumChannels]float64{}
 		for src := 0; src < n; src++ {
 			numStates := search(g, cost, src, &scr)
 			for dst := 0; dst < n; dst++ {
@@ -694,7 +689,7 @@ func RefineRoutes(rt *RouteTable, traffic [][]float64, iterations int, maxUtil f
 					continue
 				}
 				for s := best; s != src; s = scr.prevState[s] {
-					addLoad(scr.prevEdge[s], f)
+					load[g.slot[scr.prevEdge[s]]] += f
 				}
 			}
 		}
@@ -747,30 +742,12 @@ func (rt *RouteTable) PathLinks(src, dst int) []topo.Link {
 	return links
 }
 
-// PathEnergyPJ returns the per-flit energy of the src->dst route under the
-// network energy model: one switch traversal per hop plus the destination
-// ejection port, plus link energies.
-func (rt *RouteTable) PathEnergyPJ(src, dst int, nm energy.NetworkModel) float64 {
-	if src == dst {
-		return 0
-	}
-	g := rt.g
-	var pj float64
-	for _, e := range rt.route(src, dst) {
-		if g.channel[e] >= 0 {
-			pj += nm.WirelessHopPJ()
-		} else {
-			pj += nm.WirelineHopPJ(g.lengthMM[e])
-		}
-	}
-	pj += nm.SwitchPJPerFlitPort
-	return pj
-}
-
 // RoutedEnergyPJ returns the network energy of moving traffic (an n×n
-// flit-count matrix) over the table's routes: the sum over routed pairs of
-// traffic[src][dst] × PathEnergyPJ(src, dst, nm), in (src, dst) order. The
-// per-link energies are computed once, not once per hop of every pair.
+// flit-count matrix) over the table's routes: the sum over routed pairs,
+// in (src, dst) order, of traffic[src][dst] times the route's per-flit
+// energy, which is each hop's switch and link energy (hopEnergyPJ) plus
+// the destination's ejection port. With a single unit entry it is that
+// pair's per-flit route energy.
 func (rt *RouteTable) RoutedEnergyPJ(traffic [][]float64, nm energy.NetworkModel) float64 {
 	g := rt.g
 	n := g.n

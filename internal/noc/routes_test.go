@@ -295,6 +295,7 @@ func TestPathEnergyUsesWirelessRate(t *testing.T) {
 	nmod := defaultNM()
 	// find a pair whose route uses a wireless link
 	foundWireless := false
+	unit := zeroTraffic(64) // one flit on the pair under test
 	for s := 0; s < 64 && !foundWireless; s++ {
 		for d := 0; d < 64; d++ {
 			if s == d {
@@ -311,15 +312,17 @@ func TestPathEnergyUsesWirelessRate(t *testing.T) {
 				}
 			}
 			manual += nmod.SwitchPJPerFlitPort
-			if got := rt.PathEnergyPJ(s, d, nmod); math.Abs(got-manual) > 1e-9 {
-				t.Fatalf("PathEnergyPJ(%d,%d) = %v, want %v", s, d, got, manual)
+			unit[s][d] = 1
+			if got := rt.RoutedEnergyPJ(unit, nmod); math.Abs(got-manual) > 1e-9 {
+				t.Fatalf("route energy %d->%d = %v, want %v", s, d, got, manual)
 			}
+			unit[s][d] = 0
 		}
 	}
 	if !foundWireless {
 		t.Error("no route uses a wireless link; placement or routing is broken")
 	}
-	if got := rt.PathEnergyPJ(5, 5, nmod); got != 0 {
+	if got := pathEnergyPJ(rt, 5, 5, nmod); got != 0 {
 		t.Errorf("self-route energy = %v, want 0", got)
 	}
 }

@@ -144,8 +144,8 @@ type Result struct {
 // annealing over within-cluster swaps followed by greedy polishing.
 func MapThreadsMinDistance(chip platform.Chip, assign []int, traffic [][]float64, seed int64, sweeps int) (Mapping, error) {
 	n := chip.NumCores()
-	if len(assign) != n || len(traffic) != n {
-		return Mapping{}, fmt.Errorf("place: need %d assignments and traffic rows", n)
+	if err := checkInputs(assign, traffic, n); err != nil {
+		return Mapping{}, err
 	}
 	quads, err := topo.PartitionForAssign(chip, assign)
 	if err != nil {
@@ -181,6 +181,20 @@ func MapThreadsMinDistance(chip platform.Chip, assign []int, traffic [][]float64
 	}
 	polishMapping(sym, &m, dist, assign)
 	return m, nil
+}
+
+// checkInputs rejects a thread assignment or traffic matrix that is not
+// sized for n threads: n assignments, n traffic rows of n entries each.
+func checkInputs(assign []int, traffic [][]float64, n int) error {
+	if len(assign) != n || len(traffic) != n {
+		return fmt.Errorf("place: need %d assignments and traffic rows", n)
+	}
+	for i, row := range traffic {
+		if len(row) != n {
+			return fmt.Errorf("place: traffic row %d has %d entries, want %d", i, len(row), n)
+		}
+	}
+	return nil
 }
 
 // initialClusterMapping deals the threads of cluster j onto quadrant j's
@@ -527,8 +541,8 @@ func scorePlacement(wire *topo.Topology, placement [][]int, switchTraffic [][]fl
 // so the heaviest communicators sit next to their cluster's WIs.
 func MaxWirelessUtil(chip platform.Chip, assign []int, traffic [][]float64, opts Options) (Result, error) {
 	n := chip.NumCores()
-	if len(assign) != n || len(traffic) != n {
-		return Result{}, fmt.Errorf("place: need %d assignments and traffic rows", n)
+	if err := checkInputs(assign, traffic, n); err != nil {
+		return Result{}, err
 	}
 	quads, err := topo.PartitionForAssign(chip, assign)
 	if err != nil {

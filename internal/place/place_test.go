@@ -159,6 +159,28 @@ func TestMapThreadsMinDistanceRejectsBadSizes(t *testing.T) {
 	}
 }
 
+// A traffic row shorter or longer than the chip is an error from every
+// placement entry point, not an index panic inside the annealer.
+func TestPlacementRejectsRaggedTraffic(t *testing.T) {
+	chip := platform.Chip{Rows: 4, Cols: 4, TileMM: 2.5}
+	assign := quadrantAssign(chip)
+	opts := DefaultOptions()
+	opts.MappingSweeps, opts.WISweeps = 2, 1
+	for _, cols := range []int{5, 17} {
+		traffic := randTraffic(rand.New(rand.NewSource(1)), 16, 0.5)
+		traffic[3] = make([]float64, cols)
+		if _, err := MapThreadsMinDistance(chip, assign, traffic, 1, 2); err == nil {
+			t.Errorf("MapThreadsMinDistance accepted a %d-entry row", cols)
+		}
+		if _, err := MinHopCount(chip, assign, traffic, opts); err == nil {
+			t.Errorf("MinHopCount accepted a %d-entry row", cols)
+		}
+		if _, err := MaxWirelessUtil(chip, assign, traffic, opts); err == nil {
+			t.Errorf("MaxWirelessUtil accepted a %d-entry row", cols)
+		}
+	}
+}
+
 func TestSwapDeltaMatchesRecompute(t *testing.T) {
 	chip := platform.DefaultChip()
 	assign := quadrantAssign(chip)
