@@ -219,47 +219,3 @@ func TestCacheStatsClassifyOutcomes(t *testing.T) {
 		t.Errorf("corrupt-entry suite stats = %+v, want 1 corrupt eviction", got)
 	}
 }
-
-// TestSuiteUsesDesignCache: a second suite sharing a cache directory skips
-// the probe run and anneal (FromCache) yet reproduces the exact results of
-// the suite that populated it.
-func TestSuiteUsesDesignCache(t *testing.T) {
-	if testing.Short() {
-		t.Skip("builds a pipeline twice")
-	}
-	dir := t.TempDir()
-	cfg := DefaultConfig()
-
-	s1 := NewSuite(cfg, WithCacheDir(dir))
-	pl1, err := s1.Pipeline("wc")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if pl1.FromCache {
-		t.Error("cold cache reported a hit")
-	}
-
-	s2 := NewSuite(cfg, WithCacheDir(dir))
-	pl2, err := s2.Pipeline("wc")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !pl2.FromCache {
-		t.Fatal("warm cache missed")
-	}
-	if !reflect.DeepEqual(pl2.Plan, pl1.Plan) {
-		t.Error("cached plan differs from the computed plan")
-	}
-	if !reflect.DeepEqual(pl2.Profile, pl1.Profile) {
-		t.Error("cached profile differs from the computed profile")
-	}
-	if !reflect.DeepEqual(pl2.Baseline.Report, pl1.Baseline.Report) {
-		t.Error("baseline run differs when built from the cache")
-	}
-	if !reflect.DeepEqual(pl2.VFI2Mesh.Report, pl1.VFI2Mesh.Report) {
-		t.Error("VFI2 mesh run differs when built from the cache")
-	}
-	if pl2.BestStrategy != pl1.BestStrategy {
-		t.Errorf("best strategy flipped from %v to %v under the cache", pl1.BestStrategy, pl2.BestStrategy)
-	}
-}

@@ -18,6 +18,7 @@ package expt
 
 import (
 	"fmt"
+	"os"
 	"sync"
 	"time"
 
@@ -177,6 +178,28 @@ func buildPipeline(cfg Config, app *apps.App, pool *sim.Pool, cacheDir string, s
 		FromCache: cached,
 	}
 
+	// The WiNoC placements are design-time decisions too: a cached design
+	// usually stores them, and a WiNoC job realizes its stored placement
+	// instead of planning one. A job without one, or whose placement does
+	// not fit the islands, plans it and records it for write-back.
+	var stored, planned placements
+	if cached {
+		stored = loadPlacements(cacheDir, cfg, app.Name)
+	}
+	winoc := func(st sim.Strategy) (*sim.System, error) {
+		if p := stored[st]; p != nil {
+			if sys, err := sim.VFIWiNoCPlaced(cfg.Build, plan.VFI2, prof.Traffic, st, *p); err == nil {
+				return sys, nil
+			}
+		}
+		p, err := sim.PlanWiNoC(cfg.Build, plan.VFI2, prof.Traffic, st)
+		if err != nil {
+			return nil, err
+		}
+		planned[st] = &p
+		return sim.VFIWiNoCPlaced(cfg.Build, plan.VFI2, prof.Traffic, st, p)
+	}
+
 	// The five remaining simulations are mutually independent: they each
 	// construct their own system from (cfg, prof, plan) and write to a
 	// distinct destination, so they can run concurrently in any order
@@ -198,15 +221,24 @@ func buildPipeline(cfg Config, app *apps.App, pool *sim.Pool, cacheDir string, s
 		simJob("sim:nvfi-mesh", &pl.Baseline, func() (*sim.System, error) { return sim.NVFIMeshMapped(cfg.Build, prof.Traffic) }),
 		simJob("sim:vfi1-mesh", &pl.VFI1Mesh, func() (*sim.System, error) { return sim.VFIMesh(cfg.Build, plan.VFI1, prof.Traffic) }),
 		simJob("sim:vfi2-mesh", &pl.VFI2Mesh, func() (*sim.System, error) { return sim.VFIMesh(cfg.Build, plan.VFI2, prof.Traffic) }),
-		simJob("sim:winoc-min-hop", &wiMinHop, func() (*sim.System, error) {
-			return sim.VFIWiNoC(cfg.Build, plan.VFI2, prof.Traffic, sim.MinHop)
-		}),
-		simJob("sim:winoc-max-wireless", &wiMaxWireless, func() (*sim.System, error) {
-			return sim.VFIWiNoC(cfg.Build, plan.VFI2, prof.Traffic, sim.MaxWireless)
-		}),
+		simJob("sim:winoc-min-hop", &wiMinHop, func() (*sim.System, error) { return winoc(sim.MinHop) }),
+		simJob("sim:winoc-max-wireless", &wiMaxWireless, func() (*sim.System, error) { return winoc(sim.MaxWireless) }),
 	)
 	if err != nil {
 		return nil, fmt.Errorf("expt: %s: %w", app.Name, err)
+	}
+	if cacheDir != "" && (planned[sim.MinHop] != nil || planned[sim.MaxWireless] != nil) {
+		for st, p := range planned {
+			if p == nil {
+				planned[st] = stored[st]
+			}
+		}
+		if savePlacements(cacheDir, cfg, app.Name, planned) != nil {
+			// Best effort, but a rejected file must not be read again.
+			if path, err := placementsPath(cacheDir, cfg, app.Name); err == nil {
+				os.Remove(path)
+			}
+		}
 	}
 
 	pl.WiNoC[sim.MinHop] = wiMinHop
@@ -303,10 +335,10 @@ func WithParallelism(n int) Option {
 }
 
 // WithCacheDir enables the on-disk design cache rooted at dir: pipelines
-// store their profiling run and VFI plan keyed by a hash of the suite
-// Config and benchmark name, so later suites with the same configuration
-// skip the probe simulation and the clustering anneal. An empty dir
-// disables caching (the default).
+// store their profiling run, VFI plan and WiNoC placements keyed by a hash
+// of the suite Config and benchmark name, so later suites with the same
+// configuration skip the probe simulation, the clustering anneal and the
+// WI-placement anneal. An empty dir disables caching (the default).
 func WithCacheDir(dir string) Option {
 	return func(s *Suite) { s.cacheDir = dir }
 }

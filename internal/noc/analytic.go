@@ -1,6 +1,9 @@
 package noc
 
 import (
+	"fmt"
+	"math"
+
 	"wivfi/internal/energy"
 	"wivfi/internal/topo"
 )
@@ -59,19 +62,27 @@ type AnalyticResult struct {
 func Analytic(rt *RouteTable, traffic [][]float64, nm energy.NetworkModel, cfg AnalyticConfig) (AnalyticResult, error) {
 	g := rt.g
 	n := g.n
-	if err := checkTraffic(traffic, n); err != nil {
-		return AnalyticResult{}, err
+	if len(traffic) != n {
+		return AnalyticResult{}, fmt.Errorf("noc: traffic matrix has %d rows for %d switches", len(traffic), n)
 	}
 
 	// Pass 1: accumulate load per directed wireline link and per wireless
-	// channel, each in its accumulator slot (g.slot).
+	// channel, each in its accumulator slot (g.slot). It also validates
+	// the matrix as checkTraffic does, row by row in the same order, so
+	// the first bad entry and its error text are checkTraffic's.
 	m := len(g.to)
 	scratch := make([]float64, 4*m+topo.NumChannels)
 	acc, scratch := scratch[:m+topo.NumChannels], scratch[m+topo.NumChannels:]
 	term, hopPJ, wirelessHop := scratch[:m], scratch[m:2*m], scratch[2*m:]
 	for s := 0; s < n; s++ {
 		row, off := traffic[s], rt.hopOff[s*n:(s+1)*n+1]
+		if len(row) != n {
+			return AnalyticResult{}, fmt.Errorf("noc: traffic row %d has %d cols", s, len(row))
+		}
 		for d, f := range row {
+			if !(f >= 0 && f <= math.MaxFloat64) { // negative, NaN or ±Inf
+				return AnalyticResult{}, fmt.Errorf("noc: bad traffic %v at (%d,%d)", f, s, d)
+			}
 			if f == 0 || s == d {
 				continue
 			}

@@ -160,6 +160,62 @@ func TestAnalyticRejectsBadInput(t *testing.T) {
 	}
 }
 
+// TestAnalyticValidatesInPass1: Analytic checks the matrix inside its
+// first load pass instead of a separate scan, and must still report the
+// first bad entry exactly as checkTraffic does — same (row, col), same
+// text — including entries on the diagonal and at zero-traffic positions
+// the load loop skips.
+func TestAnalyticValidatesInPass1(t *testing.T) {
+	rt := meshRT(t, Shortest)
+	cases := []struct {
+		name string
+		edit func(m [][]float64) [][]float64
+		want string
+	}{
+		{"NaN", func(m [][]float64) [][]float64 { m[3][7] = math.NaN(); return m }, "noc: bad traffic NaN at (3,7)"},
+		{"negative", func(m [][]float64) [][]float64 { m[3][7] = -1; return m }, "noc: bad traffic -1 at (3,7)"},
+		{"+Inf", func(m [][]float64) [][]float64 { m[3][7] = math.Inf(1); return m }, "noc: bad traffic +Inf at (3,7)"},
+		{"-Inf on diagonal", func(m [][]float64) [][]float64 { m[3][3] = math.Inf(-1); return m }, "noc: bad traffic -Inf at (3,3)"},
+		{"ragged", func(m [][]float64) [][]float64 { m[3] = m[3][:7]; return m }, "noc: traffic row 3 has 7 cols"},
+		{"ragged before NaN", func(m [][]float64) [][]float64 {
+			m[3] = m[3][:7]
+			m[5][1] = math.NaN()
+			return m
+		}, "noc: traffic row 3 has 7 cols"},
+		{"NaN before ragged", func(m [][]float64) [][]float64 {
+			m[2][60] = math.NaN()
+			m[3] = append(m[3], 1)
+			return m
+		}, "noc: bad traffic NaN at (2,60)"},
+		{"rows", func(m [][]float64) [][]float64 { return m[:63] }, "noc: traffic matrix has 63 rows for 64 switches"},
+	}
+	for _, c := range cases {
+		m := c.edit(loadedTraffic(64))
+		_, err := Analytic(rt, m, defaultNM(), DefaultAnalyticConfig())
+		ref := checkTraffic(m, 64)
+		if err == nil || ref == nil {
+			t.Fatalf("%s: Analytic error %v, checkTraffic error %v", c.name, err, ref)
+		}
+		if err.Error() != c.want || ref.Error() != c.want {
+			t.Errorf("%s: Analytic %q, checkTraffic %q, want %q", c.name, err, ref, c.want)
+		}
+	}
+}
+
+// loadedTraffic is an n×n matrix with traffic on every off-diagonal pair,
+// so pass 1 walks routes before it reaches a bad entry.
+func loadedTraffic(n int) [][]float64 {
+	m := zeroTraffic(n)
+	for s := range m {
+		for d := range m[s] {
+			if s != d {
+				m[s][d] = 0.001
+			}
+		}
+	}
+	return m
+}
+
 func TestAnalyticZeroTraffic(t *testing.T) {
 	rt := meshRT(t, Shortest)
 	res, err := Analytic(rt, zeroTraffic(64), defaultNM(), DefaultAnalyticConfig())

@@ -25,6 +25,7 @@ import (
 	"slices"
 
 	"wivfi/internal/energy"
+	"wivfi/internal/obs"
 	"wivfi/internal/topo"
 )
 
@@ -558,6 +559,12 @@ func checkTraffic(traffic [][]float64, n int) error {
 	return nil
 }
 
+// MetricRoutedAvgHopsCalls counts RoutedAvgHops calls: WI-placement
+// scorings, one all-pairs search each.
+const MetricRoutedAvgHopsCalls = "noc.routed_avg_hops.calls"
+
+var routedAvgHopsCalls = obs.NewCounter(MetricRoutedAvgHopsCalls)
+
 // RoutedAvgHops returns BuildRoutes(t, costs, mode).AvgHops(traffic)
 // without materializing the route table: each source's search tree is
 // walked back from every destination to count hops, so no path slices are
@@ -568,6 +575,7 @@ func checkTraffic(traffic [][]float64, n int) error {
 // exactly as BuildRoutes requires; the result is bit-identical because the
 // search, the tie-break and the accumulation order are the same.
 func RoutedAvgHops(t *topo.Topology, costs LinkCosts, mode RoutingMode, traffic [][]float64) (float64, error) {
+	routedAvgHopsCalls.Add(1)
 	if traffic != nil {
 		if err := checkTraffic(traffic, t.NumSwitches()); err != nil {
 			return 0, err

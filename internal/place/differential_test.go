@@ -5,6 +5,8 @@ import (
 	"math"
 	"math/rand"
 	"reflect"
+	"slices"
+	"strings"
 	"testing"
 
 	"wivfi/internal/platform"
@@ -134,6 +136,112 @@ func TestMinHopCountMatchesReferenceRandom(t *testing.T) {
 	}
 }
 
+// TestRealizeRebuildsBothStrategies: realizing a strategy's planned
+// placement rebuilds exactly the strategy's result — mapping, WIs, hop
+// count bits, fabric and every route — over random chips, islands and
+// traffic.
+func TestRealizeRebuildsBothStrategies(t *testing.T) {
+	rng := rand.New(rand.NewSource(19))
+	compared := 0
+	strategies := []struct {
+		name string
+		plan func(platform.Chip, []int, [][]float64, Options) (Placement, error)
+		run  func(platform.Chip, []int, [][]float64, Options) (Result, error)
+	}{
+		{"min-hop", PlanMinHop, MinHopCount},
+		{"max-wireless", PlanMaxWireless, MaxWirelessUtil},
+	}
+	for c := 0; c < 12; c++ {
+		d := diffDims[rng.Intn(len(diffDims))]
+		chip := platform.Chip{Rows: d[0], Cols: d[1], TileMM: 2.5}
+		assign := quadrantAssign(chip)
+		if c%2 == 1 {
+			assign = randomAssign(rng, chip.NumCores(), 4)
+		}
+		traffic := randomExactTraffic(rng, chip.NumCores())
+		opts := DefaultOptions()
+		opts.Seed = rng.Int63n(1000)
+		opts.SmallWorld.Seed = rng.Int63()
+		opts.MappingSweeps = 20
+		opts.WISweeps = 20
+		for _, st := range strategies {
+			label := fmt.Sprintf("case %d %s (%dx%d)", c, st.name, chip.Rows, chip.Cols)
+			want, err := st.run(chip, assign, traffic, opts)
+			if err != nil {
+				continue // infeasible fabric; the reference tests pin errors
+			}
+			p, err := st.plan(chip, assign, traffic, opts)
+			if err != nil {
+				t.Fatalf("%s: plan: %v", label, err)
+			}
+			got, err := Realize(chip, assign, traffic, p, opts)
+			if err != nil {
+				t.Fatalf("%s: realize: %v", label, err)
+			}
+			if diff := diffResults(got, want); diff != "" {
+				t.Fatalf("%s: %s", label, diff)
+			}
+			compared++
+		}
+	}
+	if compared < 16 {
+		t.Fatalf("only %d of 24 cases were feasible", compared)
+	}
+}
+
+// TestRealizeRejectsBadPlacements: a placement that is not a permutation,
+// leaves a thread's region, or does not give every cluster WIsPerCluster
+// distinct WIs in its own region is an error, never a panic or a WiNoC.
+func TestRealizeRejectsBadPlacements(t *testing.T) {
+	chip := platform.DefaultChip()
+	assign := quadrantAssign(chip)
+	traffic := randomExactTraffic(rand.New(rand.NewSource(5)), chip.NumCores())
+	opts := DefaultOptions()
+	good, err := PlanMaxWireless(chip, assign, traffic, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := Realize(chip, assign, traffic, good, opts); err != nil {
+		t.Fatalf("planned placement rejected: %v", err)
+	}
+	quads := topo.Quadrants(chip)
+	inRegion := func(q int, skip []int) int { // a tile of region q hosting no WI in skip
+		for _, tile := range quads[q] {
+			if !slices.Contains(skip, tile) {
+				return tile
+			}
+		}
+		return -1
+	}
+	cases := []struct {
+		name string
+		edit func(p *Placement)
+		want string
+	}{
+		{"short mapping", func(p *Placement) { p.ThreadToTile = p.ThreadToTile[:10] }, "maps 10 threads"},
+		{"bad tile", func(p *Placement) { p.ThreadToTile[3] = 64 }, "bad tile 64"},
+		{"duplicate tile", func(p *Placement) { p.ThreadToTile[1] = p.ThreadToTile[0] }, "hosts threads"},
+		{"thread out of region", func(p *Placement) {
+			// swap two threads of different islands: still a permutation
+			a, b := 0, slices.Index(assign, 1)
+			p.ThreadToTile[a], p.ThreadToTile[b] = p.ThreadToTile[b], p.ThreadToTile[a]
+		}, "mapped to tile"},
+		{"missing cluster", func(p *Placement) { p.WIs = p.WIs[:3] }, "WIs for 3 clusters"},
+		{"short cluster", func(p *Placement) { p.WIs[2] = p.WIs[2][:2] }, "cluster 2 has 2 WIs"},
+		{"WI out of region", func(p *Placement) { p.WIs[0][1] = inRegion(1, p.WIs[1]) }, "outside its region"},
+		{"WI off chip", func(p *Placement) { p.WIs[0][1] = -1 }, "outside its region"},
+		{"duplicate WI", func(p *Placement) { p.WIs[3][2] = p.WIs[3][0] }, "hosts two WIs"},
+	}
+	for _, c := range cases {
+		p := Placement{ThreadToTile: slices.Clone(good.ThreadToTile), WIs: clonePlacement(good.WIs)}
+		c.edit(&p)
+		_, err := Realize(chip, assign, traffic, p, opts)
+		if err == nil || !strings.Contains(err.Error(), c.want) {
+			t.Errorf("%s: error %v, want one containing %q", c.name, err, c.want)
+		}
+	}
+}
+
 func islands(assign []int) int {
 	m := 0
 	for _, c := range assign {
@@ -215,7 +323,7 @@ func TestScorePlacementAllocsLinear(t *testing.T) {
 		traffic := randomExactTraffic(rand.New(rand.NewSource(3)), n)
 		opts := DefaultOptions()
 		allocs := testing.AllocsPerRun(10, func() {
-			if _, err := scorePlacement(wire, placement, traffic, opts); err != nil {
+			if _, err := (fabric{wire: wire, switchTraffic: traffic}).score(placement, opts); err != nil {
 				t.Fatal(err)
 			}
 		})

@@ -55,6 +55,17 @@ func TestMinHopCountMatchesReferencePaperApps(t *testing.T) {
 		if diff := place.DiffResults(got, want); diff != "" {
 			t.Errorf("%s: %s", app, diff)
 		}
+		// A design-cache hit realizes the stored placement without
+		// annealing; it must rebuild the same WiNoC, hop-count bits
+		// included, as the reference annealer's best.
+		p := place.Placement{ThreadToTile: got.Mapping.ThreadToTile, WIs: got.WIPlacement}
+		hit, err := place.Realize(chip, assign, traffic, p, opts)
+		if err != nil {
+			t.Fatalf("%s: realize: %v", app, err)
+		}
+		if diff := place.DiffResults(hit, want); diff != "" {
+			t.Errorf("%s: realized placement: %s", app, diff)
+		}
 	}
 }
 

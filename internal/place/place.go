@@ -12,6 +12,11 @@
 //     most traffic are placed on the tiles closest to their cluster's WIs so
 //     their flits ride the energy-efficient wireless links.
 //
+// Each strategy plans a Placement (thread mapping plus WI switches) and
+// ends in one realization step: switch traffic, wireline fabric, WI overlay
+// and routes. Realize runs that step alone, so a stored Placement rebuilds
+// the strategy's exact WiNoC without planning it again.
+//
 // Thread-level traffic matrices are translated to switch-level matrices by
 // the chosen mapping; the full-system simulator consumes the result.
 package place
@@ -23,9 +28,17 @@ import (
 	"sort"
 
 	"wivfi/internal/noc"
+	"wivfi/internal/obs"
 	"wivfi/internal/platform"
 	"wivfi/internal/topo"
 )
+
+// MetricMinHopAnneals counts WI-placement anneals (one per MinHopCount
+// call that reaches the annealing loop). A design-cache hit rebuilds the
+// placement instead, so a warm pipeline adds nothing here.
+const MetricMinHopAnneals = "place.min_hop.anneals"
+
+var minHopAnneals = obs.NewCounter(MetricMinHopAnneals)
 
 // Mapping is a bijection between threads (logical cores carrying the
 // profile's utilization and traffic) and tiles (physical switch positions).
@@ -137,6 +150,62 @@ type Result struct {
 	SwitchTraffic [][]float64
 	// AvgWeightedHops is the traffic-weighted average hop count achieved.
 	AvgWeightedHops float64
+}
+
+// Placement is what a strategy decides at design time: the tile of every
+// thread and the WIsPerCluster switches of every cluster that host its
+// wireless interfaces. With the chip, the island assignment, the thread
+// traffic and the Options it determines the whole WiNoC (Realize).
+type Placement struct {
+	ThreadToTile []int   `json:"thread_to_tile"`
+	WIs          [][]int `json:"wis"`
+}
+
+// check validates p against the island regions quads of assign and
+// returns its thread mapping. ThreadToTile must be a permutation that
+// keeps every thread inside its island's region, and every cluster needs
+// topo.WIsPerCluster distinct WIs inside its own region.
+func (p Placement) check(assign []int, quads [][]int) (Mapping, error) {
+	n := len(assign)
+	if len(p.ThreadToTile) != n {
+		return Mapping{}, fmt.Errorf("place: placement maps %d threads, want %d", len(p.ThreadToTile), n)
+	}
+	region := topo.RegionOf(n, quads)
+	m := Mapping{ThreadToTile: append([]int(nil), p.ThreadToTile...), TileToThread: make([]int, n)}
+	for tile := range m.TileToThread {
+		m.TileToThread[tile] = -1
+	}
+	for th, tile := range m.ThreadToTile {
+		switch {
+		case tile < 0 || tile >= n:
+			return Mapping{}, fmt.Errorf("place: thread %d mapped to bad tile %d", th, tile)
+		case m.TileToThread[tile] >= 0:
+			return Mapping{}, fmt.Errorf("place: tile %d hosts threads %d and %d", tile, m.TileToThread[tile], th)
+		case region[tile] != assign[th]:
+			return Mapping{}, fmt.Errorf("place: thread %d of island %d mapped to tile %d of region %d",
+				th, assign[th], tile, region[tile])
+		}
+		m.TileToThread[tile] = th
+	}
+	if len(p.WIs) != len(quads) {
+		return Mapping{}, fmt.Errorf("place: placement has WIs for %d clusters, want %d", len(p.WIs), len(quads))
+	}
+	hasWI := make([]bool, n)
+	for q, wis := range p.WIs {
+		if len(wis) != topo.WIsPerCluster {
+			return Mapping{}, fmt.Errorf("place: cluster %d has %d WIs, want %d", q, len(wis), topo.WIsPerCluster)
+		}
+		for _, s := range wis {
+			if s < 0 || s >= n || region[s] != q {
+				return Mapping{}, fmt.Errorf("place: cluster %d WI at switch %d outside its region", q, s)
+			}
+			if hasWI[s] {
+				return Mapping{}, fmt.Errorf("place: switch %d hosts two WIs", s)
+			}
+			hasWI[s] = true
+		}
+	}
+	return m, nil
 }
 
 // MapThreadsMinDistance maps each cluster's threads onto its quadrant's
@@ -433,17 +502,6 @@ func BuildTopology(chip platform.Chip, interTraffic [][]float64, placement [][]i
 	return topo.WithWireless(wire, placement)
 }
 
-// BuildTopologyRegions is BuildTopology over an explicit region partition,
-// the entry point for non-quadrant island geometries.
-func BuildTopologyRegions(chip platform.Chip, regions [][]int, interTraffic [][]float64, placement [][]int, cfg topo.SmallWorldConfig) (*topo.Topology, error) {
-	cfg.InterTraffic = interTraffic
-	wire, err := topo.SmallWorldRegions(chip, regions, cfg)
-	if err != nil {
-		return nil, err
-	}
-	return topo.WithWireless(wire, placement)
-}
-
 // MinHopCount runs strategy A. assign maps thread -> VFI cluster; traffic is
 // thread-level.
 //
@@ -453,31 +511,53 @@ func BuildTopologyRegions(chip platform.Chip, regions [][]int, interTraffic [][]
 // noc.RoutedAvgHops, which counts hops without building route paths; the
 // full route table is built once, for the winning placement.
 func MinHopCount(chip platform.Chip, assign []int, traffic [][]float64, opts Options) (Result, error) {
+	f, placement, err := planMinHop(chip, assign, traffic, opts)
+	if err != nil {
+		return Result{}, err
+	}
+	return f.realize(placement, opts)
+}
+
+// PlanMinHop is MinHopCount's planning alone: the placement it realizes.
+func PlanMinHop(chip platform.Chip, assign []int, traffic [][]float64, opts Options) (Placement, error) {
+	f, placement, err := planMinHop(chip, assign, traffic, opts)
+	if err != nil {
+		return Placement{}, err
+	}
+	return Placement{ThreadToTile: f.mapping.ThreadToTile, WIs: placement}, nil
+}
+
+// planMinHop maps the threads, builds the fabric and anneals the WIs.
+func planMinHop(chip platform.Chip, assign []int, traffic [][]float64, opts Options) (fabric, [][]int, error) {
 	mapping, err := MapThreadsMinDistance(chip, assign, traffic, opts.Seed, opts.MappingSweeps)
 	if err != nil {
-		return Result{}, err
+		return fabric{}, nil, err
 	}
-	switchTraffic := MapTraffic(traffic, mapping)
 	quads, err := topo.PartitionForAssign(chip, assign)
 	if err != nil {
-		return Result{}, err
+		return fabric{}, nil, err
 	}
-	tileCluster := topo.RegionOf(chip.NumCores(), quads)
-	swCfg := opts.SmallWorld
-	swCfg.InterTraffic = ClusterTraffic(switchTraffic, tileCluster, len(quads))
-
-	rng := rand.New(rand.NewSource(opts.Seed + 1))
 	placement, err := RegionWIs(chip, quads) // starting point
 	if err != nil {
-		return Result{}, err
+		return fabric{}, nil, err
 	}
-	wire, err := topo.SmallWorldRegions(chip, quads, swCfg)
+	f, err := newFabric(chip, quads, traffic, mapping, opts)
 	if err != nil {
-		return Result{}, err
+		return fabric{}, nil, err
 	}
-	bestHops, err := scorePlacement(wire, placement, switchTraffic, opts)
+	placement, err = f.annealWIs(quads, placement, opts)
+	return f, placement, err
+}
+
+// annealWIs runs the WI-placement annealing of strategy A from start and
+// returns the placement with the lowest traffic-weighted hop count seen.
+func (f fabric) annealWIs(quads [][]int, start [][]int, opts Options) ([][]int, error) {
+	minHopAnneals.Add(1)
+	rng := rand.New(rand.NewSource(opts.Seed + 1))
+	placement := start
+	bestHops, err := f.score(placement, opts)
 	if err != nil {
-		return Result{}, err
+		return nil, err
 	}
 	cur := clonePlacement(placement)
 	curHops := bestHops
@@ -491,7 +571,7 @@ func MinHopCount(chip platform.Chip, assign []int, traffic [][]float64, opts Opt
 		}
 		old := cur[q][slot]
 		cur[q][slot] = cand
-		hops, err := scorePlacement(wire, cur, switchTraffic, opts)
+		hops, err := f.score(cur, opts)
 		if err != nil {
 			cur[q][slot] = old
 			continue
@@ -508,7 +588,48 @@ func MinHopCount(chip platform.Chip, assign []int, traffic [][]float64, opts Opt
 			cur[q][slot] = old
 		}
 	}
-	tp, err := topo.WithWireless(wire, placement)
+	return placement, nil
+}
+
+// fabric is the placement-independent part of a WiNoC: the thread mapping,
+// the switch-level traffic it induces and the small-world wireline fabric
+// whose inter-cluster links that traffic apportions. Only the WIs remain
+// to be placed.
+type fabric struct {
+	mapping       Mapping
+	switchTraffic [][]float64
+	wire          *topo.Topology
+}
+
+// newFabric maps the thread traffic onto switches and builds the wireline
+// fabric over the island regions quads.
+func newFabric(chip platform.Chip, quads [][]int, traffic [][]float64, mapping Mapping, opts Options) (fabric, error) {
+	switchTraffic := MapTraffic(traffic, mapping)
+	swCfg := opts.SmallWorld
+	swCfg.InterTraffic = ClusterTraffic(switchTraffic, topo.RegionOf(chip.NumCores(), quads), len(quads))
+	wire, err := topo.SmallWorldRegions(chip, quads, swCfg)
+	if err != nil {
+		return fabric{}, err
+	}
+	return fabric{mapping: mapping, switchTraffic: switchTraffic, wire: wire}, nil
+}
+
+// score returns the traffic-weighted average hop count of a WI placement
+// overlaid on a copy of the fabric, without building the route table.
+func (f fabric) score(placement [][]int, opts Options) (float64, error) {
+	tp, err := topo.WithWireless(f.wire, placement)
+	if err != nil {
+		return 0, err
+	}
+	return noc.RoutedAvgHops(tp, opts.Costs, opts.Routing, f.switchTraffic)
+}
+
+// realize overlays the WIs on a copy of the fabric and builds the routes:
+// the deterministic tail of both strategies and of Realize.
+// AvgWeightedHops is read off the built table, which is bit-identical to
+// the annealer's path-free score of the same placement (noc.RoutedAvgHops).
+func (f fabric) realize(placement [][]int, opts Options) (Result, error) {
+	tp, err := topo.WithWireless(f.wire, placement)
 	if err != nil {
 		return Result{}, err
 	}
@@ -517,31 +638,22 @@ func MinHopCount(chip platform.Chip, assign []int, traffic [][]float64, opts Opt
 		return Result{}, err
 	}
 	return Result{
-		Mapping:         mapping,
+		Mapping:         f.mapping,
 		WIPlacement:     placement,
 		Topology:        tp,
 		Routes:          rt,
-		SwitchTraffic:   switchTraffic,
-		AvgWeightedHops: bestHops,
+		SwitchTraffic:   f.switchTraffic,
+		AvgWeightedHops: rt.AvgHops(f.switchTraffic),
 	}, nil
 }
 
-// scorePlacement returns the traffic-weighted average hop count of a WI
-// placement overlaid on a copy of the wireline fabric wire, without
-// building the route table.
-func scorePlacement(wire *topo.Topology, placement [][]int, switchTraffic [][]float64, opts Options) (float64, error) {
-	tp, err := topo.WithWireless(wire, placement)
-	if err != nil {
-		return 0, err
-	}
-	return noc.RoutedAvgHops(tp, opts.Costs, opts.Routing, switchTraffic)
-}
-
-// MaxWirelessUtil runs strategy B: WIs at quadrant centres, threads mapped
-// so the heaviest communicators sit next to their cluster's WIs.
-func MaxWirelessUtil(chip platform.Chip, assign []int, traffic [][]float64, opts Options) (Result, error) {
-	n := chip.NumCores()
-	if err := checkInputs(assign, traffic, n); err != nil {
+// Realize rebuilds the WiNoC a placement determines — switch traffic,
+// wireline fabric, WI overlay and routes — without planning it. The result
+// equals the strategy's own whenever p is that strategy's Placement for
+// the same inputs, because both run the same realization. p is checked
+// first (see Placement): a placement that does not fit assign is an error.
+func Realize(chip platform.Chip, assign []int, traffic [][]float64, p Placement, opts Options) (Result, error) {
+	if err := checkInputs(assign, traffic, chip.NumCores()); err != nil {
 		return Result{}, err
 	}
 	quads, err := topo.PartitionForAssign(chip, assign)
@@ -551,9 +663,58 @@ func MaxWirelessUtil(chip platform.Chip, assign []int, traffic [][]float64, opts
 	if err := checkClusterSizes(assign, quads); err != nil {
 		return Result{}, err
 	}
-	placement, err := RegionWIs(chip, quads)
+	mapping, err := p.check(assign, quads)
 	if err != nil {
 		return Result{}, err
+	}
+	f, err := newFabric(chip, quads, traffic, mapping, opts)
+	if err != nil {
+		return Result{}, err
+	}
+	return f.realize(clonePlacement(p.WIs), opts)
+}
+
+// MaxWirelessUtil runs strategy B: WIs at quadrant centres, threads mapped
+// so the heaviest communicators sit next to their cluster's WIs.
+func MaxWirelessUtil(chip platform.Chip, assign []int, traffic [][]float64, opts Options) (Result, error) {
+	mapping, placement, quads, err := planMaxWireless(chip, assign, traffic, opts)
+	if err != nil {
+		return Result{}, err
+	}
+	f, err := newFabric(chip, quads, traffic, mapping, opts)
+	if err != nil {
+		return Result{}, err
+	}
+	return f.realize(placement, opts)
+}
+
+// PlanMaxWireless is MaxWirelessUtil's planning alone: the placement it
+// realizes.
+func PlanMaxWireless(chip platform.Chip, assign []int, traffic [][]float64, opts Options) (Placement, error) {
+	mapping, placement, _, err := planMaxWireless(chip, assign, traffic, opts)
+	if err != nil {
+		return Placement{}, err
+	}
+	return Placement{ThreadToTile: mapping.ThreadToTile, WIs: placement}, nil
+}
+
+// planMaxWireless pins the WIs near the region centres and maps the
+// threads around them; it also returns the regions.
+func planMaxWireless(chip platform.Chip, assign []int, traffic [][]float64, opts Options) (Mapping, [][]int, [][]int, error) {
+	n := chip.NumCores()
+	if err := checkInputs(assign, traffic, n); err != nil {
+		return Mapping{}, nil, nil, err
+	}
+	quads, err := topo.PartitionForAssign(chip, assign)
+	if err != nil {
+		return Mapping{}, nil, nil, err
+	}
+	if err := checkClusterSizes(assign, quads); err != nil {
+		return Mapping{}, nil, nil, err
+	}
+	placement, err := RegionWIs(chip, quads)
+	if err != nil {
+		return Mapping{}, nil, nil, err
 	}
 
 	// Thread volume = total traffic in+out; within each cluster, the
@@ -607,25 +768,7 @@ func MaxWirelessUtil(chip platform.Chip, assign []int, traffic [][]float64, opts
 		}
 	}
 	annealPinned(chip, assign, traffic, &mapping, pinned, opts.Seed, opts.MappingSweeps)
-	switchTraffic := MapTraffic(traffic, mapping)
-	tileCluster := topo.RegionOf(chip.NumCores(), quads)
-	interTraffic := ClusterTraffic(switchTraffic, tileCluster, len(quads))
-	tp, err := BuildTopologyRegions(chip, quads, interTraffic, placement, opts.SmallWorld)
-	if err != nil {
-		return Result{}, err
-	}
-	rt, err := noc.BuildRoutes(tp, opts.Costs, opts.Routing)
-	if err != nil {
-		return Result{}, err
-	}
-	return Result{
-		Mapping:         mapping,
-		WIPlacement:     placement,
-		Topology:        tp,
-		Routes:          rt,
-		SwitchTraffic:   switchTraffic,
-		AvgWeightedHops: rt.AvgHops(switchTraffic),
-	}, nil
+	return mapping, placement, quads, nil
 }
 
 // annealPinned runs the min-distance annealing over the mapping, swapping

@@ -137,29 +137,57 @@ func VFIMesh(cfg BuildConfig, vfi platform.VFIConfig, traffic [][]float64) (*Sys
 // VFIWiNoC builds the proposed system: small-world wireline fabric with
 // traffic-apportioned inter-cluster links, 12 wireless interfaces, thread
 // mapping and WI placement per the chosen strategy, up*/down* routing and
-// the modified stealing policy.
+// the modified stealing policy. It plans the placement (PlanWiNoC) and
+// builds the system from it (VFIWiNoCPlaced).
 func VFIWiNoC(cfg BuildConfig, vfi platform.VFIConfig, traffic [][]float64, strategy Strategy) (*System, error) {
+	p, err := PlanWiNoC(cfg, vfi, traffic, strategy)
+	if err != nil {
+		return nil, err
+	}
+	return VFIWiNoCPlaced(cfg, vfi, traffic, strategy, p)
+}
+
+// PlanWiNoC runs the strategy's design-time planning — thread mapping and
+// WI placement — and returns the decision alone.
+func PlanWiNoC(cfg BuildConfig, vfi platform.VFIConfig, traffic [][]float64, strategy Strategy) (place.Placement, error) {
+	if err := vfi.Validate(); err != nil {
+		return place.Placement{}, fmt.Errorf("sim: VFI WiNoC config: %w", err)
+	}
+	switch strategy {
+	case MinHop:
+		return place.PlanMinHop(cfg.Chip, vfi.Assign, traffic, winocOptions(cfg))
+	case MaxWireless:
+		return place.PlanMaxWireless(cfg.Chip, vfi.Assign, traffic, winocOptions(cfg))
+	}
+	return place.Placement{}, fmt.Errorf("sim: unknown strategy %d", strategy)
+}
+
+// VFIWiNoCPlaced builds the VFI WiNoC for a given placement (one planned
+// by PlanWiNoC under the same inputs, or a stored copy of it): place.Realize
+// checks the placement against the islands, rebuilds the fabric and
+// routes, and no planning runs.
+func VFIWiNoCPlaced(cfg BuildConfig, vfi platform.VFIConfig, traffic [][]float64, strategy Strategy, p place.Placement) (*System, error) {
 	if err := vfi.Validate(); err != nil {
 		return nil, fmt.Errorf("sim: VFI WiNoC config: %w", err)
 	}
-	opts := cfg.Place
-	opts.SmallWorld = cfg.SmallWorld
-	opts.Costs = cfg.LinkCosts
-	opts.Routing = noc.UpDown
-	var res place.Result
-	var err error
-	switch strategy {
-	case MinHop:
-		res, err = place.MinHopCount(cfg.Chip, vfi.Assign, traffic, opts)
-	case MaxWireless:
-		res, err = place.MaxWirelessUtil(cfg.Chip, vfi.Assign, traffic, opts)
-	default:
+	if strategy != MinHop && strategy != MaxWireless {
 		return nil, fmt.Errorf("sim: unknown strategy %d", strategy)
 	}
+	res, err := place.Realize(cfg.Chip, vfi.Assign, traffic, p, winocOptions(cfg))
 	if err != nil {
 		return nil, err
 	}
 	s := newSystem(cfg, "vfi-winoc-"+strategy.String(), vfi, res.Mapping, res.Routes, sched.CapVFI)
 	s.AdaptiveRouting = true
 	return s, nil
+}
+
+// winocOptions is cfg's placement options with the WiNoC's fabric, link
+// costs and up*/down* routing.
+func winocOptions(cfg BuildConfig) place.Options {
+	opts := cfg.Place
+	opts.SmallWorld = cfg.SmallWorld
+	opts.Costs = cfg.LinkCosts
+	opts.Routing = noc.UpDown
+	return opts
 }
