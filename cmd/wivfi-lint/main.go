@@ -1,12 +1,13 @@
 // Command wivfi-lint runs the repo's custom analyzer suite
-// (internal/lint): determinism, nilsafe, stdoutpure, countersafe. It
-// prints one `file:line: [analyzer] message` diagnostic per finding (or a
-// JSON array with -json) and exits non-zero when any contract is violated.
+// (internal/lint): determinism, nilsafe, stdoutpure, countersafe,
+// locksafe, leaksafe. It prints one `file:line: [analyzer] message`
+// diagnostic per finding (or a JSON array with -json) and exits non-zero
+// when any contract is violated.
 //
 // Usage:
 //
 //	wivfi-lint ./...
-//	wivfi-lint -only determinism,stdoutpure ./internal/noc
+//	wivfi-lint ./internal/noc ./internal/sweep
 //	wivfi-lint -json ./... > lint.json
 package main
 

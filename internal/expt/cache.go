@@ -196,7 +196,38 @@ func loadDesign(cacheDir string, cfg Config, appName string) (platform.Profile, 
 		ClusterCost:        meta.ClusterCost,
 		HomogeneousPattern: meta.HomogeneousPattern,
 	}
+	if !fitsConfig(cfg, prof, plan) {
+		return corrupt()
+	}
 	return prof, plan, cacheHit
+}
+
+// fitsConfig reports whether a loaded design has the shape cfg asks for:
+// cfg's core count in the profile and both VFI configs, cfg's island count
+// in both, and bottleneck cores and raised islands in range. Each file
+// validates alone, so a design shaped for another chip would count as a
+// hit and fail every later build of its key; it is damage instead.
+func fitsConfig(cfg Config, prof platform.Profile, plan vfi.Plan) bool {
+	n, m := cfg.Build.Chip.NumCores(), cfg.VFI.NumIslands
+	if prof.NumCores() != n {
+		return false
+	}
+	for _, v := range []platform.VFIConfig{plan.VFI1, plan.VFI2} {
+		if len(v.Assign) != n || v.NumIslands() != m {
+			return false
+		}
+	}
+	for _, c := range plan.Bottlenecks {
+		if c < 0 || c >= n {
+			return false
+		}
+	}
+	for _, isl := range plan.RaisedIslands {
+		if isl < 0 || isl >= m {
+			return false
+		}
+	}
+	return true
 }
 
 // saveDesign writes one cache entry, best-effort: it returns the first

@@ -7,7 +7,19 @@ import (
 	"strings"
 	"sync"
 	"testing"
+
+	"wivfi/internal/keyaudit"
 )
+
+// TestConfigFieldsReachHash walks expt.Config and every struct it
+// serializes: an unexported, json:"-" or func/chan field would drop state
+// from the design-cache key, so two configs differing only there would
+// share one cached design.
+func TestConfigFieldsReachHash(t *testing.T) {
+	for _, p := range keyaudit.HashFields(reflect.TypeOf(Config{})) {
+		t.Error(p)
+	}
+}
 
 func TestDesignCacheRoundTrip(t *testing.T) {
 	s := sharedSuite(t)
@@ -183,13 +195,14 @@ func TestCorruptCacheEntryIsAMiss(t *testing.T) {
 // reproduce summary and manifest.
 func TestCacheStatsClassifyOutcomes(t *testing.T) {
 	if testing.Short() {
-		t.Skip("builds a pipeline three times")
+		t.Skip("builds a pipeline four times")
 	}
 	dir := t.TempDir()
 	cfg := DefaultConfig()
 
 	s1 := NewSuite(cfg, WithCacheDir(dir))
-	if _, err := s1.Pipeline("wc"); err != nil {
+	cold, err := s1.Pipeline("wc")
+	if err != nil {
 		t.Fatal(err)
 	}
 	if got := s1.CacheStats(); got != (CacheStats{Misses: 1}) {
@@ -217,5 +230,24 @@ func TestCacheStatsClassifyOutcomes(t *testing.T) {
 	}
 	if got := s3.CacheStats(); got != (CacheStats{CorruptEvicted: 1}) {
 		t.Errorf("corrupt-entry suite stats = %+v, want 1 corrupt eviction", got)
+	}
+
+	// A profile that validates on its own but is sized for another chip
+	// must not count as a hit (every build of the key would then fail):
+	// it is evicted and rebuilt like any other damage.
+	wrongSize := []byte(`{"version":1,"util":[0.5,0.5],"traffic":[[0,1],[1,0]]}`)
+	if err := os.WriteFile(filepath.Join(ed, "profile.json"), wrongSize, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	s4 := NewSuite(cfg, WithCacheDir(dir))
+	pl, err := s4.Pipeline("wc")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := s4.CacheStats(); got != (CacheStats{CorruptEvicted: 1}) {
+		t.Errorf("wrong-size profile suite stats = %+v, want 1 corrupt eviction", got)
+	}
+	if diff := samePipeline(pl, cold); diff != "" {
+		t.Errorf("rebuilt after a wrong-size profile: %s differs from the cold run", diff)
 	}
 }

@@ -5,7 +5,6 @@ import (
 	"flag"
 	"fmt"
 	"io"
-	"strings"
 )
 
 // Exit codes of the wivfi-lint CLI.
@@ -16,17 +15,15 @@ const (
 )
 
 // RunCLI is the whole wivfi-lint command: parse flags, load the packages
-// matched by the argument patterns (default ./...), run the selected
-// analyzers, print findings. It returns the process exit code, so the
-// cmd/wivfi-lint shim is one line and tests drive the real thing.
+// matched by the argument patterns (default ./...), run every analyzer,
+// print findings. It returns the process exit code, so the cmd/wivfi-lint
+// shim is one line and tests drive the real thing.
 func RunCLI(args []string, cwd string, stdout, stderr io.Writer) int {
 	fs := flag.NewFlagSet("wivfi-lint", flag.ContinueOnError)
 	fs.SetOutput(stderr)
 	jsonOut := fs.Bool("json", false, "emit findings as a JSON array (machine-readable, for CI artifacts)")
-	only := fs.String("only", "", "comma-separated analyzer subset to run, e.g. determinism,nilsafe (default: all of "+strings.Join(AnalyzerNames(), ",")+")")
-	pkgsFilter := fs.String("pkgs", "", "comma-separated package patterns to analyze and report, e.g. ./internal/noc,./internal/sweep; the positional patterns are still loaded in full for cross-package context (default: report on every loaded package)")
 	fs.Usage = func() {
-		fmt.Fprintf(stderr, "usage: wivfi-lint [-json] [-only a,b] [-pkgs p1,p2] [packages]\n\n"+
+		fmt.Fprintf(stderr, "usage: wivfi-lint [-json] [packages]\n\n"+
 			"Analyzers:\n")
 		for _, a := range Analyzers() {
 			fmt.Fprintf(stderr, "  %-12s %s\n", a.Name, a.Doc)
@@ -42,7 +39,7 @@ func RunCLI(args []string, cwd string, stdout, stderr io.Writer) int {
 		patterns = []string{"./..."}
 	}
 
-	findings, err := LintScoped(cwd, patterns, *only, *pkgsFilter)
+	findings, err := Lint(cwd, patterns)
 	if err != nil {
 		fmt.Fprintf(stderr, "wivfi-lint: %v\n", err)
 		return ExitError
@@ -70,51 +67,16 @@ func RunCLI(args []string, cwd string, stdout, stderr io.Writer) int {
 }
 
 // Lint loads the packages matched by patterns (resolved against cwd inside
-// the enclosing module) and runs the analyzer subset named by only (empty
-// = full suite) under the repo's production config.
-func Lint(cwd string, patterns []string, only string) ([]Finding, error) {
-	return LintScoped(cwd, patterns, only, "")
-}
-
-// LintScoped is Lint with a package filter: when pkgsFilter is non-empty,
-// the comma-separated patterns it names are the only packages analyzers
-// report on (and whose annotations are audited) — everything matched by
-// patterns still loads, so cross-package analyses keep whole-program
-// context. CI and pre-commit hooks use this to lint just the changed
-// packages.
-func LintScoped(cwd string, patterns []string, only, pkgsFilter string) ([]Finding, error) {
+// the enclosing module) and runs the full suite over them under the repo's
+// production config.
+func Lint(cwd string, patterns []string) ([]Finding, error) {
 	mod, err := FindModule(cwd)
 	if err != nil {
 		return nil, err
 	}
-	var names []string
-	if strings.TrimSpace(only) != "" {
-		names = strings.Split(only, ",")
-	}
-	analyzers, err := Select(names)
+	pkgs, err := NewLoader(mod).LoadPatterns(patterns, cwd)
 	if err != nil {
 		return nil, err
 	}
-	loader := NewLoader(mod)
-	pkgs, err := loader.LoadPatterns(patterns, cwd)
-	if err != nil {
-		return nil, err
-	}
-	suite := NewSuite(DefaultConfig(mod.Path), mod.Root)
-	suite.Analyzers = analyzers
-	if strings.TrimSpace(pkgsFilter) != "" {
-		dirs, err := loader.ExpandPatterns(strings.Split(pkgsFilter, ","), cwd)
-		if err != nil {
-			return nil, fmt.Errorf("-pkgs: %w", err)
-		}
-		suite.Only = map[string]bool{}
-		for _, dir := range dirs {
-			path, err := loader.ImportPathFor(dir)
-			if err != nil {
-				return nil, fmt.Errorf("-pkgs: %w", err)
-			}
-			suite.Only[path] = true
-		}
-	}
-	return suite.Run(pkgs), nil
+	return NewSuite(DefaultConfig(mod.Path), mod.Root).Run(pkgs), nil
 }

@@ -8,15 +8,17 @@ import (
 
 // DeterminismAnalyzer guards the byte-identical-results contract in the
 // result-producing packages (Config.ResultPackages): no wall clock, no
-// global math/rand state, and no map iteration order feeding float
-// accumulations.
+// global math/rand state, rand sources seeded only from config, and no map
+// iteration order feeding float accumulations.
 var DeterminismAnalyzer = &Analyzer{
 	Name: "determinism",
 	Doc: "in result-producing packages, flag time.Now/time.Since (unless " +
 		"//lint:wallclock-audited as telemetry-only), math/rand global-state " +
-		"use, and range-over-map bodies that accumulate floats into outer " +
-		"state without a sorted-keys guard (//lint:ordered when audited)",
-	Keys: []string{"wallclock", "ordered"},
+		"use, rand source seeds that are not built from parameters, their " +
+		"fields and declared constants, and range-over-map bodies that " +
+		"accumulate floats into outer state without a sorted-keys guard " +
+		"(//lint:ordered when audited)",
+	Keys: []string{"wallclock", "ordered", "seed"},
 	Run:  runDeterminism,
 }
 
@@ -49,11 +51,20 @@ func init() {
 	}
 }
 
+// seedFuncs maps seeded-source constructors to the indices of their seed
+// arguments.
+var seedFuncs = map[string][]int{
+	"math/rand.NewSource":     {0},
+	"math/rand/v2.NewPCG":     {0, 1},
+	"math/rand/v2.NewChaCha8": {0},
+}
+
 func runDeterminism(pass *Pass) {
 	if !contains(pass.Config.ResultPackages, pass.Pkg.ImportPath) {
 		return
 	}
 	info := pass.Pkg.Info
+	params := paramObjects(pass)
 	for _, file := range pass.Pkg.Files {
 		ast.Inspect(file, func(n ast.Node) bool {
 			switch n := n.(type) {
@@ -69,12 +80,117 @@ func runDeterminism(pass *Pass) {
 						"%s uses math/rand global state; use a seeded *rand.Rand local so runs replay byte-identically",
 						qname)
 				}
+				for _, i := range seedFuncs[qname] {
+					if i < len(n.Args) {
+						checkSeed(pass, params, qname, n.Args[i])
+					}
+				}
 			case *ast.RangeStmt:
 				checkMapRange(pass, n)
 			}
 			return true
 		})
 	}
+}
+
+// checkSeed flags a seed argument unless it combines, with arithmetic and
+// conversions only, the leaves a reader can trace to config: parameters,
+// fields selected from parameters or receivers, and declared constants.
+// Literals may only salt such a leaf (seed + 7). A bare literal, a package
+// or local variable and a call result are findings: the stream's identity
+// would not be readable from the call site.
+func checkSeed(pass *Pass, params map[types.Object]bool, qname string, arg ast.Expr) {
+	ok, anchored := seedExpr(pass.Pkg.Info, params, arg)
+	switch {
+	case ok && !anchored:
+		pass.Reportf(arg.Pos(), "seed",
+			"seed for %s is a bare literal: name it as a declared constant or derive it from a config/seed parameter so the stream's identity is auditable (annotate //lint:seed <why> if neither fits)", qname)
+	case !ok:
+		pass.Reportf(arg.Pos(), "seed",
+			"seed for %s is not built from parameters, their fields and declared constants: a variable or call result hides the stream's identity from the call site — pass the seed in (annotate //lint:seed <why> if audited)", qname)
+	}
+}
+
+// seedExpr reports whether e is built only from allowed seed leaves (ok)
+// and whether at least one leaf is not a literal (anchored).
+func seedExpr(info *types.Info, params map[types.Object]bool, e ast.Expr) (ok, anchored bool) {
+	switch e := ast.Unparen(e).(type) {
+	case *ast.BasicLit:
+		return true, false
+	case *ast.Ident:
+		switch obj := info.Uses[e].(type) {
+		case *types.Const:
+			return obj.Pkg() != nil, obj.Pkg() != nil
+		case *types.Var:
+			return params[obj], params[obj]
+		}
+	case *ast.SelectorExpr:
+		if c, isConst := info.Uses[e.Sel].(*types.Const); isConst {
+			return true, c.Pkg() != nil
+		}
+		if root := selectorRoot(e); root != nil && params[info.Uses[root]] {
+			return true, true
+		}
+	case *ast.BinaryExpr:
+		xok, xa := seedExpr(info, params, e.X)
+		yok, ya := seedExpr(info, params, e.Y)
+		return xok && yok, xa || ya
+	case *ast.UnaryExpr:
+		if e.Op == token.SUB || e.Op == token.XOR {
+			return seedExpr(info, params, e.X)
+		}
+	case *ast.CallExpr:
+		if tv, isType := info.Types[e.Fun]; isType && tv.IsType() && len(e.Args) == 1 {
+			return seedExpr(info, params, e.Args[0])
+		}
+	}
+	return false, false
+}
+
+// selectorRoot returns the identifier a field selection chain x.a.b
+// starts from.
+func selectorRoot(e *ast.SelectorExpr) *ast.Ident {
+	for {
+		switch x := ast.Unparen(e.X).(type) {
+		case *ast.Ident:
+			return x
+		case *ast.SelectorExpr:
+			e = x
+		default:
+			return nil
+		}
+	}
+}
+
+// paramObjects returns the parameters and receivers of every function and
+// closure in the package.
+func paramObjects(pass *Pass) map[types.Object]bool {
+	params := map[types.Object]bool{}
+	add := func(fields *ast.FieldList) {
+		if fields == nil {
+			return
+		}
+		for _, f := range fields.List {
+			for _, name := range f.Names {
+				if obj := pass.Pkg.Info.Defs[name]; obj != nil {
+					params[obj] = true
+				}
+			}
+		}
+	}
+	for _, file := range pass.Pkg.Files {
+		ast.Inspect(file, func(n ast.Node) bool {
+			switch n := n.(type) {
+			case *ast.FuncDecl:
+				add(n.Recv)
+				add(n.Type.Params)
+			case *ast.FuncLit:
+				add(n.Type.Params)
+			}
+			return true
+		})
+	}
+	return params
 }
 
 // checkMapRange flags `range m` over a map whose body writes floats into

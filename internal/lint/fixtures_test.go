@@ -2,8 +2,6 @@ package lint
 
 import (
 	"flag"
-	"go/importer"
-	"go/token"
 	"os"
 	"path/filepath"
 	"strings"
@@ -22,18 +20,11 @@ func fixtureRoot(t *testing.T) string {
 	return abs
 }
 
-// The fixture tests share one file set and one stdlib source importer, so
-// the standard library is type-checked once per test binary instead of
-// once per fixture test. Each loadFixtures call still gets fresh module and
-// fixture Packages, and with them its own suppression-use state.
-var (
-	fixtureFset = token.NewFileSet()
-	fixtureStd  = importer.ForCompiler(fixtureFset, "source", nil)
-)
-
 // loadFixtures loads the named fixture packages (dir names under
 // testdata/lint) through the production loader, under their real
-// module-qualified import paths so fixtures can import repo packages.
+// module-qualified import paths so fixtures can import repo packages. Each
+// call gets fresh module and fixture Packages, and with them its own
+// suppression-use state; the stdlib is shared process-wide.
 func loadFixtures(t *testing.T, names ...string) (*Module, []*Package, string) {
 	t.Helper()
 	mod, err := FindModule(".")
@@ -41,7 +32,7 @@ func loadFixtures(t *testing.T, names ...string) (*Module, []*Package, string) {
 		t.Fatal(err)
 	}
 	root := fixtureRoot(t)
-	loader := &Loader{Module: mod, Fset: fixtureFset, std: fixtureStd, pkgs: map[string]*Package{}, loads: map[string]bool{}}
+	loader := NewLoader(mod)
 	var pkgs []*Package
 	for _, name := range names {
 		dir := filepath.Join(root, name)
@@ -136,23 +127,6 @@ func TestSweepFixtures(t *testing.T) {
 		func(cfg *Config, paths []string) { cfg.ResultPackages = append(cfg.ResultPackages, paths...) })
 }
 
-// scopeCacheKey points the cachekey roots at the fixtures' local
-// Config/Request/KeyOf declarations.
-func scopeCacheKey(cfg *Config, paths []string) {
-	cfg.HashRoots = nil
-	cfg.KeyFuncs = nil
-	cfg.RequestStructs = nil
-	for _, p := range paths {
-		cfg.HashRoots = append(cfg.HashRoots, p+".Config")
-		cfg.KeyFuncs = append(cfg.KeyFuncs, p+".KeyOf")
-		cfg.RequestStructs = append(cfg.RequestStructs, p+".Request")
-	}
-}
-
-func TestCacheKeyFixtures(t *testing.T) {
-	runFixture(t, "cachekey", []string{"cachekey_pos", "cachekey_neg"}, scopeCacheKey)
-}
-
 func TestLockSafeFixtures(t *testing.T) {
 	// locksafe has no package gate: the lock discipline holds everywhere.
 	runFixture(t, "locksafe", []string{"locksafe_pos", "locksafe_neg"},
@@ -164,6 +138,9 @@ func TestLeakSafeFixtures(t *testing.T) {
 		func(cfg *Config, paths []string) { cfg.ResultPackages = paths })
 }
 
+// TestSeedFlowFixtures pins determinism's seed rule: rand source seeds in
+// result packages combine only parameters, their fields and declared
+// constants.
 func TestSeedFlowFixtures(t *testing.T) {
 	runFixture(t, "seedflow", []string{"seedflow_pos", "seedflow_neg"},
 		func(cfg *Config, paths []string) { cfg.ResultPackages = paths })
@@ -181,7 +158,7 @@ func TestAnnotationHygieneFixtures(t *testing.T) {
 func TestNegativesStayClean(t *testing.T) {
 	names := []string{
 		"det_neg", "nilsafe_neg", "stdout_neg", "counter_neg", "sweep_neg",
-		"cachekey_neg", "locksafe_neg", "leaksafe_neg", "seedflow_neg",
+		"locksafe_neg", "leaksafe_neg", "seedflow_neg",
 	}
 	mod, pkgs, root := loadFixtures(t, names...)
 	cfg := DefaultConfig(mod.Path)
@@ -190,12 +167,6 @@ func TestNegativesStayClean(t *testing.T) {
 		cfg.ResultPackages = append(cfg.ResultPackages, p)
 		cfg.NilsafePackages = append(cfg.NilsafePackages, p)
 	}
-	// Aim the cachekey roots at the fixture's local declarations too, so
-	// its negatives are exercised (not just unconfigured).
-	ck := fixturePath(mod, root, "cachekey_neg")
-	cfg.HashRoots = append(cfg.HashRoots, ck+".Config")
-	cfg.KeyFuncs = append(cfg.KeyFuncs, ck+".KeyOf")
-	cfg.RequestStructs = append(cfg.RequestStructs, ck+".Request")
 	if findings := NewSuite(cfg, root).Run(pkgs); len(findings) != 0 {
 		for _, f := range findings {
 			t.Errorf("unexpected finding: %s", f)

@@ -15,9 +15,9 @@ package lint
 // Pool work needs no goroutine of its own: sim.Pool.Run launches and joins
 // its job goroutines itself.
 //
-// The check is per-goroutine-body and syntactic over the resolved body
-// (closure literal or static callee declaration); a goroutine whose body
-// cannot be resolved is a conservative finding.
+// The check is per-goroutine-body and syntactic over the resolved body: a
+// closure literal, or the declaration of a function of the same package.
+// A goroutine whose body cannot be resolved is a conservative finding.
 
 import (
 	"go/ast"
@@ -45,7 +45,7 @@ func runLeakSafe(p *Pass) {
 			body := goroutineBody(p, g.Call)
 			if body == nil {
 				p.Reportf(g.Pos(), "leak",
-					"cannot resolve this goroutine's body to audit its join/cancel path — launch a closure or a package function, or annotate //lint:leak <why>")
+					"cannot resolve this goroutine's body to audit its join/cancel path — launch a closure or a function of this package, or annotate //lint:leak <why>")
 				return true
 			}
 			if !hasJoinPath(p, body) {
@@ -58,14 +58,15 @@ func runLeakSafe(p *Pass) {
 }
 
 // goroutineBody resolves the launched function's body: a closure literal
-// directly, or the declaration of a statically-called module function.
+// directly, or the declaration of a statically-called function of this
+// package.
 func goroutineBody(p *Pass, call *ast.CallExpr) *ast.BlockStmt {
 	if lit, ok := ast.Unparen(call.Fun).(*ast.FuncLit); ok {
 		return lit.Body
 	}
 	if fn := staticCallee(p.Pkg.Info, call); fn != nil {
-		if src := p.prog().srcOf(fn); src != nil {
-			return src.decl.Body
+		if decl := p.Pkg.funcDecl(fn); decl != nil {
+			return decl.Body
 		}
 	}
 	return nil
@@ -98,8 +99,10 @@ func hasJoinPath(p *Pass, body *ast.BlockStmt) bool {
 			case "(*sync.WaitGroup).Done", "(*sync.WaitGroup).Wait":
 				found = true
 			}
-			if id, ok := ast.Unparen(n.Fun).(*ast.Ident); ok && id.Name == "close" && info.Uses[id] == nil {
-				found = true // builtin close
+			if id, ok := ast.Unparen(n.Fun).(*ast.Ident); ok && id.Name == "close" {
+				if _, builtin := info.Uses[id].(*types.Builtin); builtin {
+					found = true
+				}
 			}
 		}
 		return !found

@@ -1,16 +1,18 @@
 // Package lint is the repo's custom static-analysis suite: a small,
 // stdlib-only analyzer framework (go/parser + go/types, no x/tools
-// dependency, so it runs offline) plus the eight analyzers that
+// dependency, so it runs offline) plus the six analyzers that
 // mechanically enforce the contracts the paper reproduction depends on.
-//
-// Four are AST-level pattern checks:
+// Every analyzer is a per-package AST rule; none needs a control-flow
+// graph or whole-program analysis.
 //
 //   - determinism: result-producing packages must not let wall clock,
-//     global math/rand state, or unordered map iteration feed floats into
-//     results. The fidelity scoreboard and timeline exports are
-//     regression-gated on byte-identical output across -j levels and cache
-//     states; one `range` over a map that reorders a float accumulation
-//     breaks every downstream gate.
+//     global math/rand state, untraceable rand seeds, or unordered map
+//     iteration feed floats into results. The fidelity scoreboard and
+//     timeline exports are regression-gated on byte-identical output
+//     across -j levels and cache states; one `range` over a map that
+//     reorders a float accumulation breaks every downstream gate. A
+//     rand.NewSource / randv2.NewPCG / randv2.NewChaCha8 seed may only
+//     combine parameters, their fields and declared constants.
 //   - nilsafe: exported methods on obs/timeline collector types must begin
 //     with a nil-receiver guard, keeping the disabled telemetry path a
 //     zero-alloc no-op.
@@ -20,23 +22,16 @@
 //   - countersafe: obs counter/gauge names must come from declared
 //     constants, so a typo'd metric name is a compile-visible diagnostic
 //     instead of a silently empty manifest row.
-//
-// Four are flow-sensitive, built on the cfg.go/dataflow.go engine (basic
-// blocks, reaching definitions, and bounded interprocedural call walks
-// over every package the loader has in memory):
-//
-//   - cachekey: every serialized field reachable from the hash-root
-//     structs must feed expt.ConfigHash, and every field of a request
-//     struct must reach a RequestKey call — new fields that silently
-//     collide cached results become findings.
-//   - locksafe: no mutex held across channel operations, pool
-//     acquisition, or calls that re-lock the same receiver; every path
-//     from Lock to return must unlock.
+//   - locksafe: a Lock is followed by `defer Unlock` or unlocked by a later
+//     statement of the same block, and the region in between holds no
+//     channel operation, pool admission, early exit, or call to a function
+//     of the same package that locks the same mutex field.
 //   - leaksafe: goroutines launched in result packages need a join/cancel
 //     path (WaitGroup or channel).
-//   - seedflow: rand sources in result packages must be seeded from
-//     config/seed parameters or named constants, traced through
-//     assignments and calls.
+//
+// The cache-key contracts (every expt.Config field feeds the content hash,
+// every serve.Request and sweep.Scenario field changes its key) are
+// reflection tests in those packages, which fail on a new field.
 //
 // Audited exceptions are annotated in source as `//lint:<key> <reason>` on
 // the offending line or the line above; annotations without a reason, with
@@ -77,8 +72,7 @@ type Analyzer struct {
 	Name string
 	Doc  string
 	// Keys lists the suppression keys this analyzer honours; a
-	// `//lint:<key> reason` annotation is only considered "used" when its
-	// key belongs to an analyzer that actually ran.
+	// `//lint:<key>` annotation with a key no analyzer lists is a finding.
 	Keys []string
 	Run  func(*Pass)
 }
@@ -109,21 +103,13 @@ func (p *Pass) Reportf(pos token.Pos, key, format string, args ...any) {
 	})
 }
 
-// prog returns the whole-program index the suite built for this run.
-func (p *Pass) prog() *progIndex {
-	if p.suite.prog == nil {
-		p.suite.prog = buildProgIndex([]*Package{p.Pkg})
-	}
-	return p.suite.prog
-}
-
 // Config scopes the analyzers. Paths are import paths; DefaultConfig wires
 // the repo's real layout, tests substitute fixture packages.
 type Config struct {
 	// ModulePath is the module's import-path prefix ("wivfi").
 	ModulePath string
 	// ResultPackages are the packages whose outputs are regression-gated
-	// byte-identical artifacts; the determinism analyzer runs only there.
+	// byte-identical artifacts; determinism and leaksafe run only there.
 	ResultPackages []string
 	// StdoutAllowed are import-path prefixes permitted to write to stdout
 	// (the render paths: cmd/*, examples/*).
@@ -142,17 +128,6 @@ type Config struct {
 	// for admission slots, qualified as "import/path.TypeName"; locksafe
 	// treats it as a blocking call.
 	PoolTypes []string
-	// HashRoots are the struct types whose JSON serialization feeds the
-	// design-cache content hash; cachekey audits every struct reachable
-	// from them through serialized fields.
-	HashRoots []string
-	// KeyFuncs are the cache-key constructors, qualified as
-	// "import/path.FuncName"; request-struct fields must flow into a call
-	// to one of them.
-	KeyFuncs []string
-	// RequestStructs are request-shaped structs (qualified type names)
-	// whose every field must reach a KeyFuncs call.
-	RequestStructs []string
 }
 
 // DefaultConfig returns the production configuration for this repo.
@@ -188,15 +163,6 @@ func DefaultConfig(modulePath string) Config {
 			modulePath + "/internal/obs.RegisterHistogram",
 		},
 		PoolTypes: []string{modulePath + "/internal/sim.Pool"},
-		HashRoots: []string{modulePath + "/internal/expt.Config"},
-		KeyFuncs: []string{
-			modulePath + "/internal/expt.RequestKey",
-			modulePath + "/internal/expt.ConfigHash",
-		},
-		RequestStructs: []string{
-			modulePath + "/internal/serve.Request",
-			modulePath + "/internal/sweep.Scenario",
-		},
 	}
 }
 
@@ -207,72 +173,25 @@ func Analyzers() []*Analyzer {
 		NilsafeAnalyzer,
 		StdoutPureAnalyzer,
 		CounterSafeAnalyzer,
-		CacheKeyAnalyzer,
 		LockSafeAnalyzer,
 		LeakSafeAnalyzer,
-		SeedFlowAnalyzer,
 	}
-}
-
-// AnalyzerNames returns the names of the full suite.
-func AnalyzerNames() []string {
-	all := Analyzers()
-	names := make([]string, len(all))
-	for i, a := range all {
-		names[i] = a.Name
-	}
-	return names
-}
-
-// Select returns the analyzers named in only (comma-split elsewhere); an
-// empty selection means the full suite. Unknown names are an error.
-func Select(only []string) ([]*Analyzer, error) {
-	all := Analyzers()
-	if len(only) == 0 {
-		return all, nil
-	}
-	byName := make(map[string]*Analyzer, len(all))
-	for _, a := range all {
-		byName[a.Name] = a
-	}
-	var sel []*Analyzer
-	seen := map[string]bool{}
-	for _, name := range only {
-		name = strings.TrimSpace(name)
-		a, ok := byName[name]
-		if !ok {
-			return nil, fmt.Errorf("unknown analyzer %q (have %s)", name, strings.Join(AnalyzerNames(), ", "))
-		}
-		if !seen[name] {
-			seen[name] = true
-			sel = append(sel, a)
-		}
-	}
-	return sel, nil
 }
 
 // Suite runs a set of analyzers over loaded packages and owns the finding
 // list and suppression hygiene.
 type Suite struct {
-	Config    Config
-	Analyzers []*Analyzer
+	Config Config
 	// Root is the directory findings are reported relative to (the module
 	// root in production, the fixture dir in tests).
 	Root string
-	// Only, when non-nil, restricts analysis and suppression auditing to
-	// the named import paths (the -pkgs CLI filter). Every loaded package
-	// still contributes whole-program context (call graphs, hash trees);
-	// Only just scopes where findings are reported.
-	Only map[string]bool
 
-	findings    []Finding
-	prog        *progIndex
-	hashStructs []*types.Named
+	findings []Finding
 }
 
-// NewSuite returns a suite with the full analyzer set.
+// NewSuite returns a suite running the full analyzer set.
 func NewSuite(cfg Config, root string) *Suite {
-	return &Suite{Config: cfg, Analyzers: Analyzers(), Root: root}
+	return &Suite{Config: cfg, Root: root}
 }
 
 func (s *Suite) relPath(file string) string {
@@ -283,49 +202,22 @@ func (s *Suite) relPath(file string) string {
 	return rel
 }
 
-// activeKeys returns the suppression keys honoured by the analyzers that
-// ran, plus every key any analyzer registers (for unknown-key checks).
-func (s *Suite) activeKeys() (active, known map[string]bool) {
-	active = map[string]bool{}
-	known = map[string]bool{}
-	for _, a := range Analyzers() {
+// Run analyzes the given packages and returns the sorted findings. It runs
+// every analyzer over every package, then audits the suppression
+// annotations themselves: an annotation with no reason, an unknown key, or
+// one that silenced nothing is a finding.
+func (s *Suite) Run(pkgs []*Package) []Finding {
+	analyzers := Analyzers()
+	known := map[string]bool{}
+	for _, a := range analyzers {
 		for _, k := range a.Keys {
 			known[k] = true
 		}
 	}
-	for _, a := range s.Analyzers {
-		for _, k := range a.Keys {
-			active[k] = true
-		}
-	}
-	return active, known
-}
-
-// Run analyzes the given packages and returns the sorted findings. It runs
-// every configured analyzer over every analyzed package (all of them, or
-// the Only subset), then audits the suppression annotations themselves: an
-// annotation with no reason, an unknown key, or one that silenced nothing
-// is a finding. The stale check is per-key: an unused annotation is only
-// stale when the analyzer owning its key actually ran here — a -only or
-// -pkgs run must not condemn annotations it never gave a chance to fire.
-func (s *Suite) Run(pkgs []*Package) []Finding {
-	s.prog = buildProgIndex(pkgs)
-	analyzed := pkgs
-	if s.Only != nil {
-		analyzed = nil
-		for _, pkg := range pkgs {
-			if s.Only[pkg.ImportPath] {
-				analyzed = append(analyzed, pkg)
-			}
-		}
-	}
-	for _, pkg := range analyzed {
-		for _, a := range s.Analyzers {
+	for _, pkg := range pkgs {
+		for _, a := range analyzers {
 			a.Run(&Pass{Config: s.Config, Pkg: pkg, analyzer: a, suite: s})
 		}
-	}
-	active, known := s.activeKeys()
-	for _, pkg := range analyzed {
 		for _, sup := range pkg.suppressions.all() {
 			switch {
 			case !known[sup.key]:
@@ -338,7 +230,7 @@ func (s *Suite) Run(pkgs []*Package) []Finding {
 					File: s.relPath(sup.file), Line: sup.line, Analyzer: "annotation",
 					Message: fmt.Sprintf("//lint:%s needs a one-line justification after the key", sup.key),
 				})
-			case active[sup.key] && !sup.used:
+			case !sup.used:
 				s.findings = append(s.findings, Finding{
 					File: s.relPath(sup.file), Line: sup.line, Analyzer: "annotation",
 					Message: fmt.Sprintf("//lint:%s suppresses nothing here — remove the stale annotation", sup.key),
@@ -416,6 +308,36 @@ func calleeObject(info *types.Info, call *ast.CallExpr) types.Object {
 		return info.Uses[fun.Sel]
 	}
 	return nil
+}
+
+// staticCallee resolves the *types.Func a call invokes, including methods;
+// nil for builtins, conversions, and indirect calls through values.
+func staticCallee(info *types.Info, call *ast.CallExpr) *types.Func {
+	fn, _ := calleeObject(info, call).(*types.Func)
+	return fn
+}
+
+// methodFullName returns go/types' FullName for the callee when the call
+// invokes a method, e.g. "(*sync.Mutex).Lock"; "" otherwise.
+func methodFullName(info *types.Info, call *ast.CallExpr) string {
+	fn := staticCallee(info, call)
+	if fn == nil || fn.Type().(*types.Signature).Recv() == nil {
+		return ""
+	}
+	return fn.FullName()
+}
+
+// typeQName renders a (possibly pointer-wrapped) named type as
+// "import/path.Name", or "".
+func typeQName(t types.Type) string {
+	if p, ok := t.(*types.Pointer); ok {
+		t = p.Elem()
+	}
+	n, ok := t.(*types.Named)
+	if !ok || n.Obj().Pkg() == nil {
+		return ""
+	}
+	return n.Obj().Pkg().Path() + "." + n.Obj().Name()
 }
 
 // isFloat reports whether t's core type is a floating-point kind.

@@ -10,7 +10,8 @@ import (
 
 // TestRepoIsLintClean is the repo gate: the full analyzer suite over every
 // package in the module must report nothing. This is what makes the
-// determinism/nilsafe/stdoutpure/countersafe contracts enforced-by-machine:
+// determinism/nilsafe/stdoutpure/countersafe/locksafe/leaksafe contracts
+// enforced-by-machine:
 // `go build ./... && go test ./...` fails on any violation with zero extra
 // tooling.
 func TestRepoIsLintClean(t *testing.T) {
@@ -21,7 +22,7 @@ func TestRepoIsLintClean(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	findings, err := Lint(mod.Root, []string{"./..."}, "")
+	findings, err := Lint(mod.Root, []string{"./..."})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -113,24 +114,9 @@ func TestCLIJSONCleanIsEmptyArray(t *testing.T) {
 	}
 }
 
-// TestCLIOnlySelection runs a single analyzer and requires findings from
-// the others to vanish: counter_pos violates countersafe but is clean
-// under -only determinism.
-func TestCLIOnlySelection(t *testing.T) {
-	mod, err := FindModule(".")
-	if err != nil {
-		t.Fatal(err)
-	}
-	var stdout, stderr bytes.Buffer
-	code := RunCLI([]string{"-only", "determinism", "./internal/lint/testdata/lint/counter_pos"}, mod.Root, &stdout, &stderr)
-	if code != ExitClean {
-		t.Fatalf("exit code = %d, want %d\nstdout: %s", code, ExitClean, stdout.String())
-	}
-}
-
-// TestCLIPkgsFilter pins the -pkgs package filter: the violating package
-// still loads (whole-program context), but findings come only from the
-// packages the filter names; without the flag behavior is unchanged.
+// TestCLIPkgsFilter pins that the package patterns scope the findings:
+// a clean package linted next to a violating one reports only the
+// violating one's findings, and linted alone reports nothing.
 func TestCLIPkgsFilter(t *testing.T) {
 	mod, err := FindModule(".")
 	if err != nil {
@@ -141,45 +127,44 @@ func TestCLIPkgsFilter(t *testing.T) {
 
 	var stdout, stderr bytes.Buffer
 	if code := RunCLI([]string{pos, neg}, mod.Root, &stdout, &stderr); code != ExitFindings {
-		t.Fatalf("unfiltered exit = %d, want %d (stderr: %s)", code, ExitFindings, stderr.String())
+		t.Fatalf("pos+neg exit = %d, want %d (stderr: %s)", code, ExitFindings, stderr.String())
 	}
-
-	stdout.Reset()
-	stderr.Reset()
-	if code := RunCLI([]string{"-pkgs", neg, pos, neg}, mod.Root, &stdout, &stderr); code != ExitClean {
-		t.Fatalf("filtered-to-clean exit = %d, want %d\nstdout: %s", code, ExitClean, stdout.String())
-	}
-	if stdout.Len() != 0 {
-		t.Errorf("filtered-to-clean run reported findings:\n%s", stdout.String())
-	}
-
-	stdout.Reset()
-	stderr.Reset()
-	if code := RunCLI([]string{"-pkgs", pos, pos, neg}, mod.Root, &stdout, &stderr); code != ExitFindings {
-		t.Fatalf("filtered-to-violating exit = %d, want %d", code, ExitFindings)
+	if strings.Contains(stdout.String(), "stdout_neg") {
+		t.Errorf("clean package reported findings:\n%s", stdout.String())
 	}
 	if !strings.Contains(stdout.String(), "[stdoutpure]") {
-		t.Errorf("filtered run lost the [stdoutpure] findings:\n%s", stdout.String())
+		t.Errorf("violating package lost its [stdoutpure] findings:\n%s", stdout.String())
+	}
+
+	stdout.Reset()
+	stderr.Reset()
+	if code := RunCLI([]string{neg}, mod.Root, &stdout, &stderr); code != ExitClean {
+		t.Fatalf("neg-only exit = %d, want %d\nstdout: %s", code, ExitClean, stdout.String())
+	}
+	if stdout.Len() != 0 {
+		t.Errorf("clean run reported findings:\n%s", stdout.String())
 	}
 }
 
 // TestCLIPkgsBadPattern pins the usage-error exit for an unresolvable
-// -pkgs pattern.
+// package pattern.
 func TestCLIPkgsBadPattern(t *testing.T) {
 	mod, err := FindModule(".")
 	if err != nil {
 		t.Fatal(err)
 	}
 	var stdout, stderr bytes.Buffer
-	if code := RunCLI([]string{"-pkgs", "./does-not-exist", "./internal/topo"}, mod.Root, &stdout, &stderr); code != ExitError {
+	if code := RunCLI([]string{"./does-not-exist", "./internal/topo"}, mod.Root, &stdout, &stderr); code != ExitError {
 		t.Fatalf("exit code = %d, want %d", code, ExitError)
 	}
-	if !strings.Contains(stderr.String(), "-pkgs") {
-		t.Errorf("stderr should attribute the error to -pkgs: %s", stderr.String())
+	if !strings.Contains(stderr.String(), "does-not-exist") {
+		t.Errorf("stderr should name the bad pattern: %s", stderr.String())
 	}
 }
 
-// TestCLIUnknownAnalyzer pins the usage-error exit code.
+// TestCLIUnknownAnalyzer pins the usage-error exit code: there is no
+// analyzer selection (every run is the full suite), so the old -only flag
+// is an undefined flag, not a silently ignored one.
 func TestCLIUnknownAnalyzer(t *testing.T) {
 	mod, err := FindModule(".")
 	if err != nil {
@@ -189,8 +174,8 @@ func TestCLIUnknownAnalyzer(t *testing.T) {
 	if code := RunCLI([]string{"-only", "nope", "./internal/topo"}, mod.Root, &stdout, &stderr); code != ExitError {
 		t.Fatalf("exit code = %d, want %d", code, ExitError)
 	}
-	if !strings.Contains(stderr.String(), "unknown analyzer") {
-		t.Errorf("stderr missing analyzer list: %s", stderr.String())
+	if !strings.Contains(stderr.String(), "-only") {
+		t.Errorf("stderr should name the undefined flag: %s", stderr.String())
 	}
 }
 
@@ -217,41 +202,6 @@ func TestSuppressionMatching(t *testing.T) {
 	}
 	if s.use("f.go", 20, "ordered") {
 		t.Error("reasonless annotation must not suppress")
-	}
-}
-
-// TestStaleSuppressionOnlyScoping is the regression for per-key stale
-// auditing: det_neg carries //lint:wallclock annotations that are used
-// when determinism runs; under -only nilsafe the determinism keys are
-// inactive, so the now-unused annotations must NOT be condemned as stale.
-func TestStaleSuppressionOnlyScoping(t *testing.T) {
-	mod, pkgs, root := loadFixtures(t, "det_neg")
-	p := fixturePath(mod, root, "det_neg")
-	cfg := DefaultConfig(mod.Path)
-	cfg.ResultPackages = append(cfg.ResultPackages, p)
-	suite := NewSuite(cfg, root)
-	sel, err := Select([]string{"nilsafe"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	suite.Analyzers = sel
-	for _, f := range suite.Run(pkgs) {
-		t.Errorf("unexpected finding under -only nilsafe: %s", f)
-	}
-}
-
-// TestStaleSuppressionPkgsScoping is the -pkgs counterpart: a package
-// excluded by the filter contributes context only — its annotations are
-// not audited, so they cannot be reported stale either.
-func TestStaleSuppressionPkgsScoping(t *testing.T) {
-	mod, pkgs, root := loadFixtures(t, "det_neg", "stdout_neg")
-	det := fixturePath(mod, root, "det_neg")
-	cfg := DefaultConfig(mod.Path)
-	cfg.ResultPackages = append(cfg.ResultPackages, det)
-	suite := NewSuite(cfg, root)
-	suite.Only = map[string]bool{fixturePath(mod, root, "stdout_neg"): true}
-	for _, f := range suite.Run(pkgs) {
-		t.Errorf("unexpected finding with det_neg filtered out: %s", f)
 	}
 }
 
@@ -293,16 +243,5 @@ func TestDefaultConfigCoversRoadmapPackages(t *testing.T) {
 	}
 	if !contains(cfg.PoolTypes, "wivfi/internal/sim.Pool") {
 		t.Error("PoolTypes must cover sim.Pool (locksafe: no pool wait under a held lock)")
-	}
-	if !contains(cfg.HashRoots, "wivfi/internal/expt.Config") {
-		t.Error("HashRoots must cover expt.Config")
-	}
-	if !contains(cfg.KeyFuncs, "wivfi/internal/expt.RequestKey") ||
-		!contains(cfg.KeyFuncs, "wivfi/internal/expt.ConfigHash") {
-		t.Error("KeyFuncs must cover expt.RequestKey and expt.ConfigHash")
-	}
-	if !contains(cfg.RequestStructs, "wivfi/internal/serve.Request") ||
-		!contains(cfg.RequestStructs, "wivfi/internal/sweep.Scenario") {
-		t.Error("RequestStructs must cover serve.Request and sweep.Scenario")
 	}
 }

@@ -11,6 +11,7 @@ import (
 	"path/filepath"
 	"sort"
 	"strings"
+	"sync"
 )
 
 // Package is one loaded, type-checked package (non-test files only — the
@@ -24,10 +25,25 @@ type Package struct {
 	Info       *types.Info
 
 	suppressions *suppressionSet
-	// loader links back to the Loader that produced this package, giving
-	// the flow-sensitive analyzers whole-program reach over every
-	// module-internal dependency the type-checker already parsed.
-	loader *Loader
+	decls        map[*types.Func]*ast.FuncDecl // built on first funcDecl call
+}
+
+// funcDecl returns the declaration of fn when it is a function or method
+// declared in this package, else nil.
+func (p *Package) funcDecl(fn *types.Func) *ast.FuncDecl {
+	if p.decls == nil {
+		p.decls = map[*types.Func]*ast.FuncDecl{}
+		for _, f := range p.Files {
+			for _, d := range f.Decls {
+				if fd, ok := d.(*ast.FuncDecl); ok {
+					if obj, ok := p.Info.Defs[fd.Name].(*types.Func); ok {
+						p.decls[obj] = fd
+					}
+				}
+			}
+		}
+	}
+	return p.decls[fn.Origin()]
 }
 
 // Module locates the enclosing Go module.
@@ -67,18 +83,32 @@ type Loader struct {
 	Module *Module
 	Fset   *token.FileSet
 
-	std   types.Importer
 	pkgs  map[string]*Package // by import path
 	loads map[string]bool     // cycle guard
 }
 
+// The standard library is type-checked from source once per process: every
+// Loader shares one source importer and its file set, so the CLI tests,
+// the fixture tests and the repo gate in one test binary pay for net/http
+// and friends once. The importer itself is not safe for concurrent use;
+// stdMu serializes it.
+var (
+	stdFset = token.NewFileSet()
+	stdMu   sync.Mutex
+	stdImp  = importer.ForCompiler(stdFset, "source", nil)
+)
+
+func importStd(path string) (*types.Package, error) {
+	stdMu.Lock()
+	defer stdMu.Unlock()
+	return stdImp.Import(path)
+}
+
 // NewLoader returns a loader rooted at mod.
 func NewLoader(mod *Module) *Loader {
-	fset := token.NewFileSet()
 	return &Loader{
 		Module: mod,
-		Fset:   fset,
-		std:    importer.ForCompiler(fset, "source", nil),
+		Fset:   stdFset,
 		pkgs:   map[string]*Package{},
 		loads:  map[string]bool{},
 	}
@@ -96,7 +126,7 @@ func (l *Loader) Import(path string) (*types.Package, error) {
 		}
 		return pkg.Types, nil
 	}
-	return l.std.Import(path)
+	return importStd(path)
 }
 
 // dirFor maps a module-internal import path to its directory.
@@ -179,7 +209,6 @@ func (l *Loader) LoadDir(dir, importPath string) (*Package, error) {
 		Types:        tpkg,
 		Info:         info,
 		suppressions: collectSuppressions(l.Fset, files),
-		loader:       l,
 	}
 	l.pkgs[importPath] = pkg
 	return pkg, nil

@@ -1,420 +1,387 @@
 package lint
 
-// locksafe: flow-sensitive mutex discipline over the funcCFG. Three
-// contracts, all rooted in postmortems of the serving/sweep layers where a
-// blocked goroutine holding a lock stalls every other request:
+// locksafe: a syntactic mutex discipline, rooted in postmortems of the
+// serving/sweep layers where a blocked goroutine holding a lock stalls
+// every other request. A Lock/RLock is valid in exactly two forms:
 //
-//  1. a sync.Mutex/RWMutex must not be held across a blocking channel
-//     operation (send, receive, select, range-over-channel) — the server
-//     and sweep paths all copy state under the lock, release, then block;
-//  2. it must not be held across a sim.Pool slot acquisition (the slot
-//     wait can be unbounded under saturation) or across a call that may
-//     re-lock the same receiver's mutex (self-deadlock);
-//  3. every path from Lock() to return must unlock (explicitly or via a
-//     defer registered on that path).
+//  1. the next statement is `defer <same>.Unlock()` (or a deferred closure
+//     that unlocks it), and the critical region is the rest of the
+//     function;
+//  2. the matching Unlock is a later statement in the same statement list,
+//     and the region is the statements in between.
 //
-// The analysis is a forward may-held dataflow: the state maps each mutex
-// (root variable object + field path, write vs read mode) to held/deferred
-// bits, joined by union over CFG edges. Deferred unlocks are modeled at
-// the DeferStmt node, so a return *before* the defer registers is still a
-// missing-unlock path. Closure bodies are analyzed as separate functions;
-// locks do not propagate across closure boundaries.
+// A region may not contain a channel send or receive, a select, a range
+// over a channel, a pool admission (sim.Pool Run), or a call to a function
+// of the same package whose body locks the same mutex field. In the second
+// form it also may not leave the region: no return, goto, panic, or break/
+// continue that escapes it. Inside a region, the rest of a nested statement
+// list after an unlock of the same mutex runs unlocked (the
+// `if fail { mu.Unlock(); return }` shape). close is legal: closing never
+// blocks. Closures and goroutine bodies are separate functions.
 
 import (
-	"fmt"
 	"go/ast"
+	"go/token"
 	"go/types"
-	"sort"
-	"strings"
 )
 
-// LockSafeAnalyzer enforces the mutex discipline contracts.
+// LockSafeAnalyzer enforces the mutex discipline.
 var LockSafeAnalyzer = &Analyzer{
 	Name: "locksafe",
-	Doc:  "mutex held across channel ops/pool acquisition/re-locking calls, or not released on an early return",
+	Doc:  "a Lock is followed by a deferred Unlock or a later Unlock in the same block, and its region holds no channel op, pool admission, early exit or call that re-locks the same field",
 	Keys: []string{"lock"},
 	Run:  runLockSafe,
 }
 
-type lockOp int
-
-const (
-	lockOpNone lockOp = iota
-	lockOpLock
-	lockOpUnlock
-	lockOpRLock
-	lockOpRUnlock
-)
-
-// mutexOp classifies call as a sync.Mutex/RWMutex lock-state transition
-// and returns the receiver expression.
-func mutexOp(info *types.Info, call *ast.CallExpr) (lockOp, ast.Expr) {
-	sel, ok := ast.Unparen(call.Fun).(*ast.SelectorExpr)
-	if !ok {
-		return lockOpNone, nil
-	}
-	switch methodFullName(info, call) {
-	case "(*sync.Mutex).Lock", "(*sync.RWMutex).Lock":
-		return lockOpLock, sel.X
-	case "(*sync.Mutex).Unlock", "(*sync.RWMutex).Unlock":
-		return lockOpUnlock, sel.X
-	case "(*sync.RWMutex).RLock":
-		return lockOpRLock, sel.X
-	case "(*sync.RWMutex).RUnlock":
-		return lockOpRUnlock, sel.X
-	}
-	return lockOpNone, nil
-}
-
-// lockKey identifies one mutex within a function: the root object of its
-// selector chain plus the field path ("s" + ".mu"), and the lock mode.
-type lockKey struct {
-	root types.Object
-	path string
-	read bool
-}
-
-func (k lockKey) label() string {
-	if k.root == nil {
-		return "<mutex>" + k.path
-	}
-	return k.root.Name() + k.path
-}
-
-const (
-	lockHeld     uint8 = 1 << iota // may be locked
-	lockDeferred                   // an unlock is defer-registered
-)
-
-type lockState map[lockKey]uint8
-
-func (s lockState) clone() lockState {
-	out := make(lockState, len(s))
-	for k, v := range s {
-		out[k] = v
-	}
-	return out
-}
-
-// join unions src into dst (may-analysis) and reports change.
-func (s lockState) join(src lockState) bool {
-	changed := false
-	for k, v := range src {
-		if s[k]|v != s[k] {
-			s[k] |= v
-			changed = true
-		}
-	}
-	return changed
-}
-
-// heldKeys returns the held-but-relevant keys sorted for deterministic
-// messages.
-func (s lockState) heldKeys() []lockKey {
-	var out []lockKey
-	for k, v := range s {
-		if v&lockHeld != 0 {
-			out = append(out, k)
-		}
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].label() < out[j].label() })
-	return out
-}
-
 func runLockSafe(p *Pass) {
 	for _, file := range p.Pkg.Files {
-		for _, decl := range file.Decls {
-			fd, ok := decl.(*ast.FuncDecl)
-			if !ok || fd.Body == nil {
-				continue
-			}
-			analyzeLocks(p, fd.Body)
-			// Closures are separate functions for lock purposes.
-			ast.Inspect(fd.Body, func(n ast.Node) bool {
-				if lit, ok := n.(*ast.FuncLit); ok {
-					analyzeLocks(p, lit.Body)
+		ast.Inspect(file, func(n ast.Node) bool {
+			switch n := n.(type) {
+			case *ast.FuncDecl:
+				if n.Body != nil {
+					lockLists(p, n.Body.List, nil)
 				}
-				return true
-			})
-		}
-	}
-}
-
-func analyzeLocks(p *Pass, body *ast.BlockStmt) {
-	// Cheap pre-screen: no Lock call, nothing to analyze.
-	found := false
-	ast.Inspect(body, func(n ast.Node) bool {
-		if found {
-			return false
-		}
-		if call, ok := n.(*ast.CallExpr); ok {
-			if op, _ := mutexOp(p.Pkg.Info, call); op == lockOpLock || op == lockOpRLock {
-				found = true
-			}
-		}
-		return true
-	})
-	if !found {
-		return
-	}
-
-	c := p.prog().cfgFor(body)
-	reachable := c.reachableBlocks()
-	in := map[*cfgBlock]lockState{}
-	for _, blk := range reachable {
-		in[blk] = lockState{}
-	}
-	work := append([]*cfgBlock(nil), reachable...)
-	for len(work) > 0 {
-		blk := work[0]
-		work = work[1:]
-		state := in[blk].clone()
-		for _, n := range blk.nodes {
-			applyLockNode(p, state, n, nil)
-		}
-		for _, s := range blk.succs {
-			if dst, ok := in[s]; ok && dst.join(state) {
-				work = append(work, s)
-			}
-		}
-	}
-
-	// Report pass: replay each reachable block once with hazard reporting.
-	for _, blk := range reachable {
-		state := in[blk].clone()
-		for _, n := range blk.nodes {
-			applyLockNode(p, state, n, func(pos ast.Node, what string, keys []lockKey) {
-				p.Reportf(pos.Pos(), "lock", "%s while holding %s: a blocked goroutine keeps the lock and stalls every contender — copy state under the lock, release, then block (annotate //lint:lock <why> if the wait is provably bounded)",
-					what, lockLabels(keys))
-			})
-		}
-		// Exit discipline at return / fall-off-the-end.
-		exiting := false
-		for _, s := range blk.succs {
-			if s == c.exit {
-				exiting = true
-			}
-		}
-		if !exiting {
-			continue
-		}
-		pos := body.Rbrace
-		if r := blk.terminalReturn(); r != nil {
-			pos = r.Pos()
-		} else if len(blk.nodes) > 0 {
-			if es, ok := blk.nodes[len(blk.nodes)-1].(*ast.ExprStmt); ok && isTerminalCall(es.X) {
-				continue // panic/os.Exit: not a return path
-			}
-		}
-		var leaked []lockKey
-		for _, k := range state.heldKeys() {
-			if state[k]&lockDeferred == 0 {
-				leaked = append(leaked, k)
-			}
-		}
-		if len(leaked) > 0 {
-			p.Reportf(pos, "lock", "%s may still be held at this return: an early-return path skips the unlock — release before returning or defer the unlock right after locking",
-				lockLabels(leaked))
-		}
-	}
-}
-
-// applyLockNode advances state over one CFG node, reporting hazards via
-// report when non-nil. FuncLit and GoStmt subtrees are skipped: closures
-// and goroutines do not run under this function's locks.
-func applyLockNode(p *Pass, state lockState, n ast.Node, report func(ast.Node, string, []lockKey)) {
-	info := p.Pkg.Info
-	hazard := func(at ast.Node, what string) {
-		if report == nil {
-			return
-		}
-		if held := state.heldKeys(); len(held) > 0 {
-			report(at, what, held)
-		}
-	}
-
-	switch n := n.(type) {
-	case *ast.SelectStmt: // composite marker: the select blocks here
-		hazard(n, "select")
-		return
-	case *ast.RangeStmt: // composite marker: header; a channel range blocks
-		if _, ok := info.Types[n.X].Type.Underlying().(*types.Chan); ok {
-			hazard(n, "range over channel")
-		}
-		return
-	case *ast.DeferStmt:
-		markDeferredUnlocks(info, n.Call, state)
-		return
-	case *ast.GoStmt:
-		return
-	}
-
-	ast.Inspect(n, func(m ast.Node) bool {
-		switch m := m.(type) {
-		case *ast.FuncLit, *ast.GoStmt:
-			return false
-		case *ast.DeferStmt:
-			markDeferredUnlocks(info, m.Call, state)
-			return false
-		case *ast.SendStmt:
-			hazard(m, "channel send")
-		case *ast.UnaryExpr:
-			if m.Op.String() == "<-" {
-				hazard(m, "channel receive")
-			}
-		case *ast.CallExpr:
-			if op, recv := mutexOp(info, m); op != lockOpNone {
-				if root, path, ok := rootPath(info, recv); ok {
-					switch op {
-					case lockOpLock:
-						state[lockKey{root, path, false}] |= lockHeld
-					case lockOpRLock:
-						state[lockKey{root, path, true}] |= lockHeld
-					case lockOpUnlock:
-						delete(state, lockKey{root, path, false})
-					case lockOpRUnlock:
-						delete(state, lockKey{root, path, true})
-					}
-				}
-				return true
-			}
-			if poolAcquire(p.Config, info, m) {
-				hazard(m, "pool slot acquisition")
-				return true
-			}
-			checkRelock(p, state, m, report)
-		}
-		return true
-	})
-}
-
-// markDeferredUnlocks flags mutexes whose unlock is defer-registered by
-// call — either `defer mu.Unlock()` directly or unlock calls inside a
-// deferred closure.
-func markDeferredUnlocks(info *types.Info, call *ast.CallExpr, state lockState) {
-	mark := func(c *ast.CallExpr) {
-		op, recv := mutexOp(info, c)
-		read := false
-		switch op {
-		case lockOpRUnlock:
-			read = true
-		case lockOpUnlock:
-		default:
-			return
-		}
-		if root, path, ok := rootPath(info, recv); ok {
-			k := lockKey{root, path, read}
-			state[k] |= lockDeferred
-		}
-	}
-	mark(call)
-	if lit, ok := ast.Unparen(call.Fun).(*ast.FuncLit); ok {
-		ast.Inspect(lit.Body, func(n ast.Node) bool {
-			if c, ok := n.(*ast.CallExpr); ok {
-				mark(c)
+			case *ast.FuncLit:
+				lockLists(p, n.Body.List, nil)
 			}
 			return true
 		})
 	}
 }
 
-// checkRelock reports a call to a method whose lock summary says it locks
-// a mutex this function currently holds on the same receiver chain.
-func checkRelock(p *Pass, state lockState, call *ast.CallExpr, report func(ast.Node, string, []lockKey)) {
-	if report == nil || len(state) == 0 {
-		return
-	}
-	fn := staticCallee(p.Pkg.Info, call)
-	if fn == nil || fn.Type().(*types.Signature).Recv() == nil {
-		return
-	}
-	sel, ok := ast.Unparen(call.Fun).(*ast.SelectorExpr)
-	if !ok {
-		return
-	}
-	root, base, ok := rootPath(p.Pkg.Info, sel.X)
-	if !ok {
-		return
-	}
-	sum := p.prog().lockSummary(fn)
-	for path := range sum {
-		for k, v := range state {
-			if v&lockHeld != 0 && k.root == root && k.path == base+path && !k.read {
-				report(call, fmt.Sprintf("call to %s (which locks %s)", fn.Name(), k.label()), []lockKey{k})
-				return
-			}
+// lockLists checks every Lock in list and, recursively, in the statement
+// lists nested in it (closures excluded). outer holds the tails of the
+// enclosing lists, innermost first: what else runs before the function
+// returns.
+func lockLists(p *Pass, list []ast.Stmt, outer [][]ast.Stmt) {
+	for i, s := range list {
+		rest := list[i+1:]
+		if mu, read, ok := lockStmt(p.Pkg.Info, s, true); ok {
+			checkLock(p, s, mu, read, rest, outer)
+		}
+		tails := append([][]ast.Stmt{rest}, outer...)
+		for _, inner := range childLists(s) {
+			lockLists(p, inner, tails)
 		}
 	}
 }
 
-// lockSummary computes, memoized, the set of receiver-relative mutex field
-// paths a method may lock — directly or through calls to other methods on
-// the same receiver (closures excluded: their execution is deferred to an
-// unknown time). Used by locksafe's re-lock check.
-func (ix *progIndex) lockSummary(fn *types.Func) map[string]bool {
-	if s, ok := ix.lockSums[fn]; ok {
-		return s
+// childLists returns the statement lists directly nested in s.
+func childLists(s ast.Stmt) [][]ast.Stmt {
+	switch s := s.(type) {
+	case *ast.BlockStmt:
+		return [][]ast.Stmt{s.List}
+	case *ast.LabeledStmt:
+		return childLists(s.Stmt)
+	case *ast.IfStmt:
+		lists := [][]ast.Stmt{s.Body.List}
+		if s.Else != nil {
+			lists = append(lists, []ast.Stmt{s.Else})
+		}
+		return lists
+	case *ast.ForStmt:
+		return [][]ast.Stmt{s.Body.List}
+	case *ast.RangeStmt:
+		return [][]ast.Stmt{s.Body.List}
+	case *ast.SwitchStmt:
+		return clauseLists(s.Body)
+	case *ast.TypeSwitchStmt:
+		return clauseLists(s.Body)
+	case *ast.SelectStmt:
+		return clauseLists(s.Body)
 	}
-	if ix.lockBusy[fn] {
-		return nil // recursion: the cycle adds nothing new
-	}
-	ix.lockBusy[fn] = true
-	defer delete(ix.lockBusy, fn)
+	return nil
+}
 
-	paths := map[string]bool{}
-	ix.lockSums[fn] = paths
-	src := ix.srcOf(fn)
-	if src == nil || src.decl.Recv == nil || len(src.decl.Recv.List) == 0 || len(src.decl.Recv.List[0].Names) == 0 {
-		return paths
+func clauseLists(body *ast.BlockStmt) [][]ast.Stmt {
+	var lists [][]ast.Stmt
+	for _, c := range body.List {
+		switch c := c.(type) {
+		case *ast.CaseClause:
+			lists = append(lists, c.Body)
+		case *ast.CommClause:
+			lists = append(lists, c.Body)
+		}
 	}
-	recvObj := src.pkg.Info.Defs[src.decl.Recv.List[0].Names[0]]
-	if recvObj == nil {
-		return paths
+	return lists
+}
+
+// lockStmt reports whether s is `<mu>.Lock()`/`<mu>.RLock()` (lock true)
+// or `<mu>.Unlock()`/`<mu>.RUnlock()` (lock false) on a sync mutex, and
+// returns the mutex expression.
+func lockStmt(info *types.Info, s ast.Stmt, lock bool) (mu ast.Expr, read, ok bool) {
+	es, isExpr := s.(*ast.ExprStmt)
+	if !isExpr {
+		return nil, false, false
 	}
-	info := src.pkg.Info
-	ast.Inspect(src.decl.Body, func(n ast.Node) bool {
+	call, isCall := es.X.(*ast.CallExpr)
+	if !isCall {
+		return nil, false, false
+	}
+	return mutexCall(info, call, lock)
+}
+
+// mutexCall is lockStmt for a call expression.
+func mutexCall(info *types.Info, call *ast.CallExpr, lock bool) (mu ast.Expr, read, ok bool) {
+	sel, isSel := ast.Unparen(call.Fun).(*ast.SelectorExpr)
+	if !isSel {
+		return nil, false, false
+	}
+	name := methodFullName(info, call)
+	if lock {
+		switch name {
+		case "(*sync.Mutex).Lock", "(*sync.RWMutex).Lock":
+			return sel.X, false, true
+		case "(*sync.RWMutex).RLock":
+			return sel.X, true, true
+		}
+		return nil, false, false
+	}
+	switch name {
+	case "(*sync.Mutex).Unlock", "(*sync.RWMutex).Unlock":
+		return sel.X, false, true
+	case "(*sync.RWMutex).RUnlock":
+		return sel.X, true, true
+	}
+	return nil, false, false
+}
+
+// lockRegion is one critical region being checked.
+type lockRegion struct {
+	p     *Pass
+	label string       // the mutex as written, e.g. "s.mu"
+	field types.Object // the mutex field or variable, for the re-lock lookup
+	read  bool
+	// explicit: closed by a later Unlock in the same list, so leaving the
+	// region early skips the unlock.
+	explicit bool
+	// loops and breakables count the loops (and switch/select statements)
+	// entered inside the region: an unlabeled break/continue aimed at one
+	// of them stays inside the region.
+	loops, breakables int
+}
+
+// checkLock classifies the Lock statement s and checks its region.
+func checkLock(p *Pass, s ast.Stmt, mu ast.Expr, read bool, rest []ast.Stmt, outer [][]ast.Stmt) {
+	r := &lockRegion{p: p, label: types.ExprString(mu), field: mutexObject(p.Pkg.Info, mu), read: read}
+	if len(rest) > 0 && r.deferredUnlock(rest[0]) {
+		r.list(rest[1:])
+		for _, tail := range outer {
+			r.list(tail)
+		}
+		return
+	}
+	for _, t := range rest {
+		if r.unlocks(t) {
+			r.explicit = true
+			r.list(rest)
+			return
+		}
+	}
+	p.Reportf(s.Pos(), "lock",
+		"%s is neither followed by `defer %s.%s()` nor unlocked by a later statement of the same block: the critical region cannot be read off the source — restructure it into one of the two forms",
+		r.label, r.label, r.unlockName())
+}
+
+func (r *lockRegion) unlockName() string {
+	if r.read {
+		return "RUnlock"
+	}
+	return "Unlock"
+}
+
+// unlocks reports whether s releases this region's mutex.
+func (r *lockRegion) unlocks(s ast.Stmt) bool {
+	mu, read, ok := lockStmt(r.p.Pkg.Info, s, false)
+	return ok && read == r.read && types.ExprString(mu) == r.label
+}
+
+// deferredUnlock reports whether s is `defer <mu>.Unlock()` or a deferred
+// closure whose body unlocks the mutex.
+func (r *lockRegion) deferredUnlock(s ast.Stmt) bool {
+	d, ok := s.(*ast.DeferStmt)
+	if !ok {
+		return false
+	}
+	if r.unlocks(&ast.ExprStmt{X: d.Call}) {
+		return true
+	}
+	lit, ok := ast.Unparen(d.Call.Fun).(*ast.FuncLit)
+	if !ok {
+		return false
+	}
+	found := false
+	ast.Inspect(lit.Body, func(n ast.Node) bool {
+		if s, ok := n.(ast.Stmt); ok && r.unlocks(s) {
+			found = true
+		}
+		return !found
+	})
+	return found
+}
+
+// list checks a statement list inside the region; after an unlock of the
+// same mutex the rest of the list runs unlocked.
+func (r *lockRegion) list(stmts []ast.Stmt) {
+	for _, s := range stmts {
+		if r.unlocks(s) {
+			return
+		}
+		r.node(s)
+	}
+}
+
+// node checks one node inside the region.
+func (r *lockRegion) node(root ast.Node) {
+	info := r.p.Pkg.Info
+	var stack []ast.Node
+	ast.Inspect(root, func(n ast.Node) bool {
+		if n == nil {
+			r.leave(stack[len(stack)-1])
+			stack = stack[:len(stack)-1]
+			return true
+		}
+		switch n := n.(type) {
+		case *ast.FuncLit, *ast.GoStmt:
+			return false
+		case *ast.BlockStmt:
+			r.list(n.List)
+			return false
+		case *ast.CaseClause:
+			for _, e := range n.List {
+				r.node(e)
+			}
+			r.list(n.Body)
+			return false
+		case *ast.CommClause:
+			if n.Comm != nil {
+				r.node(n.Comm)
+			}
+			r.list(n.Body)
+			return false
+		case *ast.ForStmt:
+			r.loops++
+			r.breakables++
+		case *ast.RangeStmt:
+			if t := info.TypeOf(n.X); t != nil {
+				if _, ok := t.Underlying().(*types.Chan); ok {
+					r.report(n, "range over channel")
+				}
+			}
+			r.loops++
+			r.breakables++
+		case *ast.SwitchStmt, *ast.TypeSwitchStmt:
+			r.breakables++
+		case *ast.SelectStmt:
+			r.report(n, "select")
+			r.breakables++
+		case *ast.SendStmt:
+			r.report(n, "channel send")
+		case *ast.UnaryExpr:
+			if n.Op == token.ARROW {
+				r.report(n, "channel receive")
+			}
+		case *ast.ReturnStmt:
+			if r.explicit {
+				r.report(n, "return")
+			}
+		case *ast.BranchStmt:
+			if r.explicit && r.escapes(n) {
+				r.report(n, n.Tok.String())
+			}
+		case *ast.CallExpr:
+			r.call(n)
+		}
+		stack = append(stack, n)
+		return true
+	})
+}
+
+// leave undoes node's counters when Inspect leaves n.
+func (r *lockRegion) leave(n ast.Node) {
+	switch n.(type) {
+	case *ast.ForStmt, *ast.RangeStmt:
+		r.loops--
+		r.breakables--
+	case *ast.SwitchStmt, *ast.TypeSwitchStmt, *ast.SelectStmt:
+		r.breakables--
+	}
+}
+
+// escapes reports whether a branch statement can leave the region: goto
+// and labeled branches always may; an unlabeled break or continue only
+// when no enclosing loop (or switch/select, for break) inside the region
+// catches it.
+func (r *lockRegion) escapes(b *ast.BranchStmt) bool {
+	switch {
+	case b.Tok == token.FALLTHROUGH:
+		return false
+	case b.Tok == token.GOTO || b.Label != nil:
+		return true
+	case b.Tok == token.CONTINUE:
+		return r.loops == 0
+	}
+	return r.breakables == 0
+}
+
+// call checks a call inside the region: panic (explicit form), pool
+// admission, and same-package callees that lock the same mutex field.
+func (r *lockRegion) call(call *ast.CallExpr) {
+	info := r.p.Pkg.Info
+	if id, ok := ast.Unparen(call.Fun).(*ast.Ident); ok && id.Name == "panic" {
+		if _, builtin := info.Uses[id].(*types.Builtin); builtin && r.explicit {
+			r.report(call, "panic")
+		}
+		return
+	}
+	fn := staticCallee(info, call)
+	if fn == nil {
+		return
+	}
+	if fn.Name() == "Run" {
+		if recv := fn.Type().(*types.Signature).Recv(); recv != nil && contains(r.p.Config.PoolTypes, typeQName(recv.Type())) {
+			r.report(call, "pool slot acquisition")
+			return
+		}
+	}
+	if r.field == nil || fn.Pkg() != r.p.Pkg.Types {
+		return
+	}
+	decl := r.p.Pkg.funcDecl(fn)
+	if decl == nil || decl.Body == nil {
+		return
+	}
+	relocks := false
+	ast.Inspect(decl.Body, func(n ast.Node) bool {
 		if _, ok := n.(*ast.FuncLit); ok {
 			return false
 		}
-		call, ok := n.(*ast.CallExpr)
-		if !ok {
-			return true
-		}
-		if op, recv := mutexOp(info, call); op == lockOpLock || op == lockOpRLock {
-			if root, path, ok := rootPath(info, recv); ok && root == recvObj {
-				paths[path] = true
-			}
-			return true
-		}
-		if callee := staticCallee(info, call); callee != nil && callee != fn {
-			if sel, ok := ast.Unparen(call.Fun).(*ast.SelectorExpr); ok {
-				if root, base, ok := rootPath(info, sel.X); ok && root == recvObj && base == "" {
-					for sub := range ix.lockSummary(callee) {
-						paths[sub] = true
-					}
-				}
+		if c, ok := n.(*ast.CallExpr); ok {
+			if mu, _, ok := mutexCall(info, c, true); ok && mutexObject(info, mu) == r.field {
+				relocks = true
 			}
 		}
-		return true
+		return !relocks
 	})
-	return paths
+	if relocks {
+		r.report(call, "call to "+fn.Name()+" (which locks "+r.field.Name()+" too)")
+	}
 }
 
-func lockLabels(keys []lockKey) string {
-	parts := make([]string, len(keys))
-	for i, k := range keys {
-		parts[i] = k.label()
-	}
-	return strings.Join(parts, ", ")
+func (r *lockRegion) report(at ast.Node, what string) {
+	r.p.Reportf(at.Pos(), "lock",
+		"%s while holding %s: a blocked or escaping goroutine keeps the lock and stalls every contender — copy state under the lock, release, then block",
+		what, r.label)
 }
 
-// poolAcquire reports whether call waits for worker-pool admission: Run on
-// a configured pool type.
-func poolAcquire(cfg Config, info *types.Info, call *ast.CallExpr) bool {
-	fn := staticCallee(info, call)
-	if fn == nil || fn.Name() != "Run" {
-		return false
+// mutexObject is the field or variable a mutex expression names: the
+// selected field of `x.mu`, or the variable of a bare `mu`.
+func mutexObject(info *types.Info, mu ast.Expr) types.Object {
+	switch e := ast.Unparen(mu).(type) {
+	case *ast.SelectorExpr:
+		return info.Uses[e.Sel]
+	case *ast.Ident:
+		return info.Uses[e]
 	}
-	recv := fn.Type().(*types.Signature).Recv()
-	return recv != nil && contains(cfg.PoolTypes, typeQName(recv.Type()))
+	return nil
 }

@@ -1,6 +1,6 @@
 // Package leaksafe_neg holds the sanctioned goroutine idioms that must
 // stay clean under leaksafe: WaitGroup joins, channel-delivered results,
-// and close-terminated queue drains.
+// close-terminated queue drains, and completion signalled by close.
 package leaksafe_neg
 
 import "sync"
@@ -42,4 +42,17 @@ func drainWorker(work chan int, done *sync.WaitGroup) {
 		for range work {
 		}
 	}()
+}
+
+// closeDone signals completion by closing the channel the launcher waits
+// on.
+func closeDone(xs []float64, out *float64) <-chan struct{} {
+	done := make(chan struct{})
+	go func() {
+		for _, x := range xs {
+			*out += x
+		}
+		close(done)
+	}()
+	return done
 }

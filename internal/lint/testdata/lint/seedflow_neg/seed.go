@@ -1,7 +1,7 @@
 // Package seedflow_neg holds the sanctioned seeding idioms that must
-// stay clean under seedflow: seeds that derive from parameters or config
-// fields (traced through locals, arithmetic, conversions, and pure
-// helper calls) and named constants.
+// stay clean under determinism's seed rule: seeds built, with arithmetic
+// and conversions, from parameters, fields of parameters or receivers,
+// and named constants — literals only as a salt on one of those.
 package seedflow_neg
 
 import (
@@ -21,10 +21,14 @@ func fromParam(seed int64) *rand.Rand {
 	return rand.New(rand.NewSource(seed))
 }
 
-// fromConfig: a config field reaches the source through a local.
+// fromConfig: a config field reaches the source directly.
 func fromConfig(cfg config) *rand.Rand {
-	s := cfg.Seed
-	return rand.New(rand.NewSource(s))
+	return rand.New(rand.NewSource(cfg.Seed))
+}
+
+// fromReceiver: a field of the receiver is config too.
+func (c config) rng() *rand.Rand {
+	return rand.New(rand.NewSource(c.Seed))
 }
 
 // fromConst: the named constant is auditable.
@@ -37,20 +41,12 @@ func derivedArithmetic(cfg config, lane int64) *rand.Rand {
 	return rand.New(rand.NewSource(cfg.Seed*31 + lane))
 }
 
+// saltedParam: a literal may salt a traceable leaf.
+func saltedParam(seed int64) *rand.Rand {
+	return rand.New(rand.NewSource(seed + 7))
+}
+
 // v2Derived: both PCG words derive from the config seed.
 func v2Derived(cfg config) *randv2.Rand {
 	return randv2.New(randv2.NewPCG(uint64(cfg.Seed), uint64(cfg.Seed)+defaultSeed))
-}
-
-func mix(seed int64, name string) int64 {
-	h := seed
-	for _, c := range name {
-		h = h*131 + int64(c)
-	}
-	return h
-}
-
-// viaHash: seeds may pass through pure functions of derived values.
-func viaHash(cfg config, name string) *rand.Rand {
-	return rand.New(rand.NewSource(mix(cfg.Seed, name)))
 }
