@@ -17,25 +17,16 @@ import (
 	"os"
 
 	"wivfi/internal/obs"
-	"wivfi/internal/timeline"
 )
 
 func main() {
-	cli := obs.NewCLI(flag.CommandLine)
-	tcli := timeline.NewCLI(flag.CommandLine)
+	cli := obs.NewCLI(flag.CommandLine, true)
 	flag.Parse()
 	if err := cli.Start("calibrate"); err != nil {
 		fatal(err)
 	}
-	tcli.Start("calibrate")
 	tune()
-	set, terr := tcli.Finish()
-	if terr != nil {
-		fatal(terr)
-	}
-	if err := cli.Finish(func(m *obs.Manifest) {
-		m.Histograms = timeline.ManifestSummaries(set)
-	}); err != nil {
+	if err := cli.Finish(nil); err != nil {
 		fatal(err)
 	}
 }

@@ -54,13 +54,11 @@ func main() {
 		capWatts = flag.Float64("cap", expt.DefaultGovernorCapW, "chip core-power cap in watts for -policy cap")
 		decLog   = flag.String("decision-log", "", "write the governor decision log (NDJSON) to this file")
 	)
-	cli := obs.NewCLI(flag.CommandLine)
-	tcli := timeline.NewCLI(flag.CommandLine)
+	cli := obs.NewCLI(flag.CommandLine, true)
 	flag.Parse()
 	if err := cli.Start("mrsim"); err != nil {
 		fatal(err)
 	}
-	tcli.Start("mrsim")
 	if *jobs <= 0 {
 		*jobs = runtime.GOMAXPROCS(0)
 	}
@@ -70,10 +68,6 @@ func main() {
 	}
 	cfg := expt.DefaultConfig()
 	finish := func(suite *expt.Suite) {
-		set, terr := tcli.Finish()
-		if terr != nil {
-			fatal(terr)
-		}
 		if err := cli.Finish(func(m *obs.Manifest) {
 			m.Jobs = *jobs
 			m.ConfigHash = expt.ConfigHash(cfg)
@@ -82,7 +76,6 @@ func main() {
 				cs := suite.CacheStats()
 				m.Cache = &obs.CacheSummary{Hits: cs.Hits, Misses: cs.Misses, CorruptEvicted: cs.CorruptEvicted}
 			}
-			m.Histograms = timeline.ManifestSummaries(set)
 		}); err != nil {
 			fatal(err)
 		}
@@ -115,7 +108,7 @@ func main() {
 	if err != nil {
 		fatal(err)
 	}
-	if tcli.Collecting() {
+	if timeline.Active() != nil {
 		if err := suite.CollectTimelines(timeline.Active(), app.Name); err != nil {
 			fatal(err)
 		}

@@ -41,13 +41,11 @@ func main() {
 		seed     = flag.Int64("seed", 1, "rng seed")
 		latPct   = flag.Bool("latency-percentiles", false, "print p50/p90/p95/p99 packet latency after -des")
 	)
-	cli := obs.NewCLI(flag.CommandLine)
-	tcli := timeline.NewCLI(flag.CommandLine)
+	cli := obs.NewCLI(flag.CommandLine, true)
 	flag.Parse()
 	if err := cli.Start("nocsim"); err != nil {
 		fatal(err)
 	}
-	tcli.Start("nocsim")
 
 	chip := platform.DefaultChip()
 	costs := noc.DefaultLinkCosts()
@@ -105,9 +103,7 @@ func main() {
 		if err != nil {
 			fatal(err)
 		}
-		if tcli.Collecting() {
-			timeline.Active().AddSeries(series...)
-		}
+		timeline.Active().AddSeries(series...)
 		pjPerFlit := res.EnergyPJ / float64(res.Delivered*4)
 		fmt.Printf("  des:      latency %.1f cycles (p50 %d, p99 %d, max %d), %.1f pJ/flit, wireless flit-hops %.1f%%, %d cycles\n",
 			res.AvgLatencyCycles, res.Percentile(0.5), res.Percentile(0.99), res.MaxLatencyCycles, pjPerFlit,
@@ -132,13 +128,7 @@ func main() {
 			fmt.Printf("    inj=%.2f latency=%.1f cycles\n", pt.InjectionRate, pt.AvgLatency)
 		}
 	}
-	set, terr := tcli.Finish()
-	if terr != nil {
-		fatal(terr)
-	}
-	if err := cli.Finish(func(m *obs.Manifest) {
-		m.Histograms = timeline.ManifestSummaries(set)
-	}); err != nil {
+	if err := cli.Finish(nil); err != nil {
 		fatal(err)
 	}
 }

@@ -100,16 +100,14 @@ func main() {
 		check        = flag.Bool("check", false, "exit non-zero on scoreboard failures or baseline regressions")
 		reportPath   = flag.String("report", "", "write a run report (.html, or .md by extension)")
 	)
-	cli := obs.NewCLI(flag.CommandLine)
-	tcli := timeline.NewCLI(flag.CommandLine)
+	cli := obs.NewCLI(flag.CommandLine, true)
 	flag.Parse()
 	wantFidelity := *snapshotPath != "" || *baselinePath != "" || *check || *reportPath != ""
 	if *reportPath != "" {
 		// the report embeds the run manifest and the timelines section, so
 		// both need collecting even when no -trace/-manifest/-timeline was
 		// asked for
-		cli.ForceRecorder()
-		tcli.ForceCollector()
+		cli.Force()
 	}
 	all := !(*table1 || *table2 || *fig2 || *fig4 || *fig5 || *fig6 ||
 		*fig7 || *fig8 || *kintra || *stealing || *summary || *phased || *wifail || *margins ||
@@ -127,7 +125,6 @@ func main() {
 	if err := cli.Start("reproduce"); err != nil {
 		fail(err)
 	}
-	tcli.Start("reproduce")
 
 	if *jobs <= 0 {
 		*jobs = runtime.GOMAXPROCS(0)
@@ -342,18 +339,18 @@ func main() {
 	// Timelines, like fidelity, run after every section has printed: the
 	// series are derived post hoc from the warm pipelines and written only
 	// to files and stderr, so stdout above is byte-identical with or
-	// without them.
-	var tset *timeline.Set
-	if tcli.Collecting() {
+	// without them. Exporting the set here fixes it before fidelity's
+	// re-reads, for the report and the -timeline directory alike, and the
+	// directory is written now so a failing fidelity section leaves it.
+	if timeline.Active() != nil {
 		sp := obs.StartSpan("timelines", "collect")
 		err := suite.CollectTimelines(timeline.Active())
 		sp.End()
 		if err != nil {
 			fail(err)
 		}
-		var terr error
-		if tset, terr = tcli.Finish(); terr != nil {
-			fail(terr)
+		if err := cli.WriteTimelines(); err != nil {
+			fail(err)
 		}
 	}
 
@@ -369,7 +366,6 @@ func main() {
 		cs := suite.CacheStats()
 		m.Cache = &obs.CacheSummary{Hits: cs.Hits, Misses: cs.Misses, CorruptEvicted: cs.CorruptEvicted}
 		m.Fidelity = fid
-		m.Histograms = timeline.ManifestSummaries(tset)
 	}
 	if wantFidelity {
 		snap, err := expt.CollectSnapshot(suite)
@@ -422,7 +418,7 @@ func main() {
 				Diff:         diff,
 				BaselinePath: *baselinePath,
 				Manifest:     cli.BuildManifest(customize),
-				Timelines:    tset,
+				Timelines:    cli.Timelines(),
 			}
 			if err := fidelity.WriteReport(*reportPath, data); err != nil {
 				fail(err)

@@ -36,13 +36,11 @@ func main() {
 		loadProfile = flag.String("load-profile", "", "plan from a previously saved profile instead of re-profiling")
 		saveVFI     = flag.String("save-vfi", "", "write the final VFI 2 configuration to this JSON file")
 	)
-	cli := obs.NewCLI(flag.CommandLine)
-	tcli := timeline.NewCLI(flag.CommandLine)
+	cli := obs.NewCLI(flag.CommandLine, true)
 	flag.Parse()
 	if err := cli.Start("vfiplan"); err != nil {
 		fatal(err)
 	}
-	tcli.Start("vfiplan")
 
 	app, err := apps.ByName(*appName)
 	if err != nil {
@@ -149,13 +147,7 @@ func main() {
 		f.Close()
 		fmt.Printf("VFI 2 configuration written to %s\n", *saveVFI)
 	}
-	set, terr := tcli.Finish()
-	if terr != nil {
-		fatal(terr)
-	}
-	if err := cli.Finish(func(m *obs.Manifest) {
-		m.Histograms = timeline.ManifestSummaries(set)
-	}); err != nil {
+	if err := cli.Finish(nil); err != nil {
 		fatal(err)
 	}
 }

@@ -54,7 +54,7 @@ func main() {
 		cache        = flag.String("cache", "auto", `design cache dir ("auto" = user cache dir, "" = disabled)`)
 		drainTimeout = flag.Duration("drain-timeout", 30*time.Second, "graceful-shutdown budget for in-flight requests")
 	)
-	cli := obs.NewCLI(flag.CommandLine)
+	cli := obs.NewCLI(flag.CommandLine, false)
 	flag.Parse()
 
 	fail := func(err error) {

@@ -40,7 +40,7 @@ func main() {
 		maxScen   = flag.Int("max", 0, "stop after N fresh scenarios, in key order (deterministic interrupted-sweep stand-in; 0 = run all)")
 		failOut   = flag.Bool("fail-on-outliers", false, "exit non-zero when any scenario exceeds the spec's analytic tolerance")
 	)
-	cli := obs.NewCLI(flag.CommandLine)
+	cli := obs.NewCLI(flag.CommandLine, false)
 	flag.Parse()
 
 	fail := func(err error) {

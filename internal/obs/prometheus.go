@@ -7,17 +7,16 @@ import (
 	"sort"
 	"strings"
 	"sync"
+
+	"wivfi/internal/timeline"
 )
 
-// PromName reports how a registered metric name appears on /metrics, so
-// scrapers (the load generator, the CI smoke job) derive sample names from
-// the same declared constants the daemon registers.
-func PromName(name string) string { return promName(name) }
-
-// promName sanitizes a registered metric name into a legal Prometheus
-// identifier and namespaces it: "sim.pool.queue-wait" ->
-// "wivfi_sim_pool_queue_wait".
-func promName(name string) string {
+// PromName reports how a registered metric name appears on /metrics: it
+// sanitizes the name into a legal Prometheus identifier and namespaces it,
+// "sim.pool.queue-wait" -> "wivfi_sim_pool_queue_wait". Scrapers (the load
+// generator, the CI smoke job) derive sample names from the same declared
+// constants the daemon registers.
+func PromName(name string) string {
 	var b strings.Builder
 	b.WriteString("wivfi_")
 	for _, r := range name {
@@ -31,52 +30,33 @@ func promName(name string) string {
 	return b.String()
 }
 
-// HistogramBucket is one bucket of a histogram snapshot: Count samples
-// with values <= UpperBound. Buckets must be in increasing UpperBound
-// order and counts are per-bucket (the exporter accumulates them into the
-// cumulative form the Prometheus histogram text format requires).
-type HistogramBucket struct {
-	UpperBound int64
-	Count      int64
-}
-
-// HistogramSnapshot is the point-in-time state of a histogram as the
-// exporter needs it. It deliberately mirrors timeline.HistogramData's
-// log-spaced buckets without importing the package (timeline depends on
-// obs, not the reverse); producers adapt their own bucket layout.
-type HistogramSnapshot struct {
-	Count   int64
-	Sum     int64
-	Buckets []HistogramBucket
-}
-
-// histograms holds the registered histogram providers by name.
+// histograms holds the registered histograms by name.
 var histograms struct {
-	mu   sync.Mutex
-	snap map[string]func() HistogramSnapshot
+	mu sync.Mutex
+	by map[string]*timeline.Histogram
 }
 
-// RegisterHistogram publishes a histogram on /metrics under name (same
-// dotted namespace as counters and gauges; the snapshot function is called
-// on every scrape). Re-registering a name replaces the provider, so tests
-// that rebuild a server keep one live family per name.
-func RegisterHistogram(name string, snap func() HistogramSnapshot) {
+// RegisterHistogram publishes h on /metrics under name (same dotted
+// namespace as counters and gauges; h is read on every scrape).
+// Re-registering a name replaces the histogram, so tests that rebuild a
+// server keep one live family per name.
+func RegisterHistogram(name string, h *timeline.Histogram) {
 	histograms.mu.Lock()
-	if histograms.snap == nil {
-		histograms.snap = map[string]func() HistogramSnapshot{}
+	if histograms.by == nil {
+		histograms.by = map[string]*timeline.Histogram{}
 	}
-	histograms.snap[name] = snap
+	histograms.by[name] = h
 	histograms.mu.Unlock()
 }
 
-// histogramSnapshots copies the provider map so snapshot functions run
-// outside the registry lock.
-func histogramSnapshots() map[string]func() HistogramSnapshot {
+// registeredHistograms copies the registry so histograms are read outside
+// its lock.
+func registeredHistograms() map[string]*timeline.Histogram {
 	histograms.mu.Lock()
 	defer histograms.mu.Unlock()
-	out := make(map[string]func() HistogramSnapshot, len(histograms.snap))
-	for name, fn := range histograms.snap {
-		out[name] = fn
+	out := make(map[string]*timeline.Histogram, len(histograms.by))
+	for name, h := range histograms.by {
+		out[name] = h
 	}
 	return out
 }
@@ -84,26 +64,27 @@ func histogramSnapshots() map[string]func() HistogramSnapshot {
 // WritePrometheus renders every registered counter, gauge and histogram in
 // the Prometheus text exposition format (one `counter` family per Counter,
 // a `gauge` family plus a `_max` high-water family per Gauge, a cumulative
-// `histogram` family with _bucket/_sum/_count per registered histogram).
+// `histogram` family with _bucket/_sum/_count per registered histogram,
+// where each non-empty timeline bucket [Lo, Hi] becomes one le="Hi"
+// bucket, keeping the log-spaced boundaries).
 // Output is sorted by family name, so it is deterministic for tests and
 // diffable between scrapes.
 func WritePrometheus(w io.Writer) {
 	type family struct {
 		name, kind, help string
 		value            int64
-		hist             *HistogramSnapshot
+		hist             *timeline.HistogramData
 	}
 	var fams []family
 	for name, v := range CounterTotals() {
-		fams = append(fams, family{name: promName(name), kind: "counter", help: "Total of the " + name + " counter.", value: v})
+		fams = append(fams, family{name: PromName(name), kind: "counter", help: "Total of the " + name + " counter.", value: v})
 	}
 	for name, g := range GaugeReadings() {
-		fams = append(fams, family{name: promName(name), kind: "gauge", help: "Current level of the " + name + " gauge.", value: g.Value})
-		fams = append(fams, family{name: promName(name) + "_max", kind: "gauge", help: "High-water mark of the " + name + " gauge.", value: g.Max})
+		fams = append(fams, family{name: PromName(name), kind: "gauge", help: "Current level of the " + name + " gauge.", value: g.Value})
+		fams = append(fams, family{name: PromName(name) + "_max", kind: "gauge", help: "High-water mark of the " + name + " gauge.", value: g.Max})
 	}
-	for name, snap := range histogramSnapshots() {
-		h := snap()
-		fams = append(fams, family{name: promName(name), kind: "histogram", help: "Distribution of " + name + ".", hist: &h})
+	for name, h := range registeredHistograms() {
+		fams = append(fams, family{name: PromName(name), kind: "histogram", help: "Distribution of " + name + ".", hist: h.Data()})
 	}
 	sort.Slice(fams, func(i, j int) bool { return fams[i].name < fams[j].name })
 	for _, f := range fams {
@@ -115,7 +96,7 @@ func WritePrometheus(w io.Writer) {
 		var cum int64
 		for _, b := range f.hist.Buckets {
 			cum += b.Count
-			fmt.Fprintf(w, "%s_bucket{le=\"%d\"} %d\n", f.name, b.UpperBound, cum)
+			fmt.Fprintf(w, "%s_bucket{le=\"%d\"} %d\n", f.name, b.Hi, cum)
 		}
 		fmt.Fprintf(w, "%s_bucket{le=\"+Inf\"} %d\n", f.name, f.hist.Count)
 		fmt.Fprintf(w, "%s_sum %d\n", f.name, f.hist.Sum)

@@ -9,6 +9,8 @@ import (
 	"strings"
 	"testing"
 	"time"
+
+	"wivfi/internal/timeline"
 )
 
 func TestPromName(t *testing.T) {
@@ -18,8 +20,8 @@ func TestPromName(t *testing.T) {
 		"Already_OK9":         "wivfi_Already_OK9",
 	}
 	for in, want := range cases {
-		if got := promName(in); got != want {
-			t.Errorf("promName(%q) = %q, want %q", in, got, want)
+		if got := PromName(in); got != want {
+			t.Errorf("PromName(%q) = %q, want %q", in, got, want)
 		}
 	}
 }
@@ -72,46 +74,81 @@ func TestWritePrometheusFormat(t *testing.T) {
 	}
 }
 
-func TestWritePrometheusHistogram(t *testing.T) {
-	RegisterHistogram("promtest.latency_ms", func() HistogramSnapshot {
-		return HistogramSnapshot{
-			Count: 6,
-			Sum:   112,
-			Buckets: []HistogramBucket{
-				{UpperBound: 1, Count: 2},
-				{UpperBound: 8, Count: 3},
-				{UpperBound: 64, Count: 1},
-			},
+// promFamily returns the lines of out that belong to the named family.
+func promFamily(out, name string) string {
+	member := map[string]bool{name: true, name + "_bucket": true, name + "_sum": true, name + "_count": true}
+	var b strings.Builder
+	for _, ln := range strings.SplitAfter(out, "\n") {
+		tok := strings.TrimPrefix(strings.TrimPrefix(ln, "# HELP "), "# TYPE ")
+		if i := strings.IndexAny(tok, " {"); i >= 0 && member[tok[:i]] {
+			b.WriteString(ln)
 		}
-	})
+	}
+	return b.String()
+}
+
+// TestWritePrometheusHistogram pins the /metrics text of registered
+// timeline histograms: every non-empty log bucket [Lo, Hi] renders as one
+// cumulative le="Hi" bucket. The expected literals are the exporter's
+// output for the same observations before histograms were registered as
+// *timeline.Histogram (through a neutral snapshot adapter), so the text
+// scrapers see is unchanged byte for byte.
+func TestWritePrometheusHistogram(t *testing.T) {
+	h := timeline.NewHistogram(timeline.Meta{Name: "promtest.latency_ms"})
+	for _, v := range []int64{0, 1, 1, 3, 15, 16, 17, 100, 1000, 5000} {
+		h.Observe(v)
+	}
+	RegisterHistogram("promtest.latency_ms", h)
 	var b strings.Builder
 	WritePrometheus(&b)
-	out := b.String()
-
-	want := "# HELP wivfi_promtest_latency_ms Distribution of promtest.latency_ms.\n" +
-		"# TYPE wivfi_promtest_latency_ms histogram\n" +
-		"wivfi_promtest_latency_ms_bucket{le=\"1\"} 2\n" +
-		"wivfi_promtest_latency_ms_bucket{le=\"8\"} 5\n" +
-		"wivfi_promtest_latency_ms_bucket{le=\"64\"} 6\n" +
-		"wivfi_promtest_latency_ms_bucket{le=\"+Inf\"} 6\n" +
-		"wivfi_promtest_latency_ms_sum 112\n" +
-		"wivfi_promtest_latency_ms_count 6\n"
-	if !strings.Contains(out, want) {
-		t.Errorf("histogram family not rendered cumulatively:\nwant:\n%s\ngot:\n%s", want, out)
+	want := `# HELP wivfi_promtest_latency_ms Distribution of promtest.latency_ms.
+# TYPE wivfi_promtest_latency_ms histogram
+wivfi_promtest_latency_ms_bucket{le="0"} 1
+wivfi_promtest_latency_ms_bucket{le="1"} 3
+wivfi_promtest_latency_ms_bucket{le="3"} 4
+wivfi_promtest_latency_ms_bucket{le="15"} 5
+wivfi_promtest_latency_ms_bucket{le="17"} 7
+wivfi_promtest_latency_ms_bucket{le="103"} 8
+wivfi_promtest_latency_ms_bucket{le="1023"} 9
+wivfi_promtest_latency_ms_bucket{le="5119"} 10
+wivfi_promtest_latency_ms_bucket{le="+Inf"} 10
+wivfi_promtest_latency_ms_sum 6153
+wivfi_promtest_latency_ms_count 10
+`
+	if got := promFamily(b.String(), "wivfi_promtest_latency_ms"); got != want {
+		t.Errorf("histogram family:\nwant:\n%s\ngot:\n%s", want, got)
 	}
 
-	// re-registering the same name replaces the provider instead of
+	// re-registering the same name replaces the histogram instead of
 	// duplicating the family
-	RegisterHistogram("promtest.latency_ms", func() HistogramSnapshot {
-		return HistogramSnapshot{Count: 1, Sum: 3, Buckets: []HistogramBucket{{UpperBound: 4, Count: 1}}}
-	})
+	h2 := timeline.NewHistogram(timeline.Meta{Name: "promtest.latency_ms"})
+	h2.Observe(3)
+	RegisterHistogram("promtest.latency_ms", h2)
 	b.Reset()
 	WritePrometheus(&b)
-	if n := strings.Count(b.String(), "# TYPE wivfi_promtest_latency_ms histogram"); n != 1 {
-		t.Errorf("replaced histogram rendered %d times, want 1", n)
+	want = `# HELP wivfi_promtest_latency_ms Distribution of promtest.latency_ms.
+# TYPE wivfi_promtest_latency_ms histogram
+wivfi_promtest_latency_ms_bucket{le="3"} 1
+wivfi_promtest_latency_ms_bucket{le="+Inf"} 1
+wivfi_promtest_latency_ms_sum 3
+wivfi_promtest_latency_ms_count 1
+`
+	if got := promFamily(b.String(), "wivfi_promtest_latency_ms"); got != want {
+		t.Errorf("replaced histogram family:\nwant:\n%s\ngot:\n%s", want, got)
 	}
-	if !strings.Contains(b.String(), "wivfi_promtest_latency_ms_count 1\n") {
-		t.Errorf("replacement provider not used:\n%s", b.String())
+
+	// an empty histogram still renders its +Inf bucket, sum and count
+	RegisterHistogram("promtest.empty", timeline.NewHistogram(timeline.Meta{Name: "promtest.empty"}))
+	b.Reset()
+	WritePrometheus(&b)
+	want = `# HELP wivfi_promtest_empty Distribution of promtest.empty.
+# TYPE wivfi_promtest_empty histogram
+wivfi_promtest_empty_bucket{le="+Inf"} 0
+wivfi_promtest_empty_sum 0
+wivfi_promtest_empty_count 0
+`
+	if got := promFamily(b.String(), "wivfi_promtest_empty"); got != want {
+		t.Errorf("empty histogram family:\nwant:\n%s\ngot:\n%s", want, got)
 	}
 }
 

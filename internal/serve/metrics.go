@@ -58,21 +58,5 @@ var (
 )
 
 func init() {
-	obs.RegisterHistogram(MetricLatencyMS, func() obs.HistogramSnapshot {
-		return histogramSnapshot(requestLatency.Data())
-	})
-}
-
-// histogramSnapshot adapts a timeline histogram export to the neutral
-// bucket form the obs Prometheus exporter renders: each timeline bucket
-// [Lo, Hi] becomes one le=Hi bucket, preserving the log-spaced boundaries.
-func histogramSnapshot(d *timeline.HistogramData) obs.HistogramSnapshot {
-	if d == nil {
-		return obs.HistogramSnapshot{}
-	}
-	snap := obs.HistogramSnapshot{Count: d.Count, Sum: d.Sum}
-	for _, b := range d.Buckets {
-		snap.Buckets = append(snap.Buckets, obs.HistogramBucket{UpperBound: b.Hi, Count: b.Count})
-	}
-	return snap
+	obs.RegisterHistogram(MetricLatencyMS, requestLatency)
 }

@@ -103,14 +103,14 @@ func (r Request) Config(base expt.Config) (expt.Config, error) {
 	}
 	if r.FreqMargin != nil {
 		fm := *r.FreqMargin
-		if fm < 0 || fm > 0.9 {
+		if !inRange(fm, 0, 0.9) {
 			return expt.Config{}, fmt.Errorf("freq_margin %v out of range [0, 0.9]", fm)
 		}
 		cfg.VFI.FreqMargin = fm
 	}
 	if r.BottleneckRatio != nil {
 		br := *r.BottleneckRatio
-		if br < 1 || br > 4 {
+		if !inRange(br, 1, 4) {
 			return expt.Config{}, fmt.Errorf("bottleneck_ratio %v out of range [1, 4]", br)
 		}
 		cfg.VFI.BottleneckRatio = br
@@ -124,7 +124,7 @@ func (r Request) Config(base expt.Config) (expt.Config, error) {
 			if pol != governor.Cap {
 				return expt.Config{}, fmt.Errorf("cap_watts requires policy %q, got %q", governor.Cap, pol)
 			}
-			if cw := *r.CapWatts; cw < 20 || cw > 500 {
+			if cw := *r.CapWatts; !inRange(cw, 20, 500) {
 				return expt.Config{}, fmt.Errorf("cap_watts %v out of range [20, 500]", cw)
 			}
 		}
@@ -133,6 +133,10 @@ func (r Request) Config(base expt.Config) (expt.Config, error) {
 	}
 	return cfg, nil
 }
+
+// inRange reports lo <= v <= hi. It is false for NaN, which every
+// negated bound comparison (v < lo || v > hi) would let through.
+func inRange(v, lo, hi float64) bool { return v >= lo && v <= hi }
 
 // governorSpec resolves the request's governor dimension after Config has
 // validated it: the parsed policy, the effective cap and whether a

@@ -41,6 +41,16 @@ func postDesign(t *testing.T, baseURL string, req Request) *http.Response {
 	return resp
 }
 
+// getDesign issues one GET to url and returns the response.
+func getDesign(t *testing.T, url string) *http.Response {
+	t.Helper()
+	resp, err := http.Get(url)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return resp
+}
+
 // body reads and closes a response body.
 func body(t *testing.T, resp *http.Response) string {
 	t.Helper()
@@ -133,6 +143,15 @@ func TestDesignValidation(t *testing.T) {
 			cw := 5.0
 			return postDesign(t, ts.URL, Request{App: "mm", Policy: "cap", CapWatts: &cw})
 		}, http.StatusBadRequest},
+		{"NaN freq_margin", func() *http.Response {
+			return getDesign(t, ts.URL+"/v1/design?app=wc&freq_margin=NaN")
+		}, http.StatusBadRequest},
+		{"NaN bottleneck_ratio", func() *http.Response {
+			return getDesign(t, ts.URL+"/v1/design?app=wc&bottleneck_ratio=NaN")
+		}, http.StatusBadRequest},
+		{"NaN cap_watts", func() *http.Response {
+			return getDesign(t, ts.URL+"/v1/design?app=wc&policy=cap&cap_watts=NaN")
+		}, http.StatusBadRequest},
 		{"unknown body field", func() *http.Response {
 			resp, err := http.Post(ts.URL+"/v1/design", "application/json",
 				strings.NewReader(`{"app":"mm","frequency_margin":0.3}`))
@@ -142,11 +161,7 @@ func TestDesignValidation(t *testing.T) {
 			return resp
 		}, http.StatusBadRequest},
 		{"bad query number", func() *http.Response {
-			resp, err := http.Get(ts.URL + "/v1/design?app=mm&num_islands=four")
-			if err != nil {
-				t.Fatal(err)
-			}
-			return resp
+			return getDesign(t, ts.URL+"/v1/design?app=mm&num_islands=four")
 		}, http.StatusBadRequest},
 		{"method not allowed", func() *http.Response {
 			req, err := http.NewRequest(http.MethodDelete, ts.URL+"/v1/design", nil)

@@ -16,12 +16,14 @@ package sweep
 import (
 	"encoding/json"
 	"fmt"
+	"math"
 	"math/rand"
 	"os"
 	"sort"
 	"strconv"
 	"strings"
 
+	"wivfi/internal/apps"
 	"wivfi/internal/expt"
 	"wivfi/internal/governor"
 )
@@ -155,14 +157,17 @@ func (s *Spec) Validate() error {
 		if len(isl.Split) > 0 && len(isl.Split) != isl.Count {
 			return fmt.Errorf("sweep: islands[%d] split has %d weights for %d islands", i, len(isl.Split), isl.Count)
 		}
-		for _, w := range isl.Split {
-			if w <= 0 {
-				return fmt.Errorf("sweep: islands[%d] split weights must be positive", i)
-			}
+		if _, ok := weightTotal(isl.Split); !ok {
+			return fmt.Errorf("sweep: islands[%d] split weights must be positive and sum within the int range", i)
 		}
 	}
 	if len(s.Apps) == 0 {
 		s.Apps = append([]string(nil), expt.AppOrder...)
+	}
+	for _, a := range s.Apps {
+		if _, err := apps.ByName(a); err != nil {
+			return fmt.Errorf("sweep: %w", err)
+		}
 	}
 	if len(s.Margins) == 0 {
 		s.Margins = []float64{0.35}
@@ -208,17 +213,28 @@ func (s *Spec) Validate() error {
 	return nil
 }
 
+// weightTotal sums split weights; ok is false when a weight is not
+// positive or the sum overflows int.
+func weightTotal(weights []int) (total int, ok bool) {
+	for _, w := range weights {
+		if w <= 0 || w > math.MaxInt-total {
+			return 0, false
+		}
+		total += w
+	}
+	return total, true
+}
+
 // splitSizes scales proportional weights to n cores with largest-remainder
 // rounding, every island keeping at least one core. ok is false when the
-// split cannot be realized on n cores.
+// split cannot be realized on n cores (or a weight is not positive, or
+// the weights overflow int when summed); with ok true every size is
+// positive and the sizes sum to n.
 func splitSizes(n int, weights []int) (sizes []int, ok bool) {
 	m := len(weights)
-	if n < m {
+	total, ok := weightTotal(weights)
+	if n < m || !ok {
 		return nil, false
-	}
-	total := 0
-	for _, w := range weights {
-		total += w
 	}
 	sizes = make([]int, m)
 	type rem struct {

@@ -3,6 +3,7 @@ package sweep
 import (
 	"encoding/json"
 	"fmt"
+	"math"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -57,6 +58,18 @@ func TestSplitSizes(t *testing.T) {
 	if _, ok := splitSizes(2, []int{1, 1, 1}); ok {
 		t.Fatal("3 islands on 2 cores accepted")
 	}
+	// weights whose sum overflows int once produced sizes [11 10 -5]
+	if sizes, ok := splitSizes(16, []int{1, 1, math.MaxInt}); ok {
+		t.Fatalf("overflowing split accepted as %v", sizes)
+	}
+	if sizes, ok := splitSizes(16, []int{2, 0, -1}); ok {
+		t.Fatalf("non-positive weights accepted as %v", sizes)
+	}
+	// a huge but representable skew still yields positive sizes summing to n
+	sizes, ok = splitSizes(16, []int{1, 1, math.MaxInt - 2})
+	if !ok || sizes[0] < 1 || sizes[1] < 1 || sizes[0]+sizes[1]+sizes[2] != 16 {
+		t.Fatalf("extreme representable split = %v, %v", sizes, ok)
+	}
 }
 
 func TestSpecValidateDefaults(t *testing.T) {
@@ -80,9 +93,20 @@ func TestSpecValidateDefaults(t *testing.T) {
 		{Meshes: []string{"8x8"}, Tier: "optical"},
 		{Meshes: []string{"8x8"}, Sample: -1},
 		{Meshes: []string{"8x8"}, Schema: 99},
+		{Meshes: []string{"4x4"}, Islands: []IslandAxis{{Count: 3, Split: []int{1, 1, math.MaxInt}}}},
+		{Meshes: []string{"4x4"}, Apps: []string{"nope"}},
 	} {
 		if err := bad.Validate(); err == nil {
 			t.Errorf("spec %+v accepted", bad)
+		}
+	}
+	// the same two mistakes fail ParseSpec, not one scenario at a time
+	for _, doc := range []string{
+		`{"meshes":["4x4"],"apps":["wc"],"islands":[{"count":3,"split":[1,1,9223372036854775807]}]}`,
+		`{"meshes":["4x4"],"apps":["nope"]}`,
+	} {
+		if _, err := ParseSpec([]byte(doc)); err == nil {
+			t.Errorf("ParseSpec accepted %s", doc)
 		}
 	}
 }

@@ -128,8 +128,9 @@ func (c *Collector) Export(tool string) *Set {
 
 var active atomic.Pointer[Collector]
 
-// Install makes c the process-wide collector (nil uninstalls). Mirrors
-// obs.Install: CLIs install one collector for the whole run.
+// Install makes c the process-wide collector (nil uninstalls). The
+// command-line tools' telemetry session (obs.CLI) installs one collector
+// for the whole run.
 func Install(c *Collector) { active.Store(c) }
 
 // Active returns the installed collector, or nil. Safe to chain:

@@ -302,28 +302,6 @@ func TestValidateRejectsBadSets(t *testing.T) {
 	}
 }
 
-func TestManifestSummaries(t *testing.T) {
-	c := NewCollector()
-	h := c.Histogram(Meta{Name: "lat", Unit: "cycles"})
-	for i := int64(1); i <= 100; i++ {
-		h.Observe(i)
-	}
-	sums := ManifestSummaries(c.Export("t"))
-	if len(sums) != 1 {
-		t.Fatalf("summaries = %d", len(sums))
-	}
-	s := sums[0]
-	if s.Name != "lat" || s.Count != 100 || s.Min != 1 || s.Max != 100 {
-		t.Fatalf("summary = %+v", s)
-	}
-	if s.P50 < 45 || s.P50 > 56 {
-		t.Fatalf("p50 = %d", s.P50)
-	}
-	if ManifestSummaries(nil) != nil {
-		t.Fatal("nil set produced summaries")
-	}
-}
-
 func BenchmarkDisabledSamplerAdd(b *testing.B) {
 	Install(nil)
 	s := Active().Sampler(Meta{Name: "x"}, 1, Sum)
