@@ -56,6 +56,9 @@ func main() {
 	)
 	cli := obs.NewCLI(flag.CommandLine, true)
 	flag.Parse()
+	if err := expt.CheckGovernorCap(*capWatts); err != nil {
+		fatal(err)
+	}
 	if err := cli.Start("mrsim"); err != nil {
 		fatal(err)
 	}

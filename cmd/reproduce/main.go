@@ -2,6 +2,15 @@
 // MapReduce with VFI-enabled Multicore Platforms" (DAC 2015) on the
 // simulated platform. With no flags it regenerates everything.
 //
+// Every figure, table and study is declared once, in expt.Sections: its
+// flag, the pipelines it reads (prewarmed up front, -j wide), whether a
+// flagless run prints it, and one Run that calls its driver once and
+// returns both the printed text and the snapshot section. The snapshot
+// reuses what the printed sections computed instead of running them
+// again. The governor section (expt.GovernorSection, under -policy) and
+// the sweep section (declared here, since internal/sweep imports expt)
+// are opt-in and print before the closing summary.
+//
 // Usage:
 //
 //	reproduce [-j N] [-cache dir] [-table1] [-table2] [-fig2] [-fig4]
@@ -18,9 +27,9 @@
 //
 // -policy enables the closed-loop DVFS governor section, which compares
 // the static paper plan against the utilization governor and the governor
-// under a chip-level core-power cap (set with -cap, watts) across all six
-// benchmarks. The section is opt-in: without -policy, stdout is
-// byte-identical to earlier releases.
+// under a chip-level core-power cap (set with -cap, watts, in [20, 500])
+// across all six benchmarks. The section is opt-in: without -policy,
+// stdout is byte-identical to earlier releases.
 //
 // -sweep runs a parametric scenario sweep from the given spec file (see
 // internal/sweep and the wivfisweep command) and prints its atlas as an
@@ -38,7 +47,10 @@
 // regression (naming the offending metrics on stderr), and -report writes a
 // self-contained HTML (or markdown, by extension) run report combining the
 // scoreboard, the diff, the figures and the run manifest. Any of them
-// collects the complete snapshot regardless of which figure flags are set.
+// collects the complete snapshot regardless of which figure flags are set:
+// sections that did not print run for the snapshot alone, and the
+// governor section is held at the default cap (a -policy run with another
+// -cap runs the study a second time for it).
 //
 // -timeline writes the time-resolved series (per-worker phase tracks,
 // per-island utilization and windowed energy, the DES link heatmap and
@@ -74,20 +86,6 @@ func main() {
 	var (
 		jobs     = flag.Int("j", 0, "max concurrent simulations (0 = GOMAXPROCS)")
 		cache    = flag.String("cache", "auto", `design cache dir ("auto" = user cache dir, "" = disabled)`)
-		table1   = flag.Bool("table1", false, "Table 1: benchmarks and datasets")
-		table2   = flag.Bool("table2", false, "Table 2: V/F assignments")
-		fig2     = flag.Bool("fig2", false, "Fig. 2: core utilization distributions")
-		fig4     = flag.Bool("fig4", false, "Fig. 4: VFI 1 vs VFI 2")
-		fig5     = flag.Bool("fig5", false, "Fig. 5: bottleneck utilization")
-		fig6     = flag.Bool("fig6", false, "Fig. 6: placement strategies")
-		fig7     = flag.Bool("fig7", false, "Fig. 7: execution-time breakdown")
-		fig8     = flag.Bool("fig8", false, "Fig. 8: full-system EDP")
-		kintra   = flag.Bool("kintra", false, "Section 7.2: (k_intra,k_inter) sweep")
-		stealing = flag.Bool("stealing", false, "Section 4.3: task-stealing case study")
-		summary  = flag.Bool("summary", false, "headline numbers (abstract)")
-		phased   = flag.Bool("phased", false, "extension: phase-adaptive DVFS controllers")
-		wifail   = flag.Bool("wifail", false, "extension: wireless-interface failure robustness")
-		margins  = flag.Bool("margins", false, "sensitivity: V/F-selection margin sweep")
 		policy   = flag.String("policy", "", "extension: closed-loop DVFS governor section (static, util or cap; the section compares all three)")
 		capWatts = flag.Float64("cap", expt.DefaultGovernorCapW, "chip core-power cap in watts for the governor section's cap column")
 
@@ -100,6 +98,10 @@ func main() {
 		check        = flag.Bool("check", false, "exit non-zero on scoreboard failures or baseline regressions")
 		reportPath   = flag.String("report", "", "write a run report (.html, or .md by extension)")
 	)
+	picked := make(map[string]*bool, len(expt.Sections))
+	for _, sec := range expt.Sections {
+		picked[sec.ID] = flag.Bool(sec.ID, false, sec.Usage)
+	}
 	cli := obs.NewCLI(flag.CommandLine, true)
 	flag.Parse()
 	wantFidelity := *snapshotPath != "" || *baselinePath != "" || *check || *reportPath != ""
@@ -109,9 +111,6 @@ func main() {
 		// asked for
 		cli.Force()
 	}
-	all := !(*table1 || *table2 || *fig2 || *fig4 || *fig5 || *fig6 ||
-		*fig7 || *fig8 || *kintra || *stealing || *summary || *phased || *wifail || *margins ||
-		*sweepSpec != "")
 
 	fail := func(err error) {
 		fmt.Fprintf(os.Stderr, "reproduce: %v\n", err)
@@ -121,6 +120,9 @@ func main() {
 		if _, err := governor.ParsePolicy(*policy); err != nil {
 			fail(err)
 		}
+	}
+	if err := expt.CheckGovernorCap(*capWatts); err != nil {
+		fail(err)
 	}
 	if err := cli.Start("reproduce"); err != nil {
 		fail(err)
@@ -138,33 +140,64 @@ func main() {
 		expt.WithParallelism(*jobs), expt.WithCacheDir(cacheDir))
 	obs.Logf("reproduce: -j %d, cache %q, config %s", *jobs, cacheDir, expt.ConfigHash(cfg))
 
-	// Build every pipeline this invocation needs up front, -j wide; the
-	// drivers below then render from warm pipelines in a fixed order.
-	var prewarm []string
-	switch {
-	case all || wantFidelity || *table2 || *fig6 || *fig7 || *fig8 || *kintra || *phased || *summary || *policy != "":
-		prewarm = expt.AppOrder
-	default:
-		seen := map[string]bool{}
-		add := func(names ...string) {
-			for _, n := range names {
-				if !seen[n] {
-					seen[n] = true
-					prewarm = append(prewarm, n)
-				}
+	// The sweep section is the one section declared here rather than in
+	// expt.Sections, because internal/sweep imports expt. It writes its
+	// optional atlas JSON to a file, never stdout.
+	sweepSection := expt.Section{ID: "sweep", OptIn: true, Run: func(*expt.Suite) (string, fidelity.Section, error) {
+		spec, err := sweep.LoadSpec(*sweepSpec)
+		if err != nil {
+			return "", fidelity.Section{}, err
+		}
+		res, err := sweep.Run(spec, sweep.Options{
+			JournalPath: *sweepJournal,
+			Parallelism: *jobs,
+			CacheDir:    cacheDir,
+			OnProgress: func(done, total int) {
+				obs.Logf("reproduce: sweep %s: %d/%d scenarios", spec.Name, done, total)
+			},
+		})
+		if err != nil {
+			return "", fidelity.Section{}, err
+		}
+		if *sweepAtlas != "" {
+			blob, err := json.MarshalIndent(res.Atlas, "", "  ")
+			if err != nil {
+				return "", fidelity.Section{}, err
+			}
+			if err := os.WriteFile(*sweepAtlas, append(blob, '\n'), 0o644); err != nil {
+				return "", fidelity.Section{}, err
 			}
 		}
-		if *fig2 {
-			add(expt.Fig2Apps...)
+		return res.Atlas.Format(), fidelity.Section{}, nil
+	}}
+	sections := expt.WithOptIn(expt.GovernorSection(*capWatts), sweepSection)
+
+	// A flagless run prints every section that is not opt-in; -policy adds
+	// the governor section to whatever else prints.
+	on := map[string]bool{"sweep": *sweepSpec != ""}
+	all := !on["sweep"]
+	for id, p := range picked {
+		on[id] = *p
+		all = all && !*p
+	}
+	on["governor"] = *policy != ""
+	for _, sec := range sections {
+		on[sec.ID] = on[sec.ID] || all && !sec.OptIn
+	}
+
+	// Build every pipeline this invocation needs up front, -j wide; the
+	// sections below then render from warm pipelines in a fixed order.
+	var prewarm []string
+	seen := map[string]bool{}
+	for _, sec := range sections {
+		if !on[sec.ID] && !wantFidelity {
+			continue
 		}
-		if *fig4 || *fig5 {
-			add(expt.Fig4Apps...)
-		}
-		if *wifail {
-			add("wc")
-		}
-		if *margins {
-			add("kmeans")
+		for _, app := range sec.Apps {
+			if !seen[app] {
+				seen[app] = true
+				prewarm = append(prewarm, app)
+			}
 		}
 	}
 	if len(prewarm) > 0 {
@@ -177,162 +210,26 @@ func main() {
 		}
 	}
 
-	// Each section prints its formatted block followed (except -summary,
-	// which historically omits it) by a blank separator line. Rendering
-	// through this table keeps stdout byte-for-byte what the per-section
-	// if-blocks used to produce, telemetry or not.
-	sections := []struct {
-		name    string
-		enabled bool
-		newline bool
-		render  func() (string, error)
-	}{
-		{"table1", all || *table1, true, func() (string, error) {
-			return expt.FormatTable1(expt.Table1()), nil
-		}},
-		{"table2", all || *table2, true, func() (string, error) {
-			rows, err := suite.Table2()
-			if err != nil {
-				return "", err
-			}
-			return expt.FormatTable2(rows), nil
-		}},
-		{"fig2", all || *fig2, true, func() (string, error) {
-			rows, err := suite.Fig2()
-			if err != nil {
-				return "", err
-			}
-			return expt.FormatFig2(rows), nil
-		}},
-		{"fig4", all || *fig4, true, func() (string, error) {
-			rows, err := suite.Fig4()
-			if err != nil {
-				return "", err
-			}
-			return expt.FormatFig4(rows), nil
-		}},
-		{"fig5", all || *fig5, true, func() (string, error) {
-			rows, err := suite.Fig5()
-			if err != nil {
-				return "", err
-			}
-			return expt.FormatFig5(rows), nil
-		}},
-		{"fig6", all || *fig6, true, func() (string, error) {
-			rows, err := suite.Fig6()
-			if err != nil {
-				return "", err
-			}
-			return expt.FormatFig6(rows), nil
-		}},
-		{"fig7", all || *fig7, true, func() (string, error) {
-			rows, err := suite.Fig7()
-			if err != nil {
-				return "", err
-			}
-			return expt.FormatFig7(rows), nil
-		}},
-		{"fig8", all || *fig8, true, func() (string, error) {
-			rows, err := suite.Fig8()
-			if err != nil {
-				return "", err
-			}
-			return expt.FormatFig8(rows), nil
-		}},
-		{"kintra", all || *kintra, true, func() (string, error) {
-			rows, err := suite.KIntraSweep()
-			if err != nil {
-				return "", err
-			}
-			return expt.MinKIntraNote() + expt.FormatKIntra(rows), nil
-		}},
-		{"stealing", all || *stealing, true, func() (string, error) {
-			st, err := expt.RunStealingStudy()
-			if err != nil {
-				return "", err
-			}
-			return expt.FormatStealing(st), nil
-		}},
-		{"phased", all || *phased, true, func() (string, error) {
-			rows, err := suite.PhaseAdaptiveStudy()
-			if err != nil {
-				return "", err
-			}
-			return expt.FormatPhased(rows), nil
-		}},
-		{"wifail", all || *wifail, true, func() (string, error) {
-			rows, err := suite.WIFailureStudy(expt.DefaultWIFailureApp, expt.DefaultWIFailures)
-			if err != nil {
-				return "", err
-			}
-			return expt.FormatWIFailure(rows), nil
-		}},
-		{"margins", all || *margins, true, func() (string, error) {
-			rows, err := suite.MarginSweep(expt.DefaultMarginApp, expt.DefaultMargins)
-			if err != nil {
-				return "", err
-			}
-			return expt.FormatMargin(rows), nil
-		}},
-		// The governor section is opt-in only (never part of `all`), so a
-		// flagless run's stdout stays byte-identical to earlier releases.
-		{"governor", *policy != "", true, func() (string, error) {
-			rows, err := suite.GovernorStudy(*capWatts)
-			if err != nil {
-				return "", err
-			}
-			return expt.FormatGovernor(rows), nil
-		}},
-		// The sweep section is opt-in only for the same reason; it writes
-		// its optional atlas JSON to a file, never stdout.
-		{"sweep", *sweepSpec != "", true, func() (string, error) {
-			spec, err := sweep.LoadSpec(*sweepSpec)
-			if err != nil {
-				return "", err
-			}
-			res, err := sweep.Run(spec, sweep.Options{
-				JournalPath: *sweepJournal,
-				Parallelism: *jobs,
-				CacheDir:    cacheDir,
-				OnProgress: func(done, total int) {
-					obs.Logf("reproduce: sweep %s: %d/%d scenarios", spec.Name, done, total)
-				},
-			})
-			if err != nil {
-				return "", err
-			}
-			if *sweepAtlas != "" {
-				blob, err := json.MarshalIndent(res.Atlas, "", "  ")
-				if err != nil {
-					return "", err
-				}
-				if err := os.WriteFile(*sweepAtlas, append(blob, '\n'), 0o644); err != nil {
-					return "", err
-				}
-			}
-			return res.Atlas.Format(), nil
-		}},
-		{"summary", all || *summary, false, func() (string, error) {
-			rows, err := suite.Fig8()
-			if err != nil {
-				return "", err
-			}
-			return expt.FormatSummary(expt.Summarize(rows)), nil
-		}},
-	}
+	// Each section runs its driver once and prints its text; the snapshot
+	// below reuses the rows it computed. The governor section's rows are
+	// reused only at the default cap, the point the snapshot pins.
+	var computed []fidelity.Section
 	for _, sec := range sections {
-		if !sec.enabled {
+		if !on[sec.ID] {
 			continue
 		}
-		sp := obs.StartSpan("render", sec.name)
-		out, err := sec.render()
+		sp := obs.StartSpan("render", sec.ID)
+		out, fsec, err := sec.Run(suite)
 		sp.End()
 		if err != nil {
 			fail(err)
 		}
 		fmt.Print(out)
-		if sec.newline {
+		if !sec.NoBlank {
 			fmt.Println()
+		}
+		if sec.ID != "governor" || *capWatts == expt.DefaultGovernorCapW {
+			computed = append(computed, fsec)
 		}
 	}
 
@@ -354,9 +251,10 @@ func main() {
 		}
 	}
 
-	// Fidelity runs after every section has printed: it re-reads the warm
-	// pipelines and writes only to files and stderr, so stdout above is
-	// byte-identical with or without it.
+	// Fidelity runs after every section has printed: it reuses the printed
+	// sections' rows, runs the sections that did not print and writes only
+	// to files and stderr, so stdout above is byte-identical with or
+	// without it.
 	var fid *obs.FidelitySummary
 	var gate []string // what -check will report and exit non-zero on
 	customize := func(m *obs.Manifest) {
@@ -368,7 +266,7 @@ func main() {
 		m.Fidelity = fid
 	}
 	if wantFidelity {
-		snap, err := expt.CollectSnapshot(suite)
+		snap, err := expt.CollectSnapshot(suite, computed...)
 		if err != nil {
 			fail(err)
 		}

@@ -4,7 +4,10 @@ import (
 	"flag"
 	"os"
 	"path/filepath"
+	"sync"
 	"testing"
+
+	"wivfi/internal/fidelity"
 )
 
 var updateGolden = flag.Bool("update", false, "rewrite the golden files under testdata/")
@@ -32,125 +35,72 @@ func checkGolden(t *testing.T, name, got string) {
 	}
 }
 
-// TestGoldenStatic locks the renderers that need no simulation.
-func TestGoldenStatic(t *testing.T) {
-	checkGolden(t, "table1", FormatTable1(Table1()))
-	checkGolden(t, "kintra_note", MinKIntraNote())
-	st, err := RunStealingStudy()
-	if err != nil {
-		t.Fatal(err)
-	}
-	checkGolden(t, "stealing", FormatStealing(st))
+// sectionPass is one run of every snapshot section on the warm shared
+// suite, as cmd/reproduce -snapshot makes it: each section's text, the
+// snapshot built from the rows those runs computed, and the WiNoC
+// planning work (anneals, hop scorings) of the text pass and of the whole.
+type sectionPass struct {
+	text              map[string]string
+	snap              *fidelity.Snapshot
+	textWork, allWork [2]int64
+	err               error
 }
 
-// TestGoldenFigures locks every figure and table renderer against the
-// deterministic simulation results.
-func TestGoldenFigures(t *testing.T) {
-	s := sharedSuite(t)
-	sections := []struct {
-		name   string
-		render func() (string, error)
-	}{
-		{"table2", func() (string, error) {
-			rows, err := s.Table2()
-			if err != nil {
-				return "", err
-			}
-			return FormatTable2(rows), nil
-		}},
-		{"fig2", func() (string, error) {
-			rows, err := s.Fig2()
-			if err != nil {
-				return "", err
-			}
-			return FormatFig2(rows), nil
-		}},
-		{"fig4", func() (string, error) {
-			rows, err := s.Fig4()
-			if err != nil {
-				return "", err
-			}
-			return FormatFig4(rows), nil
-		}},
-		{"fig5", func() (string, error) {
-			rows, err := s.Fig5()
-			if err != nil {
-				return "", err
-			}
-			return FormatFig5(rows), nil
-		}},
-		{"fig6", func() (string, error) {
-			rows, err := s.Fig6()
-			if err != nil {
-				return "", err
-			}
-			return FormatFig6(rows), nil
-		}},
-		{"fig7", func() (string, error) {
-			rows, err := s.Fig7()
-			if err != nil {
-				return "", err
-			}
-			return FormatFig7(rows), nil
-		}},
-		{"fig8", func() (string, error) {
-			rows, err := s.Fig8()
-			if err != nil {
-				return "", err
-			}
-			return FormatFig8(rows), nil
-		}},
-		{"summary", func() (string, error) {
-			rows, err := s.Fig8()
-			if err != nil {
-				return "", err
-			}
-			return FormatSummary(Summarize(rows)), nil
-		}},
-	}
-	for _, sec := range sections {
-		out, err := sec.render()
-		if err != nil {
-			t.Fatalf("%s: %v", sec.name, err)
-		}
-		checkGolden(t, sec.name, out)
-	}
-}
+var (
+	sectionPassOnce sync.Once
+	sectionPassRes  sectionPass
+)
 
-// TestGoldenStudies locks the heavier studies' renderers.
-func TestGoldenStudies(t *testing.T) {
+func runSectionPass(t *testing.T) *sectionPass {
+	t.Helper()
 	if testing.Short() {
-		t.Skip("studies are slow")
+		t.Skip("runs every figure, table and study")
 	}
 	s := sharedSuite(t)
-
-	kin, err := s.KIntraSweep()
-	if err != nil {
-		t.Fatal(err)
+	sectionPassOnce.Do(func() {
+		p := &sectionPassRes
+		if p.err = s.Prewarm(); p.err != nil {
+			return
+		}
+		a0, r0 := placementWork()
+		p.text = map[string]string{}
+		var computed []fidelity.Section
+		for _, sec := range snapshotSections() {
+			text, fsec, err := sec.Run(s)
+			if err != nil {
+				p.err = err
+				return
+			}
+			p.text[sec.ID] = text
+			computed = append(computed, fsec)
+		}
+		a1, r1 := placementWork()
+		p.snap, p.err = CollectSnapshot(s, computed...)
+		a2, r2 := placementWork()
+		p.textWork = [2]int64{a1 - a0, r1 - r0}
+		p.allWork = [2]int64{a2 - a0, r2 - r0}
+	})
+	if sectionPassRes.err != nil {
+		t.Fatal(sectionPassRes.err)
 	}
-	checkGolden(t, "kintra", FormatKIntra(kin))
+	return &sectionPassRes
+}
 
-	ph, err := s.PhaseAdaptiveStudy()
-	if err != nil {
-		t.Fatal(err)
+// TestGolden locks the text of every section, the governor study at the
+// default cap included, against testdata/<id>.golden.
+func TestGolden(t *testing.T) {
+	p := runSectionPass(t)
+	for _, sec := range snapshotSections() {
+		t.Run(sec.ID, func(t *testing.T) { checkGolden(t, sec.ID, p.text[sec.ID]) })
 	}
-	checkGolden(t, "phased", FormatPhased(ph))
+}
 
-	wf, err := s.WIFailureStudy(DefaultWIFailureApp, DefaultWIFailures)
-	if err != nil {
-		t.Fatal(err)
+// TestSnapshotReusesSectionRuns: building the snapshot from sections that
+// already ran does no WiNoC planning of its own — the text pass plus the
+// snapshot anneal and score exactly as often as the text pass alone.
+func TestSnapshotReusesSectionRuns(t *testing.T) {
+	p := runSectionPass(t)
+	if p.allWork != p.textWork {
+		t.Errorf("text pass + snapshot did (anneals, scorings) = %v, text pass alone %v", p.allWork, p.textWork)
 	}
-	checkGolden(t, "wifail", FormatWIFailure(wf))
-
-	mg, err := s.MarginSweep(DefaultMarginApp, DefaultMargins)
-	if err != nil {
-		t.Fatal(err)
-	}
-	checkGolden(t, "margins", FormatMargin(mg))
-
-	gov, err := s.GovernorStudy(DefaultGovernorCapW)
-	if err != nil {
-		t.Fatal(err)
-	}
-	checkGolden(t, "governor", FormatGovernor(gov))
 }

@@ -19,6 +19,17 @@ import (
 // can guarantee zero violations.
 const DefaultGovernorCapW = 120.0
 
+// CheckGovernorCap rejects a core-power cap outside [20, 500] W, NaN and
+// ±Inf included: every tool that takes a cap (reproduce -cap, mrsim -cap,
+// wivfid's cap_watts) validates it here.
+func CheckGovernorCap(capW float64) error {
+	const lo, hi = 20.0, 500.0
+	if !(capW >= lo && capW <= hi) { // false for NaN
+		return fmt.Errorf("cap %v W out of range [%g, %g]", capW, lo, hi)
+	}
+	return nil
+}
+
 // GovernedMesh executes the benchmark's workload on its VFI 2 mesh
 // platform under a closed-loop DVFS governor: the same platform as the
 // pipeline's static VFI2Mesh run, but with island operating points

@@ -143,3 +143,28 @@ func TestGovernorStudyDeterministicAcrossJ(t *testing.T) {
 		t.Errorf("governor study differs across -j:\nserial:   %+v\nparallel: %+v", serial, parallel)
 	}
 }
+
+// TestCheckGovernorCap pins the one cap range every tool validates
+// against: NaN and ±Inf, which no ordered comparison rejects by default,
+// zero and negative caps are errors, both edges are accepted.
+func TestCheckGovernorCap(t *testing.T) {
+	for _, tc := range []struct {
+		capW float64
+		ok   bool
+	}{
+		{math.NaN(), false},
+		{math.Inf(1), false},
+		{math.Inf(-1), false},
+		{0, false},
+		{-5, false},
+		{19.999, false},
+		{20, true},
+		{DefaultGovernorCapW, true},
+		{500, true},
+		{500.001, false},
+	} {
+		if err := CheckGovernorCap(tc.capW); (err == nil) != tc.ok {
+			t.Errorf("CheckGovernorCap(%v) = %v, want ok=%v", tc.capW, err, tc.ok)
+		}
+	}
+}

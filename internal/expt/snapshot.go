@@ -11,9 +11,8 @@ import (
 	"wivfi/internal/platform"
 )
 
-// Study parameters shared by cmd/reproduce and CollectSnapshot, exported so
-// the text output and the snapshot are guaranteed to describe the same
-// experiment points.
+// Study parameters of the wifail and margins sections, exported for
+// callers that run those studies directly.
 var (
 	// DefaultWIFailureApp / DefaultWIFailures parameterize the
 	// wireless-interface robustness extension.
@@ -54,68 +53,49 @@ func pointsLabel(points []platform.OperatingPoint) string {
 	return strings.Join(parts, " ")
 }
 
-// CollectSnapshot runs every figure, table and study of the reproduction on
-// the suite and serializes the complete results into one fidelity.Snapshot
-// keyed by the suite's configuration hash. It only reads pipelines (warming
-// them on demand) and never writes to stdout, so collecting a snapshot after
-// rendering the text output leaves that output byte-identical.
-func CollectSnapshot(s *Suite) (*fidelity.Snapshot, error) {
+// CollectSnapshot serializes every section of the reproduction into one
+// fidelity.Snapshot keyed by the suite's configuration hash. A section
+// already computed (passed in computed, matched by ID) is reused as is;
+// the rest are run, warming pipelines on demand. It never writes to
+// stdout, so collecting a snapshot after rendering the text output leaves
+// that output byte-identical.
+func CollectSnapshot(s *Suite, computed ...fidelity.Section) (*fidelity.Snapshot, error) {
 	defer obs.StartSpan("snapshot", "collect").End()
 	snap := &fidelity.Snapshot{
 		Schema:     fidelity.SchemaVersion,
 		Tool:       "reproduce",
 		ConfigHash: ConfigHash(s.Config),
 	}
-	add := func(sec fidelity.Section, err error) error {
-		if err != nil {
-			return fmt.Errorf("expt: snapshot section %s: %w", sec.ID, err)
-		}
-		snap.Sections = append(snap.Sections, sec)
-		return nil
+	done := make(map[string]fidelity.Section, len(computed))
+	for _, sec := range computed {
+		done[sec.ID] = sec
 	}
-	builders := []func() (fidelity.Section, error){
-		collectTable1,
-		s.collectTable2,
-		s.collectFig2,
-		s.collectFig4,
-		s.collectFig5,
-		s.collectFig6,
-		s.collectFig7,
-		s.collectFig8,
-		s.collectKIntra,
-		collectStealing,
-		s.collectPhased,
-		s.collectGovernor,
-		s.collectWIFail,
-		s.collectMargins,
-		s.collectSummary,
-	}
-	for _, build := range builders {
-		sec, err := build()
-		if err := add(sec, err); err != nil {
-			return nil, err
+	for _, sec := range snapshotSections() {
+		fsec, ok := done[sec.ID]
+		if !ok {
+			var err error
+			if _, fsec, err = sec.Run(s); err != nil {
+				return nil, fmt.Errorf("expt: snapshot section %s: %w", sec.ID, err)
+			}
 		}
+		snap.Sections = append(snap.Sections, fsec)
 	}
 	return snap, nil
 }
 
-func collectTable1() (fidelity.Section, error) {
+func table1Section(rows []Table1Row) fidelity.Section {
 	sec := fidelity.Section{ID: "table1", Title: "Table 1. Applications and datasets"}
-	for _, r := range Table1() {
+	for _, r := range rows {
 		sec.Rows = append(sec.Rows, fidelity.Row{
 			Key:    r.App,
 			Labels: map[string]string{"dataset": r.Dataset},
 		})
 	}
-	return sec, nil
+	return sec
 }
 
-func (s *Suite) collectTable2() (fidelity.Section, error) {
+func table2Section(rows []Table2Row) fidelity.Section {
 	sec := fidelity.Section{ID: "table2", Title: "Table 2. V/F assignments"}
-	rows, err := s.Table2()
-	if err != nil {
-		return sec, err
-	}
 	for _, r := range rows {
 		sec.Rows = append(sec.Rows, fidelity.Row{
 			Key:    r.App,
@@ -130,15 +110,11 @@ func (s *Suite) collectTable2() (fidelity.Section, error) {
 			},
 		})
 	}
-	return sec, nil
+	return sec
 }
 
-func (s *Suite) collectFig2() (fidelity.Section, error) {
+func fig2Section(rows []Fig2Row) fidelity.Section {
 	sec := fidelity.Section{ID: "fig2", Title: "Fig. 2. Core utilization distributions"}
-	rows, err := s.Fig2()
-	if err != nil {
-		return sec, err
-	}
 	for _, r := range rows {
 		sec.Rows = append(sec.Rows, fidelity.Row{
 			Key: r.App,
@@ -150,15 +126,11 @@ func (s *Suite) collectFig2() (fidelity.Section, error) {
 			Series: append([]float64(nil), r.Sorted...),
 		})
 	}
-	return sec, nil
+	return sec
 }
 
-func (s *Suite) collectFig4() (fidelity.Section, error) {
+func fig4Section(rows []Fig4Row) fidelity.Section {
 	sec := fidelity.Section{ID: "fig4", Title: "Fig. 4. VFI 1 vs VFI 2 (vs NVFI mesh)"}
-	rows, err := s.Fig4()
-	if err != nil {
-		return sec, err
-	}
 	for _, r := range rows {
 		sec.Rows = append(sec.Rows, fidelity.Row{
 			Key: r.App,
@@ -170,15 +142,11 @@ func (s *Suite) collectFig4() (fidelity.Section, error) {
 			},
 		})
 	}
-	return sec, nil
+	return sec
 }
 
-func (s *Suite) collectFig5() (fidelity.Section, error) {
+func fig5Section(rows []Fig5Row) fidelity.Section {
 	sec := fidelity.Section{ID: "fig5", Title: "Fig. 5. Average vs bottleneck utilization"}
-	rows, err := s.Fig5()
-	if err != nil {
-		return sec, err
-	}
 	for _, r := range rows {
 		sec.Rows = append(sec.Rows, fidelity.Row{
 			Key: r.App,
@@ -189,15 +157,11 @@ func (s *Suite) collectFig5() (fidelity.Section, error) {
 			},
 		})
 	}
-	return sec, nil
+	return sec
 }
 
-func (s *Suite) collectFig6() (fidelity.Section, error) {
+func fig6Section(rows []Fig6Row) fidelity.Section {
 	sec := fidelity.Section{ID: "fig6", Title: "Fig. 6. Placement strategy network EDP ratio"}
-	rows, err := s.Fig6()
-	if err != nil {
-		return sec, err
-	}
 	for _, r := range rows {
 		sec.Rows = append(sec.Rows, fidelity.Row{
 			Key: r.App,
@@ -208,15 +172,11 @@ func (s *Suite) collectFig6() (fidelity.Section, error) {
 			},
 		})
 	}
-	return sec, nil
+	return sec
 }
 
-func (s *Suite) collectFig7() (fidelity.Section, error) {
+func fig7Section(rows []Fig7Row) fidelity.Section {
 	sec := fidelity.Section{ID: "fig7", Title: "Fig. 7. Execution-time breakdown (vs NVFI mesh)"}
-	rows, err := s.Fig7()
-	if err != nil {
-		return sec, err
-	}
 	for _, r := range rows {
 		sec.Rows = append(sec.Rows, fidelity.Row{
 			Key: r.App + "/" + r.System,
@@ -229,15 +189,11 @@ func (s *Suite) collectFig7() (fidelity.Section, error) {
 			},
 		})
 	}
-	return sec, nil
+	return sec
 }
 
-func (s *Suite) collectFig8() (fidelity.Section, error) {
+func fig8Section(rows []Fig8Row) fidelity.Section {
 	sec := fidelity.Section{ID: "fig8", Title: "Fig. 8. Full-system EDP (vs NVFI mesh)"}
-	rows, err := s.Fig8()
-	if err != nil {
-		return sec, err
-	}
 	for _, r := range rows {
 		sec.Rows = append(sec.Rows, fidelity.Row{
 			Key: r.App,
@@ -250,15 +206,11 @@ func (s *Suite) collectFig8() (fidelity.Section, error) {
 			Labels: map[string]string{"strategy": r.Strategy},
 		})
 	}
-	return sec, nil
+	return sec
 }
 
-func (s *Suite) collectKIntra() (fidelity.Section, error) {
+func kintraSection(rows []KIntraRow) fidelity.Section {
 	sec := fidelity.Section{ID: "kintra", Title: "Section 7.2: (3,1) vs (2,2) small-world degree"}
-	rows, err := s.KIntraSweep()
-	if err != nil {
-		return sec, err
-	}
 	for _, r := range rows {
 		sec.Rows = append(sec.Rows, fidelity.Row{
 			Key: r.App,
@@ -270,15 +222,11 @@ func (s *Suite) collectKIntra() (fidelity.Section, error) {
 			},
 		})
 	}
-	return sec, nil
+	return sec
 }
 
-func collectStealing() (fidelity.Section, error) {
+func stealingSection(st StealingStudy) fidelity.Section {
 	sec := fidelity.Section{ID: "stealing", Title: "Section 4.3: Word Count task-stealing case study"}
-	st, err := RunStealingStudy()
-	if err != nil {
-		return sec, err
-	}
 	sec.Rows = append(sec.Rows, fidelity.Row{
 		Key: "wc",
 		Values: map[string]float64{
@@ -292,15 +240,11 @@ func collectStealing() (fidelity.Section, error) {
 			"capped_steals":    float64(st.CappedSteals),
 		},
 	})
-	return sec, nil
+	return sec
 }
 
-func (s *Suite) collectPhased() (fidelity.Section, error) {
+func phasedSection(rows []PhasedRow) fidelity.Section {
 	sec := fidelity.Section{ID: "phased", Title: "Extension: phase-adaptive DVFS controllers"}
-	rows, err := s.PhaseAdaptiveStudy()
-	if err != nil {
-		return sec, err
-	}
 	for _, r := range rows {
 		sec.Rows = append(sec.Rows, fidelity.Row{
 			Key: r.App,
@@ -315,15 +259,11 @@ func (s *Suite) collectPhased() (fidelity.Section, error) {
 			},
 		})
 	}
-	return sec, nil
+	return sec
 }
 
-func (s *Suite) collectGovernor() (fidelity.Section, error) {
+func governorSection(rows []GovernorRow) fidelity.Section {
 	sec := fidelity.Section{ID: "governor", Title: "Extension: closed-loop DVFS governor"}
-	rows, err := s.GovernorStudy(DefaultGovernorCapW)
-	if err != nil {
-		return sec, err
-	}
 	for _, r := range rows {
 		sec.Rows = append(sec.Rows, fidelity.Row{
 			Key: r.App,
@@ -346,15 +286,11 @@ func (s *Suite) collectGovernor() (fidelity.Section, error) {
 			},
 		})
 	}
-	return sec, nil
+	return sec
 }
 
-func (s *Suite) collectWIFail() (fidelity.Section, error) {
+func wifailSection(rows []WIFailureRow) fidelity.Section {
 	sec := fidelity.Section{ID: "wifail", Title: "Extension: wireless-interface failure robustness"}
-	rows, err := s.WIFailureStudy(DefaultWIFailureApp, DefaultWIFailures)
-	if err != nil {
-		return sec, err
-	}
 	for _, r := range rows {
 		sec.Rows = append(sec.Rows, fidelity.Row{
 			Key: fmt.Sprintf("%s/%d", r.App, r.FailedWIs),
@@ -364,15 +300,11 @@ func (s *Suite) collectWIFail() (fidelity.Section, error) {
 			},
 		})
 	}
-	return sec, nil
+	return sec
 }
 
-func (s *Suite) collectMargins() (fidelity.Section, error) {
+func marginsSection(rows []MarginRow) fidelity.Section {
 	sec := fidelity.Section{ID: "margins", Title: "Sensitivity: V/F-selection margin"}
-	rows, err := s.MarginSweep(DefaultMarginApp, DefaultMargins)
-	if err != nil {
-		return sec, err
-	}
 	for _, r := range rows {
 		sec.Rows = append(sec.Rows, fidelity.Row{
 			Key: fmt.Sprintf("%s/%.2f", r.App, r.Margin),
@@ -384,16 +316,11 @@ func (s *Suite) collectMargins() (fidelity.Section, error) {
 			Series: append([]float64(nil), r.Freqs...),
 		})
 	}
-	return sec, nil
+	return sec
 }
 
-func (s *Suite) collectSummary() (fidelity.Section, error) {
+func summarySection(sum Summary) fidelity.Section {
 	sec := fidelity.Section{ID: "summary", Title: "Headline numbers (abstract)"}
-	rows, err := s.Fig8()
-	if err != nil {
-		return sec, err
-	}
-	sum := Summarize(rows)
 	sec.Rows = append(sec.Rows, fidelity.Row{
 		Key: "headline",
 		Values: map[string]float64{
@@ -406,5 +333,5 @@ func (s *Suite) collectSummary() (fidelity.Section, error) {
 			"max_exec_penalty_app": sum.MaxExecPenaltyApp,
 		},
 	})
-	return sec, nil
+	return sec
 }

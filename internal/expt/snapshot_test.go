@@ -3,33 +3,17 @@ package expt
 import (
 	"encoding/json"
 	"path/filepath"
-	"sync"
 	"testing"
 
 	"wivfi/internal/fidelity"
 	"wivfi/internal/platform"
 )
 
-var (
-	fullSnapOnce sync.Once
-	fullSnap     *fidelity.Snapshot
-	fullSnapErr  error
-)
-
-// fullSnapshot collects the complete snapshot once for the whole package;
-// every study it runs is also exercised individually by the older tests, so
-// the marginal cost is one extra pass over the already-warm pipelines.
+// fullSnapshot is the snapshot of the package's one section pass: every
+// section runs once on the shared suite and the snapshot reuses its rows.
 func fullSnapshot(t *testing.T) *fidelity.Snapshot {
 	t.Helper()
-	if testing.Short() {
-		t.Skip("full snapshot collection is slow")
-	}
-	s := sharedSuite(t)
-	fullSnapOnce.Do(func() { fullSnap, fullSnapErr = CollectSnapshot(s) })
-	if fullSnapErr != nil {
-		t.Fatal(fullSnapErr)
-	}
-	return fullSnap
+	return runSectionPass(t).snap
 }
 
 func TestGHzMultiset(t *testing.T) {

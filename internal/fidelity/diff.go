@@ -14,9 +14,6 @@ import (
 type DiffOptions struct {
 	RelTol float64
 	AbsTol float64
-	// PerMetric overrides the relative tolerance for individual metric
-	// addresses (as produced by Address).
-	PerMetric map[string]float64
 }
 
 // FindingKind classifies one diff finding.
@@ -110,12 +107,8 @@ func Diff(current, baseline *Snapshot, opts DiffOptions) *DiffReport {
 		ConfigMismatch:     baseline.ConfigHash != current.ConfigHash,
 	}
 
-	within := func(addr string, old, cur float64) (float64, bool) {
-		rel := opts.RelTol
-		if t, ok := opts.PerMetric[addr]; ok {
-			rel = t
-		}
-		tol := math.Max(rel*math.Abs(old), opts.AbsTol)
+	within := func(old, cur float64) (float64, bool) {
+		tol := math.Max(opts.RelTol*math.Abs(old), opts.AbsTol)
 		delta := cur - old
 		relDelta := 0.0
 		if old != 0 {
@@ -151,7 +144,7 @@ func Diff(current, baseline *Snapshot, opts DiffOptions) *DiffReport {
 					continue
 				}
 				d.Compared++
-				if rel, ok := within(addr, old, cur); !ok {
+				if rel, ok := within(old, cur); !ok {
 					d.Findings = append(d.Findings, Finding{Kind: Changed, Address: addr, Old: old, New: cur, RelDelta: rel})
 				}
 			}
@@ -179,7 +172,7 @@ func Diff(current, baseline *Snapshot, opts DiffOptions) *DiffReport {
 					worst, worstIdx, bad := 0.0, -1, false
 					for i := range brow.Series {
 						d.Compared++
-						rel, ok := within(addr, brow.Series[i], crow.Series[i])
+						rel, ok := within(brow.Series[i], crow.Series[i])
 						if !ok && math.Abs(rel) >= math.Abs(worst) {
 							worst, worstIdx, bad = rel, i, true
 						}

@@ -171,18 +171,6 @@ func TestDiffNamesTamperedMetric(t *testing.T) {
 	}
 }
 
-func TestDiffPerMetricTolerance(t *testing.T) {
-	cur := sample()
-	cur.Sections[0].Rows[0].Values["edp_mesh"] *= 1.04
-	addr := "fig8[wc].edp_mesh"
-	if d := Diff(cur, sample(), DiffOptions{PerMetric: map[string]float64{addr: 0.05}}); !d.Clean() {
-		t.Errorf("override tolerance ignored: %+v", d.Findings)
-	}
-	if d := Diff(cur, sample(), DiffOptions{}); d.Clean() {
-		t.Error("4% drift passed default tolerance")
-	}
-}
-
 func TestDiffStructuralChanges(t *testing.T) {
 	cur := sample()
 	// remove a row, a label, and change a series point; add a new metric

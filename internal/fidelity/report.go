@@ -64,13 +64,21 @@ func sparkGlyphs(series []float64) string {
 	}
 	var b strings.Builder
 	for _, v := range series {
-		i := 0
-		if hi > lo {
-			i = int((v - lo) / (hi - lo) * float64(len(glyphs)-1))
-		}
-		b.WriteRune(glyphs[i])
+		b.WriteRune(glyphs[int(unitScale(v, lo, hi)*float64(len(glyphs)-1))])
 	}
 	return b.String()
+}
+
+// unitScale maps v in [lo, hi] onto [0, 1], or 0 when the range is empty.
+// It halves every operand first (exact for normal floats), so the span of
+// two extreme finite values cannot overflow to +Inf and turn the ratio
+// into NaN.
+func unitScale(v, lo, hi float64) float64 {
+	span := hi/2 - lo/2
+	if span <= 0 {
+		return 0
+	}
+	return (v/2 - lo/2) / span
 }
 
 func renderMarkdown(d ReportData) string {
@@ -269,8 +277,7 @@ func sparkSVG(series []float64) template.HTML {
 		x := w * float64(i) / float64(max(len(series)-1, 1))
 		y := h - 2
 		if hi > lo {
-			y = (h - 4) * (1 - (v-lo)/(hi-lo)) * 1.0
-			y += 2
+			y = (h-4)*(1-unitScale(v, lo, hi)) + 2
 		}
 		fmt.Fprintf(&pts, "%.1f,%.1f ", x, y)
 	}

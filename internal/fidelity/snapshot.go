@@ -1,9 +1,9 @@
 // Package fidelity is the results-observability layer of the harness: it
 // turns the regenerated figures and tables into a schema-versioned metrics
 // snapshot, evaluates declarative paper targets into a pass/warn/fail
-// scoreboard, diffs snapshots against a committed golden baseline with
-// per-metric tolerances, and renders everything (plus the run manifest)
-// into a self-contained HTML or markdown run report.
+// scoreboard, diffs snapshots against a committed golden baseline within
+// a relative and an absolute tolerance, and renders everything (plus the
+// run manifest) into a self-contained HTML or markdown run report.
 //
 // The package deliberately knows nothing about the simulator: producers
 // (internal/expt) convert their typed figure rows into Sections of generic
@@ -124,20 +124,45 @@ func WriteFile(path string, s *Snapshot) error {
 	return nil
 }
 
-// LoadFile reads and validates a snapshot. A schema mismatch is an error:
-// diffing across schema versions would silently compare unlike metrics.
+// LoadFile reads and validates a snapshot (see parse).
 func LoadFile(path string) (*Snapshot, error) {
 	blob, err := os.ReadFile(path)
 	if err != nil {
 		return nil, fmt.Errorf("fidelity: reading snapshot: %w", err)
 	}
+	s, err := parse(blob)
+	if err != nil {
+		return nil, fmt.Errorf("fidelity: snapshot %s: %w", path, err)
+	}
+	return s, nil
+}
+
+// parse decodes and validates one snapshot document. A schema mismatch is
+// an error: diffing across schema versions would silently compare unlike
+// metrics. So is a duplicate section id or a duplicate row key within a
+// section: every lookup (Section, Row, Diff, the scoreboard) resolves the
+// first match, so a duplicate would never be read.
+func parse(blob []byte) (*Snapshot, error) {
 	var s Snapshot
 	if err := json.Unmarshal(blob, &s); err != nil {
-		return nil, fmt.Errorf("fidelity: parsing snapshot %s: %w", path, err)
+		return nil, fmt.Errorf("parsing: %w", err)
 	}
 	if s.Schema != SchemaVersion {
-		return nil, fmt.Errorf("fidelity: snapshot %s has schema %d, this build reads %d (regenerate it)",
-			path, s.Schema, SchemaVersion)
+		return nil, fmt.Errorf("schema %d, this build reads %d (regenerate it)", s.Schema, SchemaVersion)
+	}
+	ids := map[string]bool{}
+	for _, sec := range s.Sections {
+		if ids[sec.ID] {
+			return nil, fmt.Errorf("duplicate section %q", sec.ID)
+		}
+		ids[sec.ID] = true
+		keys := map[string]bool{}
+		for _, r := range sec.Rows {
+			if keys[r.Key] {
+				return nil, fmt.Errorf("section %s: duplicate row %q", sec.ID, r.Key)
+			}
+			keys[r.Key] = true
+		}
 	}
 	return &s, nil
 }

@@ -124,8 +124,8 @@ func (r Request) Config(base expt.Config) (expt.Config, error) {
 			if pol != governor.Cap {
 				return expt.Config{}, fmt.Errorf("cap_watts requires policy %q, got %q", governor.Cap, pol)
 			}
-			if cw := *r.CapWatts; !inRange(cw, 20, 500) {
-				return expt.Config{}, fmt.Errorf("cap_watts %v out of range [20, 500]", cw)
+			if err := expt.CheckGovernorCap(*r.CapWatts); err != nil {
+				return expt.Config{}, fmt.Errorf("cap_watts: %w", err)
 			}
 		}
 	} else if r.CapWatts != nil {
