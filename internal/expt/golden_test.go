@@ -86,11 +86,55 @@ func runSectionPass(t *testing.T) *sectionPass {
 	return &sectionPassRes
 }
 
-// TestGolden locks the text of every section, the governor study at the
-// default cap included, against testdata/<id>.golden.
-func TestGolden(t *testing.T) {
+// goldenStudies names the heavier studies; TestGoldenStudies locks them.
+var goldenStudies = map[string]bool{
+	"kintra": true, "phased": true, "wifail": true, "margins": true, "governor": true,
+}
+
+// isStatic reports a section that prewarms no pipeline: it needs no
+// simulation of the shared suite.
+func isStatic(sec Section) bool { return len(sec.Apps) == 0 }
+
+// TestGoldenStatic locks the sections that need no simulation.
+func TestGoldenStatic(t *testing.T) {
+	s := sharedSuite(t)
+	for _, sec := range snapshotSections() {
+		if !isStatic(sec) {
+			continue
+		}
+		t.Run(sec.ID, func(t *testing.T) {
+			text, _, err := sec.Run(s)
+			if err != nil {
+				t.Fatal(err)
+			}
+			checkGolden(t, sec.ID, text)
+		})
+	}
+}
+
+// TestGoldenFigures locks every figure and table, and the summary,
+// against the deterministic simulation results.
+func TestGoldenFigures(t *testing.T) {
 	p := runSectionPass(t)
 	for _, sec := range snapshotSections() {
+		if isStatic(sec) || goldenStudies[sec.ID] {
+			continue
+		}
+		t.Run(sec.ID, func(t *testing.T) { checkGolden(t, sec.ID, p.text[sec.ID]) })
+	}
+}
+
+// TestGoldenStudies locks the heavier studies, the governor study at the
+// default cap included.
+func TestGoldenStudies(t *testing.T) {
+	p := runSectionPass(t)
+	for _, sec := range snapshotSections() {
+		if !goldenStudies[sec.ID] {
+			continue
+		}
+		if isStatic(sec) {
+			t.Errorf("study %s prewarms no pipeline, so TestGoldenStatic would claim it", sec.ID)
+		}
 		t.Run(sec.ID, func(t *testing.T) { checkGolden(t, sec.ID, p.text[sec.ID]) })
 	}
 }
