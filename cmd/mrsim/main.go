@@ -56,7 +56,20 @@ func main() {
 	)
 	cli := obs.NewCLI(flag.CommandLine, true)
 	flag.Parse()
+	// Every flag is checked before any work: a bad value must not build a
+	// pipeline or write a design-cache entry on its way to failing.
+	var pol governor.Policy
+	if *policy != "" {
+		var err error
+		if pol, err = governor.ParsePolicy(*policy); err != nil {
+			fatal(err)
+		}
+	}
 	if err := expt.CheckGovernorCap(*capWatts); err != nil {
+		fatal(err)
+	}
+	pick, err := runPicker(*system, *strategy, *useVFI1)
+	if err != nil {
 		fatal(err)
 	}
 	if err := cli.Start("mrsim"); err != nil {
@@ -131,10 +144,6 @@ func main() {
 	}
 
 	if *policy != "" {
-		pol, err := governor.ParsePolicy(*policy)
-		if err != nil {
-			fatal(err)
-		}
 		capW := 0.0
 		if pol == governor.Cap {
 			capW = *capWatts
@@ -165,33 +174,33 @@ func main() {
 		return
 	}
 
-	var run *sim.RunResult
-	switch *system {
-	case "nvfi-mesh":
-		run = pl.Baseline
-	case "vfi-mesh":
-		if *useVFI1 {
-			run = pl.VFI1Mesh
-		} else {
-			run = pl.VFI2Mesh
-		}
-	case "vfi-winoc":
-		switch *strategy {
-		case "min-hop":
-			run = pl.WiNoC[sim.MinHop]
-		case "max-wireless":
-			run = pl.WiNoC[sim.MaxWireless]
-		case "best":
-			run = pl.BestWiNoC()
-		default:
-			fatal(fmt.Errorf("unknown strategy %q", *strategy))
-		}
-	default:
-		fatal(fmt.Errorf("unknown system %q", *system))
-	}
-
-	printRun(run)
+	printRun(pick(pl))
 	finish(suite)
+}
+
+// runPicker returns the selector of the run that -system, -strategy and
+// -vfi1 name, or an error for an unknown name.
+func runPicker(system, strategy string, vfi1 bool) (func(*expt.Pipeline) *sim.RunResult, error) {
+	switch system {
+	case "nvfi-mesh":
+		return func(pl *expt.Pipeline) *sim.RunResult { return pl.Baseline }, nil
+	case "vfi-mesh":
+		if vfi1 {
+			return func(pl *expt.Pipeline) *sim.RunResult { return pl.VFI1Mesh }, nil
+		}
+		return func(pl *expt.Pipeline) *sim.RunResult { return pl.VFI2Mesh }, nil
+	case "vfi-winoc":
+		switch strategy {
+		case "min-hop":
+			return func(pl *expt.Pipeline) *sim.RunResult { return pl.WiNoC[sim.MinHop] }, nil
+		case "max-wireless":
+			return func(pl *expt.Pipeline) *sim.RunResult { return pl.WiNoC[sim.MaxWireless] }, nil
+		case "best":
+			return (*expt.Pipeline).BestWiNoC, nil
+		}
+		return nil, fmt.Errorf("unknown strategy %q", strategy)
+	}
+	return nil, fmt.Errorf("unknown system %q", system)
 }
 
 func fatal(err error) {

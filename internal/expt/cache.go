@@ -12,9 +12,7 @@ import (
 	"sync/atomic"
 
 	"wivfi/internal/obs"
-	"wivfi/internal/place"
 	"wivfi/internal/platform"
-	"wivfi/internal/sim"
 	"wivfi/internal/vfi"
 )
 
@@ -30,12 +28,8 @@ import (
 // and stale entries are simply never read again. Deleting the cache
 // directory is always safe.
 //
-// An entry may also hold placements.json: the WiNoC placement (thread
-// mapping and WI switches) of both strategies, a design-time decision
-// like the plan. It is derived from the entry's own profile and plan, so
-// it shares their key and carries its own version instead of a new
-// cacheSchemaVersion: entries written before it existed keep loading as
-// design hits and gain the file on their next build.
+// An entry may also hold placements.json, the pipeline's stored
+// design-time decisions (see plans.go).
 
 // cacheSchemaVersion is folded into every cache key; bump it when the
 // meaning of the cached artifacts changes (e.g. the profile definition or
@@ -285,87 +279,6 @@ func saveDesign(cacheDir string, cfg Config, appName string, prof platform.Profi
 		return err
 	}
 	return nil
-}
-
-// placementsVersion versions placements.json; bump it when the meaning of
-// a stored placement changes. A file of another version is discarded and
-// recomputed, like a damaged one.
-const placementsVersion = 1
-
-// placementsFile is the on-disk schema of placements.json.
-type placementsFile struct {
-	Version     int              `json:"version"`
-	MinHop      *place.Placement `json:"min-hop"`
-	MaxWireless *place.Placement `json:"max-wireless"`
-}
-
-// placements holds a pipeline's WiNoC placements indexed by sim.Strategy;
-// nil means not known.
-type placements [2]*place.Placement
-
-// placementsPath is the entry's placements.json.
-func placementsPath(cacheDir string, cfg Config, appName string) (string, error) {
-	dir, err := entryDir(cacheDir, cfg, appName)
-	if err != nil {
-		return "", err
-	}
-	return filepath.Join(dir, "placements.json"), nil
-}
-
-// loadPlacements returns the entry's stored placements, or none when the
-// file is absent. A file that does not parse, has another version or lacks
-// a strategy is deleted, never an error: the placements are recomputed
-// and written back. Whether a placement fits the islands is checked where
-// it is realized (sim.VFIWiNoCPlaced).
-func loadPlacements(cacheDir string, cfg Config, appName string) placements {
-	path, err := placementsPath(cacheDir, cfg, appName)
-	if err != nil {
-		return placements{}
-	}
-	raw, err := os.ReadFile(path)
-	if err != nil {
-		return placements{}
-	}
-	var f placementsFile
-	if json.Unmarshal(raw, &f) != nil || f.Version != placementsVersion || f.MinHop == nil || f.MaxWireless == nil {
-		os.Remove(path) // best effort, as for a damaged entry
-		return placements{}
-	}
-	var p placements
-	p[sim.MinHop], p[sim.MaxWireless] = f.MinHop, f.MaxWireless
-	return p
-}
-
-// savePlacements writes both placements into the entry, best-effort: a
-// temp file renamed over placements.json, so a reader sees the old file or
-// the new one, never a torn write. Racing writers store identical content.
-// The entry directory must exist (saveDesign creates it).
-func savePlacements(cacheDir string, cfg Config, appName string, p placements) error {
-	path, err := placementsPath(cacheDir, cfg, appName)
-	if err != nil {
-		return err
-	}
-	blob, err := json.Marshal(placementsFile{Version: placementsVersion, MinHop: p[sim.MinHop], MaxWireless: p[sim.MaxWireless]})
-	if err != nil {
-		return err
-	}
-	tmp, err := os.CreateTemp(filepath.Dir(path), ".tmp-placements-*")
-	if err != nil {
-		return err
-	}
-	defer os.Remove(tmp.Name())
-	if err := tmp.Chmod(0o644); err != nil {
-		tmp.Close()
-		return err
-	}
-	if _, err := tmp.Write(blob); err != nil {
-		tmp.Close()
-		return err
-	}
-	if err := tmp.Close(); err != nil {
-		return err
-	}
-	return os.Rename(tmp.Name(), path)
 }
 
 // ConfigHash returns the short hex digest identifying cfg — the same

@@ -80,7 +80,7 @@ func FuzzDesignEntry(f *testing.F) {
 				t.Fatalf("rejected entry not evicted (stat: %v)", err)
 			}
 		case cacheHit:
-			pl, err := buildPipeline(cfg, app, nil, dir, nil, nil)
+			pl, err := buildPipeline(cfg, app, nil, dir, nil, meshRoutes(cfg), nil)
 			if err != nil {
 				t.Fatalf("entry loads as a hit but does not build: %v", err)
 			}

@@ -6,7 +6,6 @@ import (
 	"strings"
 
 	"wivfi/internal/noc"
-	"wivfi/internal/place"
 	"wivfi/internal/sched"
 	"wivfi/internal/sim"
 	"wivfi/internal/topo"
@@ -35,15 +34,15 @@ func (s *Suite) WIFailureStudy(appName string, failures []int) ([]WIFailureRow, 
 	}
 	cfg := s.Config.Build
 
-	// rebuild the WiNoC placement once; failures then disable WIs in
+	// the pipeline's max-wireless placement; failures then disable WIs in
 	// deterministic id order
-	opts := cfg.Place
-	opts.SmallWorld = cfg.SmallWorld
-	opts.Costs = cfg.LinkCosts
-	opts.Routing = noc.UpDown
-	res, err := place.MaxWirelessUtil(cfg.Chip, pl.Plan.VFI2.Assign, pl.Profile.Traffic, opts)
+	p, mapping, err := pl.plans.winocPlacement(sim.MaxWireless, cfg.SmallWorld.KIntra, cfg.SmallWorld.KInter)
 	if err != nil {
 		return nil, err
+	}
+	numWIs := 0
+	for _, wis := range p.WIs {
+		numWIs += len(wis)
 	}
 
 	// The wireline fabric is built once; each failure point overlays the
@@ -51,7 +50,7 @@ func (s *Suite) WIFailureStudy(appName string, failures []int) ([]WIFailureRow, 
 	// fabric splits inter-cluster links evenly (nil InterTraffic), unlike
 	// the pipeline's traffic-apportioned one — a known gap, see
 	// EXPERIMENTS.md.
-	swCfg := opts.SmallWorld
+	swCfg := cfg.SmallWorld
 	swCfg.InterTraffic = nil
 	wire, err := topo.SmallWorld(cfg.Chip, swCfg)
 	if err != nil {
@@ -62,10 +61,10 @@ func (s *Suite) WIFailureStudy(appName string, failures []int) ([]WIFailureRow, 
 	sorted := append([]int(nil), failures...)
 	sort.Ints(sorted)
 	for _, k := range sorted {
-		if k < 0 || k > len(res.Topology.WIs) {
-			return nil, fmt.Errorf("expt: cannot fail %d of %d WIs", k, len(res.Topology.WIs))
+		if k < 0 || k > numWIs {
+			return nil, fmt.Errorf("expt: cannot fail %d of %d WIs", k, numWIs)
 		}
-		tp, err := topo.WithWireless(wire, res.WIPlacement)
+		tp, err := topo.WithWireless(wire, p.WIs)
 		if err != nil {
 			return nil, err
 		}
@@ -83,7 +82,7 @@ func (s *Suite) WIFailureStudy(appName string, failures []int) ([]WIFailureRow, 
 			Name:               fmt.Sprintf("vfi-winoc-%dfailed", k),
 			Chip:               cfg.Chip,
 			VFI:                pl.Plan.VFI2,
-			Mapping:            res.Mapping,
+			Mapping:            mapping,
 			Routes:             rt,
 			NetModel:           cfg.NetModel,
 			CoreModel:          cfg.CoreModel,

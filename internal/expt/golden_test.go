@@ -37,12 +37,12 @@ func checkGolden(t *testing.T, name, got string) {
 
 // sectionPass is one run of every snapshot section on the warm shared
 // suite, as cmd/reproduce -snapshot makes it: each section's text, the
-// snapshot built from the rows those runs computed, and the WiNoC
-// planning work (anneals, hop scorings) of the text pass and of the whole.
+// snapshot built from the rows those runs computed, and the design-time
+// planning work of the text pass and of the whole.
 type sectionPass struct {
 	text              map[string]string
 	snap              *fidelity.Snapshot
-	textWork, allWork [2]int64
+	textWork, allWork planWork
 	err               error
 }
 
@@ -62,7 +62,7 @@ func runSectionPass(t *testing.T) *sectionPass {
 		if p.err = s.Prewarm(); p.err != nil {
 			return
 		}
-		a0, r0 := placementWork()
+		w0 := readPlanWork()
 		p.text = map[string]string{}
 		var computed []fidelity.Section
 		for _, sec := range snapshotSections() {
@@ -74,11 +74,9 @@ func runSectionPass(t *testing.T) *sectionPass {
 			p.text[sec.ID] = text
 			computed = append(computed, fsec)
 		}
-		a1, r1 := placementWork()
+		p.textWork = readPlanWork().since(w0)
 		p.snap, p.err = CollectSnapshot(s, computed...)
-		a2, r2 := placementWork()
-		p.textWork = [2]int64{a1 - a0, r1 - r0}
-		p.allWork = [2]int64{a2 - a0, r2 - r0}
+		p.allWork = readPlanWork().since(w0)
 	})
 	if sectionPassRes.err != nil {
 		t.Fatal(sectionPassRes.err)
@@ -140,11 +138,12 @@ func TestGoldenStudies(t *testing.T) {
 }
 
 // TestSnapshotReusesSectionRuns: building the snapshot from sections that
-// already ran does no WiNoC planning of its own — the text pass plus the
-// snapshot anneal and score exactly as often as the text pass alone.
+// already ran does no planning of its own — the text pass plus the
+// snapshot anneal, score, map and cluster exactly as often as the text
+// pass alone.
 func TestSnapshotReusesSectionRuns(t *testing.T) {
 	p := runSectionPass(t)
 	if p.allWork != p.textWork {
-		t.Errorf("text pass + snapshot did (anneals, scorings) = %v, text pass alone %v", p.allWork, p.textWork)
+		t.Errorf("text pass + snapshot did %+v, text pass alone %+v", p.allWork, p.textWork)
 	}
 }

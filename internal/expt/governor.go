@@ -39,7 +39,7 @@ func CheckGovernorCap(capW float64) error {
 // carries the run's decision statistics and measured-power envelope.
 func GovernedMesh(cfg Config, pl *Pipeline, pol governor.Policy, capW float64,
 	log *governor.Log, onDecision func(governor.Decision)) (*sim.RunResult, governor.Summary, error) {
-	meshSys, err := sim.VFIMesh(cfg.Build, pl.Plan.VFI2, pl.Profile.Traffic)
+	meshSys, err := pl.plans.vfiMesh(pl.Plan.VFI2)
 	if err != nil {
 		return nil, governor.Summary{}, err
 	}
@@ -130,7 +130,7 @@ func (s *Suite) GovernorStudy(capW float64) ([]GovernorRow, error) {
 		}
 		rows[i].App = pl.App.Name
 		rows[i].CapW = capW
-		meshSys, err := sim.VFIMesh(s.Config.Build, pl.Plan.VFI2, pl.Profile.Traffic)
+		meshSys, err := pl.plans.vfiMesh(pl.Plan.VFI2)
 		if err != nil {
 			return nil, err
 		}

@@ -72,7 +72,8 @@ type KIntraRow struct {
 // (3,1) always performs better. A variant equal to the suite's own
 // small-world config is exactly the pipeline's best-strategy WiNoC run, so
 // that run is reused; the other (app × configuration) WiNoC simulations are
-// independent and fan out over the suite's pool. The row order stays
+// independent and fan out over the suite's pool. Their placements come
+// from the pipeline's plan store, so a warm run plans none. The row order stays
 // AppOrder regardless of completion order.
 func (s *Suite) KIntraSweep() ([]KIntraRow, error) {
 	if err := s.Prewarm(AppOrder...); err != nil {
@@ -103,10 +104,7 @@ func (s *Suite) KIntraSweep() ([]KIntraRow, error) {
 				continue
 			}
 			jobs = append(jobs, sim.Job{Name: "sim:kintra-sweep", Detail: pl.App.Name, Run: func() error {
-				cfg := s.Config.Build
-				cfg.SmallWorld.KIntra = variant.kIntra
-				cfg.SmallWorld.KInter = variant.kInter
-				sys, err := sim.VFIWiNoC(cfg, pl.Plan.VFI2, pl.Profile.Traffic, pl.BestStrategy)
+				sys, err := pl.plans.winocSystem(pl.BestStrategy, variant.kIntra, variant.kInter)
 				if err != nil {
 					return err
 				}

@@ -50,7 +50,7 @@ func (s *Suite) PhaseAdaptiveStudy() ([]PhasedRow, error) {
 		rows[i].ExecStatic, _, rows[i].StaticEDP = pl.VFI2Mesh.Report.Relative(pl.Baseline.Report)
 		// The mesh system is read-only under RunPhased (it simulates on a
 		// copy), so both controller runs can share it and fan out.
-		meshSys, err := sim.VFIMesh(s.Config.Build, pl.Plan.VFI2, pl.Profile.Traffic)
+		meshSys, err := pl.plans.vfiMesh(pl.Plan.VFI2)
 		if err != nil {
 			return nil, err
 		}

@@ -37,20 +37,22 @@ func (s *Suite) MarginSweep(appName string, margins []float64) ([]MarginRow, err
 			return nil, fmt.Errorf("expt: margin %v out of [0,1]", m)
 		}
 	}
-	// Every margin point re-runs the design flow and one mesh simulation on
-	// the shared profile — independent work, fanned out over the pool with
-	// rows assembled in argument order.
+	// Every margin point re-runs the design flow's V/F steps on the
+	// pipeline's own clustering, which no margin changes, and one mesh
+	// simulation on the shared profile — independent work, fanned out over
+	// the pool with rows assembled in argument order. The mesh mapping of
+	// that clustering comes from the pipeline's plan store.
 	rows := make([]MarginRow, len(margins))
 	jobs := make([]sim.Job, len(margins))
 	for i, m := range margins {
 		jobs[i] = sim.Job{Name: "sim:margin-sweep", Detail: appName, Run: func() error {
 			opts := s.Config.VFI
 			opts.FreqMargin = m
-			plan, err := vfi.Design(pl.Profile, opts)
+			plan, err := vfi.DesignClustered(pl.Profile, pl.Plan.VFI1.Assign, pl.Plan.ClusterCost, opts)
 			if err != nil {
 				return err
 			}
-			sys, err := sim.VFIMesh(s.Config.Build, plan.VFI2, pl.Profile.Traffic)
+			sys, err := pl.plans.vfiMesh(plan.VFI2)
 			if err != nil {
 				return err
 			}

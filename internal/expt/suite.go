@@ -18,11 +18,11 @@ package expt
 
 import (
 	"fmt"
-	"os"
 	"sync"
 	"time"
 
 	"wivfi/internal/apps"
+	"wivfi/internal/noc"
 	"wivfi/internal/obs"
 	"wivfi/internal/platform"
 	"wivfi/internal/sim"
@@ -63,6 +63,10 @@ type Pipeline struct {
 	// FromCache reports whether the profile and VFI plan were loaded from
 	// the on-disk design cache rather than recomputed.
 	FromCache bool
+
+	// plans makes the pipeline's mesh mappings and WiNoC placements, once
+	// each, for every system built from this design.
+	plans *planStore
 }
 
 // BestWiNoC returns the WiNoC run under the chosen strategy.
@@ -105,7 +109,14 @@ func (ob *BuildObserver) cache(hit bool) {
 // BuildPipeline runs the full flow for one benchmark, serially and without
 // a disk cache. The Suite path adds coalescing, fan-out and caching.
 func BuildPipeline(cfg Config, app *apps.App) (*Pipeline, error) {
-	return buildPipeline(cfg, app, nil, "", nil, nil)
+	return buildPipeline(cfg, app, nil, "", nil, meshRoutes(cfg), nil)
+}
+
+// meshRoutes returns a builder of the chip's XY route table that builds it
+// on first use only: every mesh system of a suite, or of one pipeline
+// built without a suite, shares it.
+func meshRoutes(cfg Config) func() (*noc.RouteTable, error) {
+	return sync.OnceValues(func() (*noc.RouteTable, error) { return sim.MeshRoutes(cfg.Build) })
 }
 
 // BuildDesign runs the design flow alone — probe simulation, clustering
@@ -134,13 +145,15 @@ func BuildDesign(cfg Config, app *apps.App, pool *sim.Pool, cacheDir string) (*s
 // shared pool, consulting the design cache at cacheDir ("" disables), with
 // per-stage progress delivered through ob (nil for none).
 func BuildPipelineObserved(cfg Config, app *apps.App, pool *sim.Pool, cacheDir string, ob *BuildObserver) (*Pipeline, error) {
-	return buildPipeline(cfg, app, pool, cacheDir, nil, ob)
+	return buildPipeline(cfg, app, pool, cacheDir, nil, meshRoutes(cfg), ob)
 }
 
 // buildPipeline runs the design flow and then fans the five independent
 // system simulations (baseline, VFI 1 mesh, VFI 2 mesh, two WiNoC
-// placements) out over the pool. A nil pool runs everything inline.
-func buildPipeline(cfg Config, app *apps.App, pool *sim.Pool, cacheDir string, stats *cacheStats, ob *BuildObserver) (*Pipeline, error) {
+// placements) out over the pool. A nil pool runs everything inline. xy
+// returns the chip's shared XY route table.
+func buildPipeline(cfg Config, app *apps.App, pool *sim.Pool, cacheDir string, stats *cacheStats,
+	xy func() (*noc.RouteTable, error), ob *BuildObserver) (*Pipeline, error) {
 	if buildHook != nil {
 		buildHook(app.Name)
 	}
@@ -178,27 +191,16 @@ func buildPipeline(cfg Config, app *apps.App, pool *sim.Pool, cacheDir string, s
 		FromCache: cached,
 	}
 
-	// The WiNoC placements are design-time decisions too: a cached design
-	// usually stores them, and a WiNoC job realizes its stored placement
-	// instead of planning one. A job without one, or whose placement does
-	// not fit the islands, plans it and records it for write-back.
-	var stored, planned placements
-	if cached {
-		stored = loadPlacements(cacheDir, cfg, app.Name)
+	// Mesh mappings and WiNoC placements are design-time decisions too:
+	// the pipeline's plan store makes each once, seeded from the entry a
+	// cached design came from, and writes new ones back to it.
+	stored := ""
+	if cacheDir != "" {
+		stored, _ = placementsPath(cacheDir, cfg, app.Name)
 	}
-	winoc := func(st sim.Strategy) (*sim.System, error) {
-		if p := stored[st]; p != nil {
-			if sys, err := sim.VFIWiNoCPlaced(cfg.Build, plan.VFI2, prof.Traffic, st, *p); err == nil {
-				return sys, nil
-			}
-		}
-		p, err := sim.PlanWiNoC(cfg.Build, plan.VFI2, prof.Traffic, st)
-		if err != nil {
-			return nil, err
-		}
-		planned[st] = &p
-		return sim.VFIWiNoCPlaced(cfg.Build, plan.VFI2, prof.Traffic, st, p)
-	}
+	plans := newPlanStore(cfg.Build, prof.Traffic, plan.VFI2, xy, stored, cached)
+	pl.plans = plans
+	own := cfg.Build.SmallWorld
 
 	// The five remaining simulations are mutually independent: they each
 	// construct their own system from (cfg, prof, plan) and write to a
@@ -218,27 +220,18 @@ func buildPipeline(cfg Config, app *apps.App, pool *sim.Pool, cacheDir string, s
 		}}
 	}
 	err = pool.Run(
-		simJob("sim:nvfi-mesh", &pl.Baseline, func() (*sim.System, error) { return sim.NVFIMeshMapped(cfg.Build, prof.Traffic) }),
-		simJob("sim:vfi1-mesh", &pl.VFI1Mesh, func() (*sim.System, error) { return sim.VFIMesh(cfg.Build, plan.VFI1, prof.Traffic) }),
-		simJob("sim:vfi2-mesh", &pl.VFI2Mesh, func() (*sim.System, error) { return sim.VFIMesh(cfg.Build, plan.VFI2, prof.Traffic) }),
-		simJob("sim:winoc-min-hop", &wiMinHop, func() (*sim.System, error) { return winoc(sim.MinHop) }),
-		simJob("sim:winoc-max-wireless", &wiMaxWireless, func() (*sim.System, error) { return winoc(sim.MaxWireless) }),
+		simJob("sim:nvfi-mesh", &pl.Baseline, plans.nvfiMesh),
+		simJob("sim:vfi1-mesh", &pl.VFI1Mesh, func() (*sim.System, error) { return plans.vfiMesh(plan.VFI1) }),
+		simJob("sim:vfi2-mesh", &pl.VFI2Mesh, func() (*sim.System, error) { return plans.vfiMesh(plan.VFI2) }),
+		simJob("sim:winoc-min-hop", &wiMinHop, func() (*sim.System, error) {
+			return plans.winocSystem(sim.MinHop, own.KIntra, own.KInter)
+		}),
+		simJob("sim:winoc-max-wireless", &wiMaxWireless, func() (*sim.System, error) {
+			return plans.winocSystem(sim.MaxWireless, own.KIntra, own.KInter)
+		}),
 	)
 	if err != nil {
 		return nil, fmt.Errorf("expt: %s: %w", app.Name, err)
-	}
-	if cacheDir != "" && (planned[sim.MinHop] != nil || planned[sim.MaxWireless] != nil) {
-		for st, p := range planned {
-			if p == nil {
-				planned[st] = stored[st]
-			}
-		}
-		if savePlacements(cacheDir, cfg, app.Name, planned) != nil {
-			// Best effort, but a rejected file must not be read again.
-			if path, err := placementsPath(cacheDir, cfg, app.Name); err == nil {
-				os.Remove(path)
-			}
-		}
 	}
 
 	pl.WiNoC[sim.MinHop] = wiMinHop
@@ -323,6 +316,7 @@ type Suite struct {
 	pool     *sim.Pool
 	cacheDir string
 	stats    cacheStats
+	xy       func() (*noc.RouteTable, error) // the chip's XY routes, built once
 }
 
 // Option configures a Suite beyond its platform Config.
@@ -335,10 +329,10 @@ func WithParallelism(n int) Option {
 }
 
 // WithCacheDir enables the on-disk design cache rooted at dir: pipelines
-// store their profiling run, VFI plan and WiNoC placements keyed by a hash
-// of the suite Config and benchmark name, so later suites with the same
-// configuration skip the probe simulation, the clustering anneal and the
-// WI-placement anneal. An empty dir disables caching (the default).
+// store their profiling run, VFI plan, mesh mappings and WiNoC placements
+// keyed by a hash of the suite Config and benchmark name, so later suites
+// with the same configuration skip the probe simulation, the clustering
+// anneal and every mapping and WI-placement anneal. An empty dir disables caching (the default).
 func WithCacheDir(dir string) Option {
 	return func(s *Suite) { s.cacheDir = dir }
 }
@@ -349,6 +343,7 @@ func NewSuite(cfg Config, opts ...Option) *Suite {
 		Config:  cfg,
 		entries: map[string]*suiteEntry{},
 		pool:    sim.DefaultPool(),
+		xy:      meshRoutes(cfg),
 	}
 	for _, opt := range opts {
 		opt(s)
@@ -384,7 +379,7 @@ func (s *Suite) Pipeline(name string) (*Pipeline, error) {
 			return
 		}
 		start := time.Now() //lint:wallclock times the build for the stderr -v progress line only
-		e.pl, e.err = buildPipeline(s.Config, app, s.pool, s.cacheDir, &s.stats, nil)
+		e.pl, e.err = buildPipeline(s.Config, app, s.pool, s.cacheDir, &s.stats, s.xy, nil)
 		if obs.Verbose() && e.err == nil {
 			elapsed := time.Since(start) //lint:wallclock elapsed build time goes to stderr progress, never into results
 			obs.Logf("expt: pipeline %-6s built in %6.2fs (from cache: %v)",

@@ -331,7 +331,8 @@ func governorTimelines(cfg Config, pl *Pipeline) ([]timeline.Series, error) {
 // switch-to-switch flit rates, yielding per-link flit series (the heatmap)
 // and the packet-latency histogram under noc/<app>/.
 func desReplayTimelines(cfg Config, pl *Pipeline) ([]timeline.Series, error) {
-	sys, err := sim.VFIWiNoC(cfg.Build, pl.Plan.VFI2, pl.Profile.Traffic, pl.BestStrategy)
+	own := cfg.Build.SmallWorld
+	sys, err := pl.plans.winocSystem(pl.BestStrategy, own.KIntra, own.KInter)
 	if err != nil {
 		return nil, err
 	}

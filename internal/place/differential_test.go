@@ -148,7 +148,13 @@ func TestRealizeRebuildsBothStrategies(t *testing.T) {
 		plan func(platform.Chip, []int, [][]float64, Options) (Placement, error)
 		run  func(platform.Chip, []int, [][]float64, Options) (Result, error)
 	}{
-		{"min-hop", PlanMinHop, MinHopCount},
+		{"min-hop", func(chip platform.Chip, assign []int, traffic [][]float64, opts Options) (Placement, error) {
+			m, err := MapThreadsMinDistance(chip, assign, traffic, opts.Seed, opts.MappingSweeps)
+			if err != nil {
+				return Placement{}, err
+			}
+			return PlanMinHopFrom(chip, assign, traffic, m, opts)
+		}, MinHopCount},
 		{"max-wireless", PlanMaxWireless, MaxWirelessUtil},
 	}
 	for c := 0; c < 12; c++ {

@@ -33,12 +33,21 @@ import (
 	"wivfi/internal/topo"
 )
 
-// MetricMinHopAnneals counts WI-placement anneals (one per MinHopCount
-// call that reaches the annealing loop). A design-cache hit rebuilds the
-// placement instead, so a warm pipeline adds nothing here.
-const MetricMinHopAnneals = "place.min_hop.anneals"
+// Work counters of design-time planning. A design-cache hit rebuilds the
+// stored decisions instead, so a warm pipeline adds nothing to either.
+const (
+	// MetricMinHopAnneals counts WI-placement anneals (one per min-hop
+	// planning that reaches the annealing loop).
+	MetricMinHopAnneals = "place.min_hop.anneals"
+	// MetricMapThreadsCalls counts min-distance thread-mapping anneals
+	// (MapThreadsMinDistance calls).
+	MetricMapThreadsCalls = "place.map_threads.calls"
+)
 
-var minHopAnneals = obs.NewCounter(MetricMinHopAnneals)
+var (
+	minHopAnneals   = obs.NewCounter(MetricMinHopAnneals)
+	mapThreadsCalls = obs.NewCounter(MetricMapThreadsCalls)
+)
 
 // Mapping is a bijection between threads (logical cores carrying the
 // profile's utilization and traffic) and tiles (physical switch positions).
@@ -161,17 +170,59 @@ type Placement struct {
 	WIs          [][]int `json:"wis"`
 }
 
-// check validates p against the island regions quads of assign and
-// returns its thread mapping. ThreadToTile must be a permutation that
-// keeps every thread inside its island's region, and every cluster needs
+// CheckMapping validates a stored thread-to-tile map against the island
+// regions of assign on chip and returns it as a Mapping: it must be a
+// permutation that keeps every thread inside its island's region, the
+// shape MapThreadsMinDistance produces.
+func CheckMapping(chip platform.Chip, assign, threadToTile []int) (Mapping, error) {
+	quads, err := regionsFor(chip, assign)
+	if err != nil {
+		return Mapping{}, err
+	}
+	return checkMapping(threadToTile, assign, quads)
+}
+
+// Check validates p against the island regions of assign on chip and
+// returns its thread mapping (see CheckMapping); every cluster also needs
 // topo.WIsPerCluster distinct WIs inside its own region.
-func (p Placement) check(assign []int, quads [][]int) (Mapping, error) {
+func (p Placement) Check(chip platform.Chip, assign []int) (Mapping, error) {
+	quads, err := regionsFor(chip, assign)
+	if err != nil {
+		return Mapping{}, err
+	}
+	return p.check(assign, quads)
+}
+
+// regionsFor returns the island regions of assign on chip, checking that
+// every island fills its region exactly.
+func regionsFor(chip platform.Chip, assign []int) ([][]int, error) {
+	n := chip.NumCores()
+	if len(assign) != n {
+		return nil, fmt.Errorf("place: need %d assignments", n)
+	}
+	for th, c := range assign {
+		if c < 0 || c >= n {
+			return nil, fmt.Errorf("place: thread %d in island %d of at most %d", th, c, n)
+		}
+	}
+	quads, err := topo.PartitionForAssign(chip, assign)
+	if err != nil {
+		return nil, err
+	}
+	if err := checkClusterSizes(assign, quads); err != nil {
+		return nil, err
+	}
+	return quads, nil
+}
+
+// checkMapping is CheckMapping over the regions quads of assign.
+func checkMapping(threadToTile, assign []int, quads [][]int) (Mapping, error) {
 	n := len(assign)
-	if len(p.ThreadToTile) != n {
-		return Mapping{}, fmt.Errorf("place: placement maps %d threads, want %d", len(p.ThreadToTile), n)
+	if len(threadToTile) != n {
+		return Mapping{}, fmt.Errorf("place: placement maps %d threads, want %d", len(threadToTile), n)
 	}
 	region := topo.RegionOf(n, quads)
-	m := Mapping{ThreadToTile: append([]int(nil), p.ThreadToTile...), TileToThread: make([]int, n)}
+	m := Mapping{ThreadToTile: append([]int(nil), threadToTile...), TileToThread: make([]int, n)}
 	for tile := range m.TileToThread {
 		m.TileToThread[tile] = -1
 	}
@@ -187,6 +238,17 @@ func (p Placement) check(assign []int, quads [][]int) (Mapping, error) {
 		}
 		m.TileToThread[tile] = th
 	}
+	return m, nil
+}
+
+// check is Check over the regions quads of assign.
+func (p Placement) check(assign []int, quads [][]int) (Mapping, error) {
+	m, err := checkMapping(p.ThreadToTile, assign, quads)
+	if err != nil {
+		return Mapping{}, err
+	}
+	n := len(assign)
+	region := topo.RegionOf(n, quads)
 	if len(p.WIs) != len(quads) {
 		return Mapping{}, fmt.Errorf("place: placement has WIs for %d clusters, want %d", len(p.WIs), len(quads))
 	}
@@ -223,6 +285,7 @@ func MapThreadsMinDistance(chip platform.Chip, assign []int, traffic [][]float64
 	if err := checkClusterSizes(assign, quads); err != nil {
 		return Mapping{}, err
 	}
+	mapThreadsCalls.Add(1)
 	m := initialClusterMapping(assign, quads, n)
 	rng := rand.New(rand.NewSource(seed))
 	dist := newHopTable(chip)
@@ -511,30 +574,39 @@ func BuildTopology(chip platform.Chip, interTraffic [][]float64, placement [][]i
 // noc.RoutedAvgHops, which counts hops without building route paths; the
 // full route table is built once, for the winning placement.
 func MinHopCount(chip platform.Chip, assign []int, traffic [][]float64, opts Options) (Result, error) {
-	f, placement, err := planMinHop(chip, assign, traffic, opts)
+	mapping, err := MapThreadsMinDistance(chip, assign, traffic, opts.Seed, opts.MappingSweeps)
+	if err != nil {
+		return Result{}, err
+	}
+	f, placement, err := planMinHop(chip, assign, traffic, mapping, opts)
 	if err != nil {
 		return Result{}, err
 	}
 	return f.realize(placement, opts)
 }
 
-// PlanMinHop is MinHopCount's planning alone: the placement it realizes.
-func PlanMinHop(chip platform.Chip, assign []int, traffic [][]float64, opts Options) (Placement, error) {
-	f, placement, err := planMinHop(chip, assign, traffic, opts)
+// PlanMinHopFrom is MinHopCount's planning alone, the placement it
+// realizes, from a thread mapping already computed: it must be
+// MapThreadsMinDistance's for (chip, assign, traffic, opts.Seed,
+// opts.MappingSweeps), which every min-hop placement starts from.
+func PlanMinHopFrom(chip platform.Chip, assign []int, traffic [][]float64, mapping Mapping, opts Options) (Placement, error) {
+	f, placement, err := planMinHop(chip, assign, traffic, mapping, opts)
 	if err != nil {
 		return Placement{}, err
 	}
 	return Placement{ThreadToTile: f.mapping.ThreadToTile, WIs: placement}, nil
 }
 
-// planMinHop maps the threads, builds the fabric and anneals the WIs.
-func planMinHop(chip platform.Chip, assign []int, traffic [][]float64, opts Options) (fabric, [][]int, error) {
-	mapping, err := MapThreadsMinDistance(chip, assign, traffic, opts.Seed, opts.MappingSweeps)
+// planMinHop builds the fabric of the thread mapping and anneals the WIs.
+func planMinHop(chip platform.Chip, assign []int, traffic [][]float64, mapping Mapping, opts Options) (fabric, [][]int, error) {
+	if err := checkInputs(assign, traffic, chip.NumCores()); err != nil {
+		return fabric{}, nil, err
+	}
+	quads, err := regionsFor(chip, assign)
 	if err != nil {
 		return fabric{}, nil, err
 	}
-	quads, err := topo.PartitionForAssign(chip, assign)
-	if err != nil {
+	if mapping, err = checkMapping(mapping.ThreadToTile, assign, quads); err != nil {
 		return fabric{}, nil, err
 	}
 	placement, err := RegionWIs(chip, quads) // starting point
@@ -656,11 +728,8 @@ func Realize(chip platform.Chip, assign []int, traffic [][]float64, p Placement,
 	if err := checkInputs(assign, traffic, chip.NumCores()); err != nil {
 		return Result{}, err
 	}
-	quads, err := topo.PartitionForAssign(chip, assign)
+	quads, err := regionsFor(chip, assign)
 	if err != nil {
-		return Result{}, err
-	}
-	if err := checkClusterSizes(assign, quads); err != nil {
 		return Result{}, err
 	}
 	mapping, err := p.check(assign, quads)

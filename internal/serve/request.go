@@ -1,7 +1,9 @@
 package serve
 
 import (
+	"encoding/json"
 	"fmt"
+	"io"
 	"net/url"
 	"strconv"
 
@@ -48,6 +50,18 @@ type Request struct {
 	// CapWatts overrides the chip-level core-power cap of policy "cap"
 	// (default expt.DefaultGovernorCapW), in [20, 500].
 	CapWatts *float64 `json:"cap_watts,omitempty"`
+}
+
+// decodeRequest reads a Request from a POST body: one JSON object whose
+// fields must all be Request fields.
+func decodeRequest(body io.Reader) (Request, error) {
+	var req Request
+	dec := json.NewDecoder(body)
+	dec.DisallowUnknownFields()
+	if err := dec.Decode(&req); err != nil {
+		return Request{}, fmt.Errorf("request body: %w", err)
+	}
+	return req, nil
 }
 
 // parseQuery builds a Request from URL query parameters (the curl-friendly

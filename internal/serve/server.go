@@ -281,10 +281,9 @@ func (s *Server) handleDesign(w http.ResponseWriter, r *http.Request) {
 			return
 		}
 	case http.MethodPost:
-		dec := json.NewDecoder(r.Body)
-		dec.DisallowUnknownFields()
-		if err := dec.Decode(&req); err != nil {
-			writeError(w, http.StatusBadRequest, fmt.Errorf("request body: %w", err))
+		var err error
+		if req, err = decodeRequest(r.Body); err != nil {
+			writeError(w, http.StatusBadRequest, err)
 			return
 		}
 	default:

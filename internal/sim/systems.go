@@ -79,22 +79,28 @@ func newSystem(cfg BuildConfig, name string, vfi platform.VFIConfig, mapping pla
 	}
 }
 
-// meshSystem is newSystem on the chip's conventional mesh with XY routing.
-func meshSystem(cfg BuildConfig, name string, vfi platform.VFIConfig, mapping place.Mapping,
-	policy sched.Policy) (*System, error) {
-	routes, err := noc.BuildRoutes(topo.Mesh(cfg.Chip), cfg.LinkCosts, noc.XY)
-	if err != nil {
-		return nil, err
-	}
-	return newSystem(cfg, name, vfi, mapping, routes, policy), nil
+// MeshRoutes builds the XY route table of the chip's conventional mesh,
+// the one every mesh system routes on. Tables are read-only, so systems of
+// one chip may share it.
+func MeshRoutes(cfg BuildConfig) (*noc.RouteTable, error) {
+	return noc.BuildRoutes(topo.Mesh(cfg.Chip), cfg.LinkCosts, noc.XY)
+}
+
+// nvfiVFI is the non-VFI baseline's islands: every core at the DVFS
+// maximum.
+func nvfiVFI(cfg BuildConfig) platform.VFIConfig {
+	return platform.Uniform(cfg.Chip.NumCores(), platform.MaxPoint(platform.DefaultDVFSTable()))
 }
 
 // NVFIMesh builds the baseline: every core at the DVFS maximum, threads
 // mapped identically onto the mesh, default Phoenix stealing.
 func NVFIMesh(cfg BuildConfig) (*System, error) {
-	n := cfg.Chip.NumCores()
-	return meshSystem(cfg, "nvfi-mesh", platform.Uniform(n, platform.MaxPoint(platform.DefaultDVFSTable())),
-		place.NewIdentityMapping(n), sched.DefaultStealing)
+	routes, err := MeshRoutes(cfg)
+	if err != nil {
+		return nil, err
+	}
+	return newSystem(cfg, "nvfi-mesh", nvfiVFI(cfg), place.NewIdentityMapping(cfg.Chip.NumCores()),
+		routes, sched.DefaultStealing), nil
 }
 
 // NVFIMeshMapped builds the reporting baseline: the same non-VFI mesh but
@@ -104,6 +110,24 @@ func NVFIMesh(cfg BuildConfig) (*System, error) {
 // placement. The profile-gathering pass uses NVFIMesh; this uses its
 // measured traffic.
 func NVFIMeshMapped(cfg BuildConfig, traffic [][]float64) (*System, error) {
+	assign, err := BaselineAssign(cfg)
+	if err != nil {
+		return nil, err
+	}
+	mapping, err := MeshMapping(cfg, assign, traffic)
+	if err != nil {
+		return nil, err
+	}
+	routes, err := MeshRoutes(cfg)
+	if err != nil {
+		return nil, err
+	}
+	return NVFIMeshPlaced(cfg, mapping, routes), nil
+}
+
+// BaselineAssign is NVFIMeshMapped's thread grouping: four contiguous
+// groups of threads, group j mapped into quadrant j.
+func BaselineAssign(cfg BuildConfig) ([]int, error) {
 	n := cfg.Chip.NumCores()
 	if n%4 != 0 {
 		return nil, fmt.Errorf("sim: %d cores not divisible into the baseline's 4 contiguous thread groups", n)
@@ -112,12 +136,21 @@ func NVFIMeshMapped(cfg BuildConfig, traffic [][]float64) (*System, error) {
 	for th := range assign {
 		assign[th] = th / (n / 4)
 	}
-	mapping, err := place.MapThreadsMinDistance(cfg.Chip, assign, traffic, cfg.Place.Seed, cfg.Place.MappingSweeps)
-	if err != nil {
-		return nil, err
-	}
-	return meshSystem(cfg, "nvfi-mesh", platform.Uniform(n, platform.MaxPoint(platform.DefaultDVFSTable())),
-		mapping, sched.DefaultStealing)
+	return assign, nil
+}
+
+// MeshMapping is the min-distance thread mapping of a mesh system whose
+// threads are grouped by assign: the design-time decision NVFIMeshMapped
+// and VFIMesh make.
+func MeshMapping(cfg BuildConfig, assign []int, traffic [][]float64) (place.Mapping, error) {
+	return place.MapThreadsMinDistance(cfg.Chip, assign, traffic, cfg.Place.Seed, cfg.Place.MappingSweeps)
+}
+
+// NVFIMeshPlaced builds NVFIMeshMapped's system from its mapping (a
+// MeshMapping of BaselineAssign) and the chip's XY routes (MeshRoutes):
+// nothing is planned.
+func NVFIMeshPlaced(cfg BuildConfig, mapping place.Mapping, routes *noc.RouteTable) *System {
+	return newSystem(cfg, "nvfi-mesh", nvfiVFI(cfg), mapping, routes, sched.DefaultStealing)
 }
 
 // VFIMesh builds a VFI system on the conventional mesh: threads of island j
@@ -127,11 +160,25 @@ func VFIMesh(cfg BuildConfig, vfi platform.VFIConfig, traffic [][]float64) (*Sys
 	if err := vfi.Validate(); err != nil {
 		return nil, fmt.Errorf("sim: VFI mesh config: %w", err)
 	}
-	mapping, err := place.MapThreadsMinDistance(cfg.Chip, vfi.Assign, traffic, cfg.Place.Seed, cfg.Place.MappingSweeps)
+	mapping, err := MeshMapping(cfg, vfi.Assign, traffic)
 	if err != nil {
 		return nil, err
 	}
-	return meshSystem(cfg, "vfi-mesh", vfi, mapping, sched.CapVFI)
+	routes, err := MeshRoutes(cfg)
+	if err != nil {
+		return nil, err
+	}
+	return VFIMeshPlaced(cfg, vfi, mapping, routes)
+}
+
+// VFIMeshPlaced builds VFIMesh's system from its mapping (the MeshMapping
+// of vfi.Assign) and the chip's XY routes (MeshRoutes): nothing is
+// planned.
+func VFIMeshPlaced(cfg BuildConfig, vfi platform.VFIConfig, mapping place.Mapping, routes *noc.RouteTable) (*System, error) {
+	if err := vfi.Validate(); err != nil {
+		return nil, fmt.Errorf("sim: VFI mesh config: %w", err)
+	}
+	return newSystem(cfg, "vfi-mesh", vfi, mapping, routes, sched.CapVFI), nil
 }
 
 // VFIWiNoC builds the proposed system: small-world wireline fabric with
@@ -140,7 +187,14 @@ func VFIMesh(cfg BuildConfig, vfi platform.VFIConfig, traffic [][]float64) (*Sys
 // the modified stealing policy. It plans the placement (PlanWiNoC) and
 // builds the system from it (VFIWiNoCPlaced).
 func VFIWiNoC(cfg BuildConfig, vfi platform.VFIConfig, traffic [][]float64, strategy Strategy) (*System, error) {
-	p, err := PlanWiNoC(cfg, vfi, traffic, strategy)
+	var mesh place.Mapping
+	if strategy == MinHop {
+		var err error
+		if mesh, err = MeshMapping(cfg, vfi.Assign, traffic); err != nil {
+			return nil, err
+		}
+	}
+	p, err := PlanWiNoC(cfg, vfi, traffic, strategy, mesh)
 	if err != nil {
 		return nil, err
 	}
@@ -148,14 +202,16 @@ func VFIWiNoC(cfg BuildConfig, vfi platform.VFIConfig, traffic [][]float64, stra
 }
 
 // PlanWiNoC runs the strategy's design-time planning — thread mapping and
-// WI placement — and returns the decision alone.
-func PlanWiNoC(cfg BuildConfig, vfi platform.VFIConfig, traffic [][]float64, strategy Strategy) (place.Placement, error) {
+// WI placement — and returns the decision alone. Min-hop planning starts
+// from mesh, the MeshMapping of vfi's islands (VFIMesh's); max-wireless
+// maps the threads around its WIs and ignores mesh.
+func PlanWiNoC(cfg BuildConfig, vfi platform.VFIConfig, traffic [][]float64, strategy Strategy, mesh place.Mapping) (place.Placement, error) {
 	if err := vfi.Validate(); err != nil {
 		return place.Placement{}, fmt.Errorf("sim: VFI WiNoC config: %w", err)
 	}
 	switch strategy {
 	case MinHop:
-		return place.PlanMinHop(cfg.Chip, vfi.Assign, traffic, winocOptions(cfg))
+		return place.PlanMinHopFrom(cfg.Chip, vfi.Assign, traffic, mesh, winocOptions(cfg))
 	case MaxWireless:
 		return place.PlanMaxWireless(cfg.Chip, vfi.Assign, traffic, winocOptions(cfg))
 	}

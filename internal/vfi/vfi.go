@@ -28,10 +28,19 @@ import (
 	"fmt"
 	"sort"
 
+	"wivfi/internal/obs"
 	"wivfi/internal/platform"
 	"wivfi/internal/qp"
 	"wivfi/internal/stats"
 )
+
+// MetricClusterCalls counts clustering solves (Cluster calls), the
+// expensive step of Design. A design-cache hit reuses the stored
+// clustering, and a margin-only variant of a design reuses its clustering
+// through DesignClustered, so neither adds here.
+const MetricClusterCalls = "vfi.cluster.calls"
+
+var clusterCalls = obs.NewCounter(MetricClusterCalls)
 
 // Options configures the design flow.
 type Options struct {
@@ -155,6 +164,7 @@ func Cluster(p platform.Profile, opts Options) ([]int, float64, error) {
 	if err != nil {
 		return nil, 0, err
 	}
+	clusterCalls.Add(1)
 	sol, err := qp.Solve(prob, opts.Anneal)
 	if err != nil {
 		return nil, 0, err
@@ -289,11 +299,32 @@ func Reassign(cfg platform.VFIConfig, p platform.Profile, opts Options) (platfor
 	return out, bottlenecks, raised, homog
 }
 
-// Design runs the complete Fig. 3 flow on one profile.
+// Design runs the complete Fig. 3 flow on one profile: Cluster, then
+// DesignClustered.
 func Design(p platform.Profile, opts Options) (Plan, error) {
 	assign, cost, err := Cluster(p, opts)
 	if err != nil {
 		return Plan{}, err
+	}
+	return DesignClustered(p, assign, cost, opts)
+}
+
+// DesignClustered runs the flow's steps after clustering on Cluster's
+// result (assign, cost): V/F assignment and bottleneck re-assignment. The
+// clustering reads neither FreqMargin, Table nor the bottleneck
+// thresholds, so a plan's own VFI1.Assign and ClusterCost serve every
+// variant of its options that differs only there.
+func DesignClustered(p platform.Profile, assign []int, cost float64, opts Options) (Plan, error) {
+	if err := p.Validate(); err != nil {
+		return Plan{}, err
+	}
+	if len(assign) != p.NumCores() {
+		return Plan{}, fmt.Errorf("vfi: %d assignments for %d cores", len(assign), p.NumCores())
+	}
+	for core, isl := range assign {
+		if isl < 0 || isl >= opts.NumIslands {
+			return Plan{}, fmt.Errorf("vfi: core %d in island %d of %d", core, isl, opts.NumIslands)
+		}
 	}
 	vfi1 := platform.VFIConfig{Assign: assign, Points: AssignVF(p, assign, opts)}
 	if err := vfi1.Validate(); err != nil {
