@@ -5,7 +5,10 @@
 //     path (Dijkstra), XY dimension-order (minimal and deadlock-free on the
 //     mesh), and up*/down* (deadlock-free on arbitrary graphs, used for the
 //     irregular small-world WiNoC — constrained shortest path over a BFS
-//     spanning tree);
+//     spanning tree). Its search states form a DAG, so the search is one
+//     linear pass over them in topological order; a source whose pass
+//     meets a near-tie re-runs on the Dijkstra heap, which decides such
+//     ties, so every route is the one Dijkstra picks (see search);
 //   - an analytic model (latency = routed path cycles inflated by an M/D/1
 //     style contention factor per link, plus wormhole serialization) used
 //     for full-application sweeps;
@@ -330,11 +333,15 @@ type graph struct {
 	// up is the up*/down* direction of each entry (see newGraph); nil for
 	// unconstrained search.
 	up []bool
+	// order lists the 2n up*/down* search states in an order every entry
+	// points forward in (see sweepSearch); nil for unconstrained search.
+	order []int32
 }
 
 // newGraph flattens a validated topology for routing under mode. For
 // UpDown every entry is classified as "up" or "down" from BFS levels
-// rooted at switch 0, ties broken by lower id.
+// rooted at switch 0, ties broken by lower id: u->v is up iff
+// key(v) < key(u), with key = (level, id).
 func newGraph(t *topo.Topology, costs LinkCosts, mode RoutingMode) *graph {
 	n := t.NumSwitches()
 	g := &graph{n: n, off: make([]int, n+1)}
@@ -388,7 +395,72 @@ func newGraph(t *topo.Topology, costs LinkCosts, mode RoutingMode) *graph {
 			g.up[e] = level[v] < level[u] || (level[v] == level[u] && v < u)
 		}
 	}
+	// Bucket the switches by level, ascending id within a level, into the
+	// phase-1 half of order: ascending key. The phase-0 half is the same
+	// switches in descending key. The spent BFS queue holds each level's
+	// next free slot.
+	next := queue[:level[queue[n-1]]+1]
+	clear(next)
+	for _, l := range level {
+		next[l]++
+	}
+	slot := 0
+	for l, count := range next {
+		next[l], slot = slot, slot+count
+	}
+	g.order = make([]int32, 2*n)
+	for u, l := range level {
+		g.order[n+next[l]] = int32(n + u)
+		next[l]++
+	}
+	for i := 0; i < n; i++ {
+		g.order[n-1-i] = g.order[n+i] - int32(n)
+	}
 	return g
+}
+
+// tieTol is the search's tie band: a candidate cost within tieTol of a
+// state's best is a tie, which the (prevState, prevEdge) tie-break decides.
+const tieTol = 1e-12
+
+// relax offers state ns the candidate cost c, reached from state s over
+// entry e. The candidate wins when it undercuts dist[ns] by more than
+// tieTol, or when it ties within tieTol and (s, e) precedes the recorded
+// (prevState, prevEdge); relax then records it and reports true. It is the
+// one relax rule of both the heap search and the up*/down* sweep.
+func relax(dist []float64, prevState, prevEdge []int, ns int, c float64, s, e int) bool {
+	d := dist[ns]
+	if c < d-tieTol || (math.Abs(c-d) <= tieTol && prevState[ns] != -1 &&
+		(s < prevState[ns] || (s == prevState[ns] && e < prevEdge[ns]))) {
+		dist[ns] = c
+		prevState[ns] = s
+		prevEdge[ns] = e
+		return true
+	}
+	return false
+}
+
+// MetricUpDownHeapFallbacks counts up*/down* source searches whose
+// topological sweep met a near-tie (a relaxation that is not clean) and
+// re-ran on the heap (see search).
+const MetricUpDownHeapFallbacks = "noc.updown.heap_fallbacks"
+
+var heapFallbacks = obs.NewCounter(MetricUpDownHeapFallbacks)
+
+// sweepable reports whether search may run g's up*/down* sweep under the
+// per-entry costs cost: g is an up*/down* graph and every cost is finite
+// and above the tie band. search's exactness argument needs
+// fl(d+cost) >= d along every path, which such costs give.
+func (g *graph) sweepable(cost []float64) bool {
+	if g.up == nil {
+		return false
+	}
+	for _, c := range cost {
+		if !(c > tieTol && c <= math.MaxFloat64) {
+			return false
+		}
+	}
+	return true
 }
 
 // search runs the constrained shortest-path search from src over g with
@@ -398,33 +470,133 @@ func newGraph(t *topo.Topology, costs LinkCosts, mode RoutingMode) *graph {
 // phase 0 may take up or down links (down moves to phase 1), phase 1 may
 // only take down links. States are encoded as node + phase*n. prevEdge
 // holds graph entries; entries of one node share its offset, so comparing
-// them in the tie-break compares adjacency indices. It is the one relax
-// loop behind BuildRoutes, RefineRoutes and RoutedAvgHops, so none of
-// them can disagree with another on a tie.
-func search(g *graph, cost []float64, src int, scr *dijkstraScratch) int {
-	n := g.n
-	numStates := n
+// them in the tie-break compares adjacency indices. It is the one search
+// behind BuildRoutes, RefineRoutes and RoutedAvgHops, so none of them can
+// disagree with another on a tie.
+//
+// sweep must be g.sweepable(cost). The up*/down* state graph is then a DAG
+// that sweepSearch relaxes in one pass over g.order; otherwise, and in
+// Shortest mode, search is Dijkstra over a lazy (cost, state) heap. The
+// two share relax, and they agree whenever the sweep finishes:
+//
+// Call a state's candidates the costs fl(dist[u]+cost[e]) its reached
+// predecessors u offer. The sweep offers each state all of them from the
+// predecessors' final costs, since every predecessor comes first in
+// g.order. It aborts on any relaxation that is not clean (see clean), so
+// a finished sweep leaves each state at its least candidate m, with the
+// least (s, e) offering exactly m, and m clean against every other
+// candidate: each candidate above m was beaten by, or lost to, a best
+// that m in turn cleanly beat, and cleanness against a value carries over
+// to every higher one. In any order, then, a candidate above m loses to m
+// and m beats it, so the result is order-free. The heap reaches the same
+// one. Induct on its pops: a state never pops before its dist reaches m,
+// for until then its heap entries are candidates above m, while the first
+// unpopped state on its chain of best predecessors waits in the heap at a
+// cost no greater than m (costs are positive, so fl(d+cost) >= d along the
+// chain). Once at m a dist moves no more. So each popped state relaxes its
+// successors from its final cost, and every state is offered the sweep's
+// candidates. A source whose sweep aborts re-runs on the heap, counted in
+// MetricUpDownHeapFallbacks.
+func search(g *graph, cost []float64, src int, sweep bool, scr *dijkstraScratch) int {
+	numStates := g.n
 	if g.up != nil {
-		numStates = 2 * n
+		numStates = 2 * g.n
 	}
+	scr.reset(src, numStates)
+	if sweep {
+		if sweepSearch(g, cost, scr) {
+			return numStates
+		}
+		heapFallbacks.Add(1)
+		scr.reset(src, numStates)
+	}
+	heapSearch(g, cost, src, scr)
+	return numStates
+}
+
+// reset sizes scr's arrays to numStates and clears them for a search
+// from src.
+func (scr *dijkstraScratch) reset(src, numStates int) {
 	if cap(scr.dist) < numStates {
 		scr.dist = make([]float64, numStates)
 		scr.prevState = make([]int, numStates)
 		scr.prevEdge = make([]int, numStates)
 		scr.done = make([]bool, numStates)
 	}
-	dist := scr.dist[:numStates]
-	prevState := scr.prevState[:numStates]
-	prevEdge := scr.prevEdge[:numStates]
-	done := scr.done[:numStates]
-	for i := range dist {
-		dist[i] = math.Inf(1)
-		prevState[i] = -1
-		prevEdge[i] = -1
-		done[i] = false
+	scr.dist = scr.dist[:numStates]
+	scr.prevState = scr.prevState[:numStates]
+	scr.prevEdge = scr.prevEdge[:numStates]
+	for i := range scr.dist {
+		scr.dist[i] = math.Inf(1)
+		scr.prevState[i] = -1
+		scr.prevEdge[i] = -1
 	}
-	up := g.up
-	dist[src] = 0 // phase 0
+	scr.dist[src] = 0 // phase 0
+}
+
+// clean reports whether relax decides candidate c against best d by plain
+// order: c == d, or the lower lo and higher hi of the two lie more than
+// tieTol apart under both of relax's rounded tests (hi-lo > tieTol, so no
+// tie, and lo < hi-tieTol, so lo wins). relax then takes c exactly when
+// c < d and consults the tie-break exactly when c == d. Both tests only
+// get easier as hi rises, so lo stays clean against every value above hi.
+func clean(c, d float64) bool {
+	if c == d {
+		return true
+	}
+	lo, hi := c, d
+	if c > d {
+		lo, hi = d, c
+	}
+	return hi-lo > tieTol && lo < hi-tieTol
+}
+
+// sweepSearch relaxes every reached up*/down* state once, in g.order:
+// phase-0 states by descending (BFS level, id), then phase-1 states by
+// ascending key. An up entry lowers the key within phase 0, a down entry
+// from phase 0 enters phase 1 and one within phase 1 raises the key, so
+// every entry points forward in that order. It returns false, leaving
+// the arrays partial, on a relaxation that is not clean: there the
+// heap's result may depend on its pop order.
+func sweepSearch(g *graph, cost []float64, scr *dijkstraScratch) bool {
+	n, up, to, off := g.n, g.up, g.to, g.off
+	dist, prevState, prevEdge := scr.dist, scr.prevState, scr.prevEdge
+	for _, s32 := range g.order {
+		s := int(s32)
+		ds := dist[s]
+		if math.IsInf(ds, 1) {
+			continue // not reached from src
+		}
+		node, descended := s, false
+		if s >= n {
+			node, descended = s-n, true
+		}
+		for e, end := off[node], off[node+1]; e < end; e++ {
+			ns := to[e]
+			if up[e] {
+				if descended {
+					continue // cannot go up after going down
+				}
+			} else {
+				ns += n
+			}
+			c := ds + cost[e]
+			if !clean(c, dist[ns]) {
+				return false
+			}
+			relax(dist, prevState, prevEdge, ns, c, s, e)
+		}
+	}
+	return true
+}
+
+// heapSearch is Dijkstra from src over a lazy (cost, state) heap, on
+// arrays reset for src.
+func heapSearch(g *graph, cost []float64, src int, scr *dijkstraScratch) {
+	n, up := g.n, g.up
+	dist, prevState, prevEdge := scr.dist, scr.prevState, scr.prevEdge
+	done := scr.done[:len(dist)]
+	clear(done)
 	q := append(scr.heap[:0], pqItem{state: src})
 	for len(q) > 0 {
 		var it pqItem
@@ -451,18 +623,12 @@ func search(g *graph, cost []float64, src int, scr *dijkstraScratch) int {
 				}
 			}
 			c := ds + cost[e]
-			if c < dist[ns]-1e-12 ||
-				(math.Abs(c-dist[ns]) <= 1e-12 && prevState[ns] != -1 &&
-					(s < prevState[ns] || (s == prevState[ns] && e < prevEdge[ns]))) {
-				dist[ns] = c
-				prevState[ns] = s
-				prevEdge[ns] = e
+			if relax(dist, prevState, prevEdge, ns, c, s, e) {
 				q = pqPush(q, pqItem{state: ns, cost: c})
 			}
 		}
 	}
 	scr.heap = q[:0]
-	return numStates
 }
 
 // terminal returns the search state that ends the route to dst after a
@@ -500,10 +666,11 @@ func (rt *RouteTable) solve(cost []float64) error {
 	g := rt.g
 	n := g.n
 	var scr dijkstraScratch
+	sweep := g.sweepable(cost)
 	rt.hopOff = make([]int32, n*n+1)
 	var hop []int32
 	for src := 0; src < n; src++ {
-		numStates := search(g, cost, src, &scr)
+		numStates := search(g, cost, src, sweep, &scr)
 		total := 0
 		for dst := 0; dst < n; dst++ {
 			if dst == src {
@@ -594,9 +761,10 @@ func RoutedAvgHops(t *topo.Topology, costs LinkCosts, mode RoutingMode, traffic 
 	g := newGraph(t, costs, mode)
 	n := g.n
 	var scr dijkstraScratch
+	sweep := g.sweepable(g.cost)
 	var num, den float64
 	for src := 0; src < n; src++ {
-		numStates := search(g, g.cost, src, &scr)
+		numStates := search(g, g.cost, src, sweep, &scr)
 		for dst := 0; dst < n; dst++ {
 			if dst == src {
 				continue
@@ -682,8 +850,9 @@ func RefineRoutes(rt *RouteTable, traffic [][]float64, iterations int, maxUtil f
 			break
 		}
 		clear(load)
+		sweep := g.sweepable(cost)
 		for src := 0; src < n; src++ {
-			numStates := search(g, cost, src, &scr)
+			numStates := search(g, cost, src, sweep, &scr)
 			for dst := 0; dst < n; dst++ {
 				if dst == src {
 					continue

@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"io/fs"
 	"os"
 	"sync"
@@ -113,10 +114,21 @@ func (j *Journal) Close() error {
 	return j.f.Close()
 }
 
+// completed reports whether r records a scenario's outcome: an error, or
+// the results of a run (every run takes positive time). A line that only
+// names its key, such as {"schema":1,"key":K}, is not an outcome.
+func (r Record) completed() bool {
+	return r.Error != "" || r.ExecSeconds > 0
+}
+
 // LoadJournal reads a journal into a key->record map. A missing file is an
 // empty journal. Unparsable lines (torn final write of a killed run),
-// blank lines and schema-mismatched records are skipped; duplicate keys
-// resolve last-wins, so a re-run record supersedes an earlier one.
+// blank lines, schema-mismatched records and records that are not
+// completed are skipped. The first completed record of a key wins: Run
+// never re-runs a journaled key and scenarios are deterministic, so a
+// later line for the same key is a duplicate or foreign, and cannot
+// replace the outcome already loaded. A line over the 4 MiB scanner limit
+// is an error, not a skip, so no later record is silently lost.
 func LoadJournal(path string) (map[string]Record, error) {
 	f, err := os.Open(path)
 	if err != nil {
@@ -126,8 +138,13 @@ func LoadJournal(path string) (map[string]Record, error) {
 		return nil, fmt.Errorf("sweep: opening journal: %w", err)
 	}
 	defer f.Close()
+	return readJournal(f)
+}
+
+// readJournal is LoadJournal on an open journal.
+func readJournal(r io.Reader) (map[string]Record, error) {
 	recs := map[string]Record{}
-	sc := bufio.NewScanner(f)
+	sc := bufio.NewScanner(r)
 	sc.Buffer(make([]byte, 0, 64*1024), 4*1024*1024)
 	for sc.Scan() {
 		line := sc.Bytes()
@@ -138,10 +155,12 @@ func LoadJournal(path string) (map[string]Record, error) {
 		if err := json.Unmarshal(line, &rec); err != nil {
 			continue // torn or foreign line
 		}
-		if rec.Schema != JournalSchemaVersion || rec.Key == "" {
+		if rec.Schema != JournalSchemaVersion || rec.Key == "" || !rec.completed() {
 			continue
 		}
-		recs[rec.Key] = rec
+		if _, dup := recs[rec.Key]; !dup {
+			recs[rec.Key] = rec
+		}
 	}
 	if err := sc.Err(); err != nil {
 		return nil, fmt.Errorf("sweep: reading journal: %w", err)

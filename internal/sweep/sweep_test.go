@@ -232,9 +232,9 @@ func TestJournalRoundTripAndTolerance(t *testing.T) {
 		t.Fatal(err)
 	}
 	recs := []Record{
-		{Key: "aaa", App: "wc", EDPRatio: 0.5},
+		{Key: "aaa", App: "wc", ExecSeconds: 1, EDPRatio: 0.5},
 		{Key: "bbb", App: "mm", Error: "boom"},
-		{Key: "aaa", App: "wc", EDPRatio: 0.75}, // supersedes the first
+		{Key: "aaa", App: "wc", ExecSeconds: 1, EDPRatio: 0.75}, // cannot replace the first
 	}
 	for _, r := range recs {
 		if err := j.Append(r); err != nil {
@@ -244,10 +244,13 @@ func TestJournalRoundTripAndTolerance(t *testing.T) {
 	if err := j.Close(); err != nil {
 		t.Fatal(err)
 	}
-	// torn final line + foreign junk + schema mismatch must all be skipped
+	// torn final line + foreign junk + schema mismatch + records with no
+	// outcome must all be skipped
 	f, _ := os.OpenFile(path, os.O_APPEND|os.O_WRONLY, 0o644)
 	fmt.Fprintln(f, "not json at all")
 	fmt.Fprintln(f, `{"schema":99,"key":"ccc"}`)
+	fmt.Fprintln(f, `{"schema":1,"key":"bbb"}`)
+	fmt.Fprintln(f, `{"schema":1,"key":"eee"}`)
 	fmt.Fprint(f, `{"schema":1,"key":"ddd","app":"trunc`)
 	f.Close()
 	got, err := LoadJournal(path)
@@ -257,8 +260,8 @@ func TestJournalRoundTripAndTolerance(t *testing.T) {
 	if len(got) != 2 {
 		t.Fatalf("loaded %d records, want 2: %+v", len(got), got)
 	}
-	if got["aaa"].EDPRatio != 0.75 {
-		t.Fatalf("duplicate key not last-wins: %+v", got["aaa"])
+	if got["aaa"].EDPRatio != 0.5 {
+		t.Fatalf("duplicate key replaced the first completed record: %+v", got["aaa"])
 	}
 	if got["bbb"].Error != "boom" {
 		t.Fatalf("error record lost: %+v", got["bbb"])
