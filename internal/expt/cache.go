@@ -9,6 +9,7 @@ import (
 	"io/fs"
 	"os"
 	"path/filepath"
+	"slices"
 	"sync/atomic"
 
 	"wivfi/internal/obs"
@@ -16,24 +17,24 @@ import (
 	"wivfi/internal/vfi"
 )
 
-// The design cache persists the two expensive, simulation-independent
-// artifacts of a pipeline — the profiling run's platform.Profile and the
-// vfi.Plan — keyed by a hash of the full experiment Config plus the
-// benchmark name. Everything downstream (baseline and VFI system runs) is
-// deterministic given those artifacts, so a cache hit reproduces the exact
-// pipeline while skipping the probe simulation and the clustering anneal.
+// The design cache persists the expensive, simulation-independent design
+// of a pipeline — the profiling run's platform.Profile, the vfi.Plan and
+// the plan store's stored decisions (see plans.go) — as one JSON file,
+// <cacheDir>/<app>-<key>.json, keyed by a hash of the full experiment
+// Config plus the benchmark name. Everything downstream (baseline and VFI
+// system runs) is deterministic given those artifacts, so a cache hit
+// reproduces the exact pipeline while skipping the probe simulation, the
+// clustering anneal and every mapping and WI-placement anneal it stored.
 //
 // Invalidation is purely key-based: any change to the Config (platform,
 // models, VFI options) or to the schema version below produces a new key,
 // and stale entries are simply never read again. Deleting the cache
 // directory is always safe.
-//
-// An entry may also hold placements.json, the pipeline's stored
-// design-time decisions (see plans.go).
 
-// cacheSchemaVersion is folded into every cache key; bump it when the
-// meaning of the cached artifacts changes (e.g. the profile definition or
-// the design flow itself).
+// cacheSchemaVersion is folded into every cache key and is the version of
+// every entry file; bump it when the meaning of the cached artifacts
+// changes (e.g. the profile definition, the design flow itself or the
+// meaning of a stored decision).
 const cacheSchemaVersion = 1
 
 // Metric names registered below. Declared constants (enforced by
@@ -61,8 +62,8 @@ const (
 	cacheMiss cacheOutcome = iota
 	// cacheHit: the full entry loaded and validated.
 	cacheHit
-	// cacheCorrupt: an entry existed but was unreadable, incomplete or
-	// schema-mismatched; it has been evicted from disk.
+	// cacheCorrupt: an entry existed but failed a check of readEntry; it
+	// has been evicted from disk.
 	cacheCorrupt
 )
 
@@ -102,18 +103,17 @@ type CacheStats struct {
 	CorruptEvicted int64
 }
 
-// planMeta is the on-disk schema for the vfi.Plan fields that are not
-// covered by the two VFIConfig files.
-type planMeta struct {
-	Version            int     `json:"version"`
-	Bottlenecks        []int   `json:"bottlenecks"`
-	RaisedIslands      []int   `json:"raised_islands"`
-	ClusterCost        float64 `json:"cluster_cost"`
-	HomogeneousPattern bool    `json:"homogeneous_pattern"`
+// designEntry is the on-disk schema of one entry file. Plans are sorted by
+// key, so equal decision sets write equal bytes.
+type designEntry struct {
+	Version int              `json:"version"`
+	Profile platform.Profile `json:"profile"`
+	Plan    vfi.Plan         `json:"plan"`
+	Plans   []planRecord     `json:"plans"`
 }
 
 // cacheKey hashes the configuration and benchmark name into the cache
-// entry's directory name. Config is a tree of plain structs, so its JSON
+// entry's file name. Config is a tree of plain structs, so its JSON
 // form is canonical (struct fields encode in declaration order). The
 // optional extras salt the key for request dimensions that live outside
 // the design-cache Config (the serving layer's governor knobs); with no
@@ -132,73 +132,83 @@ func cacheKey(cfg Config, appName string, extras ...string) (string, error) {
 	return hex.EncodeToString(sum[:16]), nil
 }
 
-// entryDir is the directory holding one cache entry's files.
-func entryDir(cacheDir string, cfg Config, appName string) (string, error) {
+// entryPath is the file holding one cache entry.
+func entryPath(cacheDir string, cfg Config, appName string) (string, error) {
 	key, err := cacheKey(cfg, appName)
 	if err != nil {
 		return "", err
 	}
-	return filepath.Join(cacheDir, appName+"-"+key), nil
+	return filepath.Join(cacheDir, appName+"-"+key+".json"), nil
 }
 
-// loadDesign returns the cached (profile, plan) for the key plus the
-// outcome class. An absent entry is a clean miss; a present-but-damaged
-// entry (unreadable file, incomplete write, schema mismatch, validation
-// failure) is classified corrupt and evicted from disk so the rebuilt
-// design is rewritten into a clean slot. Damage is never an error — it
-// only costs recomputation.
-func loadDesign(cacheDir string, cfg Config, appName string) (platform.Profile, vfi.Plan, cacheOutcome) {
-	dir, err := entryDir(cacheDir, cfg, appName)
+// loadDesign returns the cached entry for the key plus the outcome class.
+// An absent file is a clean miss; a file that readEntry rejects is
+// classified corrupt and evicted from disk, so the rebuilt design is
+// written into a clean slot. Damage is never an error — it only costs a
+// cold rebuild.
+func loadDesign(cacheDir string, cfg Config, appName string) (designEntry, cacheOutcome) {
+	path, err := entryPath(cacheDir, cfg, appName)
 	if err != nil {
-		return platform.Profile{}, vfi.Plan{}, cacheMiss
+		return designEntry{}, cacheMiss
 	}
-	// The profile is written first and read first: if it does not exist
-	// the entry was never (fully) created — a clean miss. Any later
-	// failure means a damaged entry.
-	corrupt := func() (platform.Profile, vfi.Plan, cacheOutcome) {
-		os.RemoveAll(dir) // best effort; a read-only cache just stays damaged
-		return platform.Profile{}, vfi.Plan{}, cacheCorrupt
+	e, err := readEntry(path, cfg)
+	switch {
+	case err == nil:
+		return e, cacheHit
+	case errors.Is(err, fs.ErrNotExist):
+		return designEntry{}, cacheMiss
 	}
-	prof, err := platform.LoadProfile(filepath.Join(dir, "profile.json"))
+	os.Remove(path) // best effort; a read-only cache just stays damaged
+	return designEntry{}, cacheCorrupt
+}
+
+// readEntry reads and checks the entry file at path: its version, the
+// profile and both VFI configs on their own, their shape against cfg
+// (fitsConfig), and every stored decision, of which no key may appear
+// twice and each must fit the entry's own VFI 2 islands (checkDecision).
+func readEntry(path string, cfg Config) (designEntry, error) {
+	raw, err := os.ReadFile(path)
 	if err != nil {
-		if errors.Is(err, fs.ErrNotExist) {
-			return platform.Profile{}, vfi.Plan{}, cacheMiss
+		return designEntry{}, err
+	}
+	var e designEntry
+	if err := json.Unmarshal(raw, &e); err != nil {
+		return designEntry{}, err
+	}
+	if e.Version != cacheSchemaVersion {
+		return designEntry{}, fmt.Errorf("expt: cache entry version %d, want %d", e.Version, cacheSchemaVersion)
+	}
+	if err := e.Profile.Validate(); err != nil {
+		return designEntry{}, err
+	}
+	for _, v := range []platform.VFIConfig{e.Plan.VFI1, e.Plan.VFI2} {
+		if err := v.Validate(); err != nil {
+			return designEntry{}, err
 		}
-		return corrupt()
 	}
-	vfi1, err := platform.LoadVFIConfig(filepath.Join(dir, "vfi1.json"))
-	if err != nil {
-		return corrupt()
+	if !fitsConfig(cfg, e.Profile, e.Plan) {
+		return designEntry{}, fmt.Errorf("expt: cache entry shaped for another chip")
 	}
-	vfi2, err := platform.LoadVFIConfig(filepath.Join(dir, "vfi2.json"))
-	if err != nil {
-		return corrupt()
+	seen := map[string]bool{}
+	for _, rec := range e.Plans {
+		id, err := rec.id()
+		if err != nil {
+			return designEntry{}, err
+		}
+		if seen[id] {
+			return designEntry{}, fmt.Errorf("expt: cache entry holds %s twice", id)
+		}
+		seen[id] = true
+		if _, err := checkDecision(cfg.Build.Chip, e.Plan.VFI2, rec); err != nil {
+			return designEntry{}, err
+		}
 	}
-	raw, err := os.ReadFile(filepath.Join(dir, "plan.json"))
-	if err != nil {
-		return corrupt()
-	}
-	var meta planMeta
-	if err := json.Unmarshal(raw, &meta); err != nil || meta.Version != cacheSchemaVersion {
-		return corrupt()
-	}
-	plan := vfi.Plan{
-		VFI1:               vfi1,
-		VFI2:               vfi2,
-		Bottlenecks:        meta.Bottlenecks,
-		RaisedIslands:      meta.RaisedIslands,
-		ClusterCost:        meta.ClusterCost,
-		HomogeneousPattern: meta.HomogeneousPattern,
-	}
-	if !fitsConfig(cfg, prof, plan) {
-		return corrupt()
-	}
-	return prof, plan, cacheHit
+	return e, nil
 }
 
 // fitsConfig reports whether a loaded design has the shape cfg asks for:
 // cfg's core count in the profile and both VFI configs, cfg's island count
-// in both, and bottleneck cores and raised islands in range. Each file
+// in both, and bottleneck cores and raised islands in range. Each part
 // validates alone, so a design shaped for another chip would count as a
 // hit and fail every later build of its key; it is damage instead.
 func fitsConfig(cfg Config, prof platform.Profile, plan vfi.Plan) bool {
@@ -224,61 +234,67 @@ func fitsConfig(cfg Config, prof platform.Profile, plan vfi.Plan) bool {
 	return true
 }
 
-// saveDesign writes one cache entry, best-effort: it returns the first
-// error for observability (tests, logging) but callers may ignore it — a
-// failed write only costs future recomputation.
+// saveDesign writes one cache entry holding prof, plan and recs,
+// best-effort: it returns the first error for observability (tests,
+// logging) but callers may ignore it — a failed write only costs future
+// recomputation.
 //
-// The entry is crash-safe and race-safe as a unit: all four files are
-// written into a hidden temp directory which is then renamed into place,
-// so a reader can never observe a partially written entry (a crash leaves
-// only an ignored .tmp-* directory) and concurrent writers of the same key
-// race on the final rename — the loser detects the winner's entry, which
-// holds identical content, and quietly discards its own.
-func saveDesign(cacheDir string, cfg Config, appName string, prof platform.Profile, plan vfi.Plan) error {
-	dir, err := entryDir(cacheDir, cfg, appName)
+// The entry is first merged with the decisions of the file already there
+// that recs does not hold, so the records another writer stored are kept;
+// two writers whose saves interleave can still drop each other's newest
+// records, which the next run then makes again. The file is written into
+// a temp file in cacheDir that is then renamed into place, so a reader
+// sees the old entry or the new one, never a torn write, and a crash
+// leaves only an ignored .tmp-* file.
+func saveDesign(cacheDir string, cfg Config, appName string, prof platform.Profile, plan vfi.Plan, recs []planRecord) error {
+	path, err := entryPath(cacheDir, cfg, appName)
+	if err != nil {
+		return err
+	}
+	if old, err := readEntry(path, cfg); err == nil {
+		recs = slices.Concat(recs, old.Plans)
+	}
+	byID := map[string]planRecord{}
+	var ids []string
+	for _, rec := range recs {
+		id, err := rec.id()
+		if err != nil {
+			return err
+		}
+		if _, ok := byID[id]; !ok {
+			byID[id] = rec
+			ids = append(ids, id)
+		}
+	}
+	slices.Sort(ids)
+	e := designEntry{Version: cacheSchemaVersion, Profile: prof, Plan: plan, Plans: make([]planRecord, len(ids))}
+	for i, id := range ids {
+		e.Plans[i] = byID[id]
+	}
+	blob, err := json.Marshal(e)
 	if err != nil {
 		return err
 	}
 	if err := os.MkdirAll(cacheDir, 0o755); err != nil {
 		return err
 	}
-	tmp, err := os.MkdirTemp(cacheDir, ".tmp-"+filepath.Base(dir)+"-*")
+	tmp, err := os.CreateTemp(cacheDir, ".tmp-"+filepath.Base(path)+"-*")
 	if err != nil {
 		return err
 	}
-	defer os.RemoveAll(tmp)
-	if err := platform.SaveProfile(filepath.Join(tmp, "profile.json"), prof); err != nil {
+	defer os.Remove(tmp.Name())
+	if err := tmp.Chmod(0o644); err != nil {
+		tmp.Close()
 		return err
 	}
-	if err := platform.SaveVFIConfig(filepath.Join(tmp, "vfi1.json"), plan.VFI1); err != nil {
+	if _, err := tmp.Write(blob); err != nil {
+		tmp.Close()
 		return err
 	}
-	if err := platform.SaveVFIConfig(filepath.Join(tmp, "vfi2.json"), plan.VFI2); err != nil {
+	if err := tmp.Close(); err != nil {
 		return err
 	}
-	blob, err := json.Marshal(planMeta{
-		Version:            cacheSchemaVersion,
-		Bottlenecks:        plan.Bottlenecks,
-		RaisedIslands:      plan.RaisedIslands,
-		ClusterCost:        plan.ClusterCost,
-		HomogeneousPattern: plan.HomogeneousPattern,
-	})
-	if err != nil {
-		return err
-	}
-	if err := os.WriteFile(filepath.Join(tmp, "plan.json"), blob, 0o644); err != nil {
-		return err
-	}
-	if err := os.Rename(tmp, dir); err != nil {
-		if _, statErr := os.Stat(filepath.Join(dir, "plan.json")); statErr == nil {
-			// A racing writer of the same key won the rename. Its entry was
-			// computed from the same (cfg, app), so the content matches ours
-			// — losing the race is success.
-			return nil
-		}
-		return err
-	}
-	return nil
+	return os.Rename(tmp.Name(), path)
 }
 
 // ConfigHash returns the short hex digest identifying cfg — the same

@@ -1,14 +1,15 @@
 package expt
 
 import (
+	"encoding/json"
 	"os"
-	"path/filepath"
 	"reflect"
 	"strings"
 	"sync"
 	"testing"
 
 	"wivfi/internal/keyaudit"
+	"wivfi/internal/sim"
 )
 
 // TestConfigFieldsReachHash walks expt.Config and every struct it
@@ -21,6 +22,9 @@ func TestConfigFieldsReachHash(t *testing.T) {
 	}
 }
 
+// TestDesignCacheRoundTrip: an entry loads back with the exact profile,
+// plan and decisions it was written with, and its file is 0644 whether it
+// was written cold or rewritten by a later decision.
 func TestDesignCacheRoundTrip(t *testing.T) {
 	s := sharedSuite(t)
 	pl, err := s.Pipeline("mm")
@@ -28,26 +32,56 @@ func TestDesignCacheRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	dir := t.TempDir()
-	if err := saveDesign(dir, s.Config, "mm", pl.Profile, pl.Plan); err != nil {
+	m, err := pl.plans.meshMapping(pl.Plan.VFI2.Assign)
+	if err != nil {
 		t.Fatal(err)
 	}
-	prof, plan, outcome := loadDesign(dir, s.Config, "mm")
+	rec := planRecord{planKey: planKey{Strategy: meshPlan, Assign: pl.Plan.VFI2.Assign}, ThreadToTile: m.ThreadToTile}
+	if err := saveDesign(dir, s.Config, "mm", pl.Profile, pl.Plan, []planRecord{rec}); err != nil {
+		t.Fatal(err)
+	}
+	path, err := entryPath(dir, s.Config, "mm")
+	if err != nil {
+		t.Fatal(err)
+	}
+	wantMode := func(when string) {
+		t.Helper()
+		if fi, err := os.Stat(path); err != nil || fi.Mode() != 0o644 {
+			t.Errorf("entry %s: stat %v, err %v; want mode 0644", when, fi, err)
+		}
+	}
+	wantMode("written cold")
+	e, outcome := loadDesign(dir, s.Config, "mm")
 	if outcome != cacheHit {
 		t.Fatalf("outcome = %v immediately after save, want cacheHit", outcome)
 	}
-	if !reflect.DeepEqual(prof, pl.Profile) {
+	if !reflect.DeepEqual(e.Profile, pl.Profile) {
 		t.Error("profile changed across the cache round trip")
 	}
-	if !reflect.DeepEqual(plan, pl.Plan) {
-		t.Errorf("plan changed across the cache round trip:\nsaved:  %+v\nloaded: %+v", pl.Plan, plan)
+	if !reflect.DeepEqual(e.Plan, pl.Plan) {
+		t.Errorf("plan changed across the cache round trip:\nsaved:  %+v\nloaded: %+v", pl.Plan, e.Plan)
+	}
+	if !reflect.DeepEqual(e.Plans, []planRecord{rec}) {
+		t.Errorf("decisions changed across the cache round trip: %+v", e.Plans)
+	}
+
+	// A later decision rewrites the entry through the plan store.
+	ps := newPlanStore(s.Config.Build, pl.Profile.Traffic, pl.Plan.VFI2, s.xy, entryWriter(dir, s.Config, "mm", pl.Profile, pl.Plan), e.Plans)
+	ps.release(false)
+	if _, _, err := ps.winocPlacement(sim.MaxWireless, s.Config.Build.SmallWorld.KIntra, s.Config.Build.SmallWorld.KInter); err != nil {
+		t.Fatal(err)
+	}
+	wantMode("rewritten by a decision")
+	if e, outcome := loadDesign(dir, s.Config, "mm"); outcome != cacheHit || len(e.Plans) != 2 {
+		t.Errorf("rewritten entry: %v with %d decisions, want a hit with 2", outcome, len(e.Plans))
 	}
 }
 
 // TestConcurrentSaveDesignSameKey races many writers of one cache key —
 // the serving layer's singleflight makes duplicate writes rare but cannot
-// rule them out across processes. Every writer must succeed (losing the
-// rename race is success), the surviving entry must load as a clean hit
-// with the exact artifacts, and no temp directories may leak.
+// rule them out across processes. Every writer must succeed, the surviving
+// entry must load as a clean hit with the exact artifacts, and no temp
+// files may leak.
 func TestConcurrentSaveDesignSameKey(t *testing.T) {
 	s := sharedSuite(t)
 	pl, err := s.Pipeline("mm")
@@ -62,7 +96,7 @@ func TestConcurrentSaveDesignSameKey(t *testing.T) {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			errs[i] = saveDesign(dir, s.Config, "mm", pl.Profile, pl.Plan)
+			errs[i] = saveDesign(dir, s.Config, "mm", pl.Profile, pl.Plan, nil)
 		}(i)
 	}
 	wg.Wait()
@@ -71,11 +105,11 @@ func TestConcurrentSaveDesignSameKey(t *testing.T) {
 			t.Errorf("writer %d: %v", i, err)
 		}
 	}
-	prof, plan, outcome := loadDesign(dir, s.Config, "mm")
+	e, outcome := loadDesign(dir, s.Config, "mm")
 	if outcome != cacheHit {
 		t.Fatalf("outcome = %v after %d racing writers, want cacheHit", outcome, writers)
 	}
-	if !reflect.DeepEqual(prof, pl.Profile) || !reflect.DeepEqual(plan, pl.Plan) {
+	if !reflect.DeepEqual(e.Profile, pl.Profile) || !reflect.DeepEqual(e.Plan, pl.Plan) {
 		t.Error("artifacts damaged by racing writers")
 	}
 	entries, err := os.ReadDir(dir)
@@ -84,7 +118,7 @@ func TestConcurrentSaveDesignSameKey(t *testing.T) {
 	}
 	for _, e := range entries {
 		if strings.HasPrefix(e.Name(), ".tmp-") {
-			t.Errorf("temp directory %s leaked", e.Name())
+			t.Errorf("temp file %s leaked", e.Name())
 		}
 	}
 	if len(entries) != 1 {
@@ -94,8 +128,7 @@ func TestConcurrentSaveDesignSameKey(t *testing.T) {
 
 // TestSaveDesignNeverExposesPartialEntries: while a writer is mid-save, a
 // concurrent reader sees either nothing (miss) or the complete entry (hit)
-// — never the corrupt classification that a torn multi-file write used to
-// produce.
+// — never the corrupt classification a torn write would produce.
 func TestSaveDesignNeverExposesPartialEntries(t *testing.T) {
 	s := sharedSuite(t)
 	pl, err := s.Pipeline("mm")
@@ -114,14 +147,14 @@ func TestSaveDesignNeverExposesPartialEntries(t *testing.T) {
 				return
 			default:
 			}
-			if _, _, outcome := loadDesign(dir, s.Config, "mm"); outcome == cacheCorrupt {
+			if _, outcome := loadDesign(dir, s.Config, "mm"); outcome == cacheCorrupt {
 				t.Error("reader observed a partially written entry")
 				return
 			}
 		}
 	}()
 	for i := 0; i < 8; i++ {
-		if err := saveDesign(dir, s.Config, "mm", pl.Profile, pl.Plan); err != nil {
+		if err := saveDesign(dir, s.Config, "mm", pl.Profile, pl.Plan, nil); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -167,25 +200,25 @@ func TestCorruptCacheEntryIsAMiss(t *testing.T) {
 		t.Fatal(err)
 	}
 	dir := t.TempDir()
-	if err := saveDesign(dir, s.Config, "mm", pl.Profile, pl.Plan); err != nil {
+	if err := saveDesign(dir, s.Config, "mm", pl.Profile, pl.Plan, nil); err != nil {
 		t.Fatal(err)
 	}
-	ed, err := entryDir(dir, s.Config, "mm")
+	path, err := entryPath(dir, s.Config, "mm")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := os.WriteFile(filepath.Join(ed, "plan.json"), []byte("{not json"), 0o644); err != nil {
+	if err := os.WriteFile(path, []byte("{not json"), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if _, _, outcome := loadDesign(dir, s.Config, "mm"); outcome != cacheCorrupt {
-		t.Errorf("corrupt plan.json classified %v, want cacheCorrupt", outcome)
+	if _, outcome := loadDesign(dir, s.Config, "mm"); outcome != cacheCorrupt {
+		t.Errorf("corrupt entry classified %v, want cacheCorrupt", outcome)
 	}
 	// The damaged entry must have been evicted, so the next load is a
 	// clean miss rather than corrupt again.
-	if _, err := os.Stat(ed); !os.IsNotExist(err) {
+	if _, err := os.Stat(path); !os.IsNotExist(err) {
 		t.Errorf("corrupt entry not evicted from disk (stat err = %v)", err)
 	}
-	if _, _, outcome := loadDesign(dir, s.Config, "mm"); outcome != cacheMiss {
+	if _, outcome := loadDesign(dir, s.Config, "mm"); outcome != cacheMiss {
 		t.Errorf("post-eviction load classified %v, want cacheMiss", outcome)
 	}
 }
@@ -217,11 +250,11 @@ func TestCacheStatsClassifyOutcomes(t *testing.T) {
 		t.Errorf("warm suite stats = %+v, want 1 hit", got)
 	}
 
-	ed, err := entryDir(dir, cfg, "wc")
+	path, err := entryPath(dir, cfg, "wc")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := os.Truncate(filepath.Join(ed, "vfi2.json"), 3); err != nil {
+	if err := os.Truncate(path, 3); err != nil {
 		t.Fatal(err)
 	}
 	s3 := NewSuite(cfg, WithCacheDir(dir))
@@ -235,8 +268,16 @@ func TestCacheStatsClassifyOutcomes(t *testing.T) {
 	// A profile that validates on its own but is sized for another chip
 	// must not count as a hit (every build of the key would then fail):
 	// it is evicted and rebuilt like any other damage.
-	wrongSize := []byte(`{"version":1,"util":[0.5,0.5],"traffic":[[0,1],[1,0]]}`)
-	if err := os.WriteFile(filepath.Join(ed, "profile.json"), wrongSize, 0o644); err != nil {
+	e, outcome := loadDesign(dir, cfg, "wc")
+	if outcome != cacheHit {
+		t.Fatalf("rebuilt entry loads as %v, want a hit", outcome)
+	}
+	e.Profile = twoCoreProfile
+	wrongSize, err := json.Marshal(e)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(path, wrongSize, 0o644); err != nil {
 		t.Fatal(err)
 	}
 	s4 := NewSuite(cfg, WithCacheDir(dir))

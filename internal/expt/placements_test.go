@@ -2,12 +2,7 @@ package expt
 
 import (
 	"bytes"
-	"encoding/json"
-	"errors"
-	"fmt"
-	"io/fs"
 	"os"
-	"path/filepath"
 	"reflect"
 	"slices"
 	"strings"
@@ -19,8 +14,8 @@ import (
 	"wivfi/internal/noc"
 	"wivfi/internal/obs"
 	"wivfi/internal/place"
+	"wivfi/internal/platform"
 	"wivfi/internal/sim"
-	"wivfi/internal/topo"
 	"wivfi/internal/vfi"
 )
 
@@ -157,8 +152,7 @@ func runSections(t *testing.T, s *Suite, work map[string]planWork) string {
 // margin sweep, and exactly the WI anneals and hop scorings of its
 // distinct min-hop decisions made one by one. A warm one, at -j 1 and
 // -j 2, plans nothing at all: no clustering, mapping, WI anneal or hop
-// scoring. A placements file of the version before mesh records still
-// loads as a design hit and is rewritten at the current version.
+// scoring, and it writes no entry.
 func TestWarmPrewarmRunsNoPlacementWork(t *testing.T) {
 	if testing.Short() {
 		t.Skip("runs every section three times")
@@ -210,24 +204,16 @@ func TestWarmPrewarmRunsNoPlacementWork(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		path, err := placementsPath(dir, cfg, name)
-		if err != nil {
-			t.Fatal(err)
-		}
-		raw, err := os.ReadFile(path)
-		if err != nil {
-			t.Fatal(err)
-		}
-		var f placementsFile
-		if err := json.Unmarshal(raw, &f); err != nil {
-			t.Fatal(err)
+		e, outcome := loadDesign(dir, cfg, name)
+		if outcome != cacheHit {
+			t.Fatalf("%s: cold entry loads as %v", name, outcome)
 		}
 		ps := pl.plans
 		mesh, err := sim.MeshMapping(cfg.Build, ps.winoc.Assign, ps.traffic)
 		if err != nil {
 			t.Fatal(err)
 		}
-		for _, rec := range f.Plans {
+		for _, rec := range e.Plans {
 			if rec.Strategy != sim.MinHop.String() {
 				continue
 			}
@@ -239,7 +225,7 @@ func TestWarmPrewarmRunsNoPlacementWork(t *testing.T) {
 			d := readPlanWork().since(d0)
 			direct.anneals += d.anneals
 			direct.scorings += d.scorings
-			if !reflect.DeepEqual(p, place.Placement{ThreadToTile: rec.ThreadToTile, WIs: rec.WIs}) {
+			if !reflect.DeepEqual(p, rec.placement()) {
 				t.Errorf("%s: stored %+v differs from planning it again", name, rec.planKey)
 			}
 		}
@@ -251,6 +237,11 @@ func TestWarmPrewarmRunsNoPlacementWork(t *testing.T) {
 	if direct.anneals <= int64(len(AppOrder)) {
 		t.Errorf("cold run stored %d min-hop decisions, want the %d pipelines' and the k_intra sweep's",
 			direct.anneals, len(AppOrder))
+	}
+	// A warm run reads one entry per app and writes none.
+	files := entryFiles(t, dir)
+	if len(files) != len(AppOrder) {
+		t.Errorf("cold run left %d files, want one entry per app", len(files))
 	}
 	for _, j := range []int{1, 2} {
 		warm := NewSuite(cfg, WithParallelism(j), WithCacheDir(dir))
@@ -265,303 +256,75 @@ func TestWarmPrewarmRunsNoPlacementWork(t *testing.T) {
 		if got != want {
 			t.Errorf("warm -j %d output differs from the cold run", j)
 		}
-	}
-
-	// A version 1 file holds the two WiNoC placements of the suite's own
-	// small-world config and nothing else.
-	path, err := placementsPath(dir, cfg, "wc")
-	if err != nil {
-		t.Fatal(err)
-	}
-	v2, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var f placementsFile
-	if err := json.Unmarshal(v2, &f); err != nil {
-		t.Fatal(err)
-	}
-	own := cfg.Build.SmallWorld
-	v1 := map[string]any{"version": 1}
-	for _, rec := range f.Plans {
-		if rec.Strategy != meshPlan && rec.KIntra == own.KIntra && rec.KInter == own.KInter {
-			v1[rec.Strategy] = place.Placement{ThreadToTile: rec.ThreadToTile, WIs: rec.WIs}
+		after := entryFiles(t, dir)
+		for name, fi := range files {
+			if fj, ok := after[name]; !ok || !os.SameFile(fi, fj) || !fi.ModTime().Equal(fj.ModTime()) {
+				t.Errorf("warm -j %d run rewrote %s", j, name)
+			}
 		}
-	}
-	raw, err := json.Marshal(v1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := os.WriteFile(path, raw, 0o644); err != nil {
-		t.Fatal(err)
-	}
-	pl, err := NewSuite(cfg, WithCacheDir(dir)).Pipeline("wc")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !pl.FromCache {
-		t.Error("an entry with a version 1 placements file missed the design cache")
-	}
-	raw, err = os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var again placementsFile
-	if err := json.Unmarshal(raw, &again); err != nil || again.Version != placementsVersion {
-		t.Fatalf("version 1 file not rewritten at version %d (err %v): %s", placementsVersion, err, raw)
-	}
-	for _, rec := range again.Plans {
-		if !slices.ContainsFunc(f.Plans, func(r planRecord) bool { return reflect.DeepEqual(r, rec) }) {
-			t.Errorf("rewritten record %+v differs from the cold run's", rec.planKey)
+		if len(after) != len(files) {
+			t.Errorf("warm -j %d run left %d files, want %d", j, len(after), len(files))
 		}
 	}
 }
 
-// coldPlacements builds one app's pipeline into a fresh cache directory and
-// returns the suite's config, the directory, the pipeline and the bytes of
-// the placements.json it wrote.
-func coldPlacements(t testing.TB, app string) (Config, string, *Pipeline, []byte) {
+// entryFiles stats every file in dir, by name.
+func entryFiles(t *testing.T, dir string) map[string]os.FileInfo {
 	t.Helper()
-	cfg := DefaultConfig()
-	dir := t.TempDir()
-	pl, err := NewSuite(cfg, WithCacheDir(dir)).Pipeline(app)
+	entries, err := os.ReadDir(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
-	path, err := placementsPath(dir, cfg, app)
-	if err != nil {
-		t.Fatal(err)
+	files := map[string]os.FileInfo{}
+	for _, e := range entries {
+		fi, err := e.Info()
+		if err != nil {
+			t.Fatal(err)
+		}
+		files[e.Name()] = fi
 	}
-	raw, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatalf("cold build wrote no placements: %v", err)
-	}
-	return cfg, dir, pl, raw
+	return files
 }
 
-// warmFrom rebuilds app from dir after placements.json was set to raw (nil
-// removes it) and checks that the build is a design hit with the cold
-// pipeline's results, that it ran want's WI anneals and mesh mappings, and
-// that the file holds wantRaw afterwards.
-func warmFrom(t *testing.T, label string, cfg Config, dir, app string, raw []byte, cold *Pipeline, wantRaw []byte, want planWork) {
-	t.Helper()
-	path, err := placementsPath(dir, cfg, app)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if raw == nil {
-		err = os.Remove(path)
-	} else {
-		err = os.WriteFile(path, raw, 0o644)
-	}
-	if err != nil {
-		t.Fatal(err)
-	}
-	w0 := readPlanWork()
-	pl, err := NewSuite(cfg, WithCacheDir(dir)).Pipeline(app)
-	if err != nil {
-		t.Fatalf("%s: %v", label, err)
-	}
-	w := readPlanWork().since(w0)
-	if !pl.FromCache {
-		t.Errorf("%s: design missed the cache", label)
-	}
-	if diff := samePipeline(pl, cold); diff != "" {
-		t.Errorf("%s: %s differs from the cold run", label, diff)
-	}
-	if w.anneals != want.anneals || w.mappings != want.mappings {
-		t.Errorf("%s: %d anneals and %d mappings, want %d and %d", label, w.anneals, w.mappings, want.anneals, want.mappings)
-	}
-	got, err := os.ReadFile(path)
-	if err != nil || !bytes.Equal(got, wantRaw) {
-		t.Errorf("%s: placements.json not restored (err %v)", label, err)
-	}
-}
-
-// TestEntryWithoutPlacementsIsADesignHit: an entry written before
-// placements.json existed still loads as a design hit; its decisions are
-// made once and written back.
+// TestEntryWithoutPlacementsIsADesignHit: an entry holding the design
+// alone, as BuildDesign writes it, still loads as a design hit; its
+// decisions are made once and written back, in one write that leaves the
+// cold run's file.
 func TestEntryWithoutPlacementsIsADesignHit(t *testing.T) {
 	if testing.Short() {
 		t.Skip("builds a pipeline twice")
 	}
-	cfg, dir, cold, raw := coldPlacements(t, "wc")
-	warmFrom(t, "no placements.json", cfg, dir, "wc", nil, cold, raw, planWork{anneals: 1, mappings: 1})
-}
-
-// placementSeedApp is the app FuzzPlacementsJSON and its committed seeds
-// are built for.
-const placementSeedApp = "mm"
-
-// placementSeeds derives the FuzzPlacementsJSON seeds from the cold
-// placements.json of placementSeedApp's pipeline (raw) and from the same
-// file after the (k_intra, k_inter) sweep added its record (full). Every
-// seed but "valid" is damaged; work is what rebuilding the pipeline from
-// it costs.
-func placementSeeds(t testing.TB, cfg Config, raw, full []byte) map[string]struct {
-	raw  []byte
-	work planWork
-} {
-	t.Helper()
-	edit := func(change func(f *placementsFile)) []byte {
-		var f placementsFile
-		if err := json.Unmarshal(raw, &f); err != nil {
-			t.Fatal(err)
-		}
-		change(&f)
-		out, err := json.Marshal(f)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return out
-	}
-	find := func(f *placementsFile, strategy string) *planRecord {
-		for i := range f.Plans {
-			if f.Plans[i].Strategy == strategy {
-				return &f.Plans[i]
-			}
-		}
-		t.Fatalf("no %s record in %s", strategy, raw)
-		return nil
-	}
-	var f placementsFile
-	if err := json.Unmarshal(raw, &f); err != nil {
-		t.Fatal(err)
-	}
-	own := cfg.Build.SmallWorld
-	v1 := map[string]any{"version": 1}
-	for _, st := range []sim.Strategy{sim.MinHop, sim.MaxWireless} {
-		rec := find(&f, st.String())
-		v1[st.String()] = place.Placement{ThreadToTile: rec.ThreadToTile, WIs: rec.WIs}
-	}
-	v1raw, err := json.Marshal(v1)
+	cfg, dir, cold, raw := coldEntry(t, "wc")
+	path, err := entryPath(dir, cfg, "wc")
 	if err != nil {
 		t.Fatal(err)
 	}
-	regions, err := topo.PartitionForAssign(cfg.Build.Chip, find(&f, meshPlan).Assign)
+	if err := os.Remove(path); err != nil {
+		t.Fatal(err)
+	}
+	if _, _, _, hit, err := BuildDesign(cfg, cold.App, nil, dir); err != nil || hit {
+		t.Fatalf("BuildDesign after removing the entry: hit %v, err %v; want a miss", hit, err)
+	}
+	if e, outcome := loadDesign(dir, cfg, "wc"); outcome != cacheHit || len(e.Plans) != 0 {
+		t.Fatalf("BuildDesign wrote %v with %d decisions, want the design alone", outcome, len(e.Plans))
+	}
+	w0 := readPlanWork()
+	pl, err := NewSuite(cfg, WithCacheDir(dir)).Pipeline("wc")
 	if err != nil {
 		t.Fatal(err)
 	}
-	whole := planWork{anneals: 1, mappings: 1}
-	return map[string]struct {
-		raw  []byte
-		work planWork
-	}{
-		"valid":         {full, planWork{}},
-		"truncated":     {raw[:len(raw)/2], whole},
-		"v1":            {v1raw, whole},
-		"wrong-version": {edit(func(f *placementsFile) { f.Version = placementsVersion + 1 }), whole},
-		"duplicate-tile": {edit(func(f *placementsFile) {
-			rec := find(f, sim.MinHop.String())
-			rec.ThreadToTile[1] = rec.ThreadToTile[0]
-		}), planWork{anneals: 1}},
-		"out-of-region-wi": {edit(func(f *placementsFile) {
-			// a switch of region 1 that hosts no WI, given to cluster 0
-			rec := find(f, sim.MaxWireless.String())
-			wis := slices.Concat(rec.WIs...)
-			for _, s := range regions[1] {
-				if !slices.Contains(wis, s) {
-					rec.WIs[0][0] = s
-					return
-				}
-			}
-		}), planWork{}},
-		"mesh-outside-quadrant": {edit(func(f *placementsFile) {
-			// swap a thread of island 0 with one of island 1
-			rec := find(f, meshPlan)
-			a := slices.Index(rec.Assign, 0)
-			b := slices.Index(rec.Assign, 1)
-			rec.ThreadToTile[a], rec.ThreadToTile[b] = rec.ThreadToTile[b], rec.ThreadToTile[a]
-		}), planWork{mappings: 1}},
-		"duplicate-assignment": {edit(func(f *placementsFile) {
-			rec := *find(f, meshPlan)
-			f.Plans = append(f.Plans, rec)
-		}), whole},
-		"winoc-with-assignment": {edit(func(f *placementsFile) {
-			rec := find(f, sim.MinHop.String())
-			rec.Assign = find(f, meshPlan).Assign
-			rec.KIntra, rec.KInter = own.KIntra, own.KInter
-		}), planWork{anneals: 1}},
+	if w := readPlanWork().since(w0); w.anneals != 1 || w.mappings != 1 || w.clusterings != 0 {
+		t.Errorf("did %+v, want 1 anneal, 1 mapping and no clustering", w)
 	}
-}
-
-// seedPath is the committed FuzzPlacementsJSON seed of that name.
-func seedPath(name string) string {
-	return filepath.Join("testdata", "fuzz", "FuzzPlacementsJSON", name)
-}
-
-// TestDamagedPlacementsAreRecomputed: each committed FuzzPlacementsJSON
-// seed is what placementSeeds derives from today's cold files (rewrite
-// them with -update), and rebuilding from a damaged one — torn, another
-// version, a misplaced thread or WI, a key stored twice — is a design hit
-// that recomputes only the damaged decisions, never an error, with the
-// cold run's output and file.
-func TestDamagedPlacementsAreRecomputed(t *testing.T) {
-	if testing.Short() {
-		t.Skip("builds a pipeline once per seed")
+	if !pl.FromCache {
+		t.Error("design missed the cache")
 	}
-	cfg, dir, cold, raw := coldPlacements(t, placementSeedApp)
-	full := sweptPlacements(t, cfg, dir, cold)
-	seeds := placementSeeds(t, cfg, raw, full)
-	committed, err := os.ReadDir(filepath.Dir(seedPath("valid")))
-	if err != nil {
-		t.Fatal(err)
+	if diff := samePipeline(pl, cold); diff != "" {
+		t.Errorf("%s differs from the cold run", diff)
 	}
-	for _, e := range committed {
-		if _, ok := seeds[e.Name()]; !ok {
-			t.Errorf("committed seed %s is not one placementSeeds derives", e.Name())
-		}
+	if got := readEntryBytes(t, cfg, dir, "wc"); !bytes.Equal(got, raw) {
+		t.Error("entry not written back as the cold run wrote it")
 	}
-	var names []string
-	for name := range seeds {
-		names = append(names, name)
-	}
-	slices.Sort(names)
-	for _, name := range names {
-		seed := seeds[name]
-		blob := fmt.Sprintf("go test fuzz v1\n[]byte(%q)\n", seed.raw)
-		if *updateGolden {
-			if err := os.WriteFile(seedPath(name), []byte(blob), 0o644); err != nil {
-				t.Fatal(err)
-			}
-		} else if got, err := os.ReadFile(seedPath(name)); err != nil || string(got) != blob {
-			t.Errorf("seed %s is stale or missing (err %v); rewrite the seeds with -update", name, err)
-		}
-		wantRaw := raw
-		if name == "valid" {
-			wantRaw = full
-		}
-		warmFrom(t, name, cfg, dir, placementSeedApp, seed.raw, cold, wantRaw, seed.work)
-	}
-}
-
-// sweptPlacements returns the placements.json a flagless run leaves for
-// pl: the cold pipeline's records plus the (k_intra, k_inter) sweep's
-// (2,2) placement. The file is restored to the pipeline's own afterwards.
-func sweptPlacements(t testing.TB, cfg Config, dir string, pl *Pipeline) []byte {
-	t.Helper()
-	path, err := placementsPath(dir, cfg, pl.App.Name)
-	if err != nil {
-		t.Fatal(err)
-	}
-	raw, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := pl.plans.winocSystem(pl.BestStrategy, 2, 2); err != nil {
-		t.Fatal(err)
-	}
-	full, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if bytes.Equal(full, raw) {
-		t.Fatal("the (2,2) placement was not written back")
-	}
-	if err := os.WriteFile(path, raw, 0o644); err != nil {
-		t.Fatal(err)
-	}
-	return full
 }
 
 // TestPlanKeyFieldsReachKey perturbs every plan-store key field and
@@ -617,123 +380,27 @@ func TestSharedMeshRoutesUnchanged(t *testing.T) {
 	}
 }
 
-// FuzzPlacementsJSON feeds arbitrary bytes to the plan store of the mm
-// design as its placements.json. Nothing may panic; a file the store
-// rejects is deleted and seeds nothing. Every decision it accepts must
-// build: a mesh mapping is a bijection keeping each thread inside its
-// island's region, and a WiNoC placement of a degree pair the runs ask for
-// realizes with every cluster's WIs inside its own region, one per
-// channel.
-func FuzzPlacementsJSON(f *testing.F) {
-	cfg := DefaultConfig()
-	app, err := apps.ByName(placementSeedApp)
-	if err != nil {
-		f.Fatal(err)
-	}
-	_, prof, plan, _, err := BuildDesign(cfg, app, nil, "")
-	if err != nil {
-		f.Fatal(err)
-	}
-	dir := f.TempDir()
-	if err := saveDesign(dir, cfg, app.Name, prof, plan); err != nil {
-		f.Fatal(err)
-	}
-	path, err := placementsPath(dir, cfg, app.Name)
-	if err != nil {
-		f.Fatal(err)
-	}
-	regions, err := topo.PartitionForAssign(cfg.Build.Chip, plan.VFI2.Assign)
-	if err != nil {
-		f.Fatal(err)
-	}
-	region := topo.RegionOf(cfg.Build.Chip.NumCores(), regions)
-	own := cfg.Build.SmallWorld
-	asked := [][2]float64{{own.KIntra, own.KInter}, {2, 2}}
-	xy := meshRoutes(cfg)
-	f.Fuzz(func(t *testing.T, raw []byte) {
-		if err := os.WriteFile(path, raw, 0o644); err != nil {
-			t.Fatal(err)
-		}
-		ps := newPlanStore(cfg.Build, prof.Traffic, plan.VFI2, xy, path, true)
-		if _, err := os.Stat(path); errors.Is(err, fs.ErrNotExist) {
-			if len(ps.flights) != 0 {
-				t.Fatalf("rejected file seeded %d decisions", len(ps.flights))
-			}
-			return
-		}
-		for id, fl := range ps.flights {
-			rec, m := fl.key, fl.m
-			if err := m.Validate(); err != nil {
-				t.Fatalf("%s: accepted mapping: %v", id, err)
-			}
-			if rec.Strategy == meshPlan {
-				recRegions, err := topo.PartitionForAssign(cfg.Build.Chip, rec.Assign)
-				if err != nil {
-					t.Fatalf("%s: accepted a mapping for a bad grouping: %v", id, err)
-				}
-				recRegion := topo.RegionOf(len(rec.Assign), recRegions)
-				for th, tile := range m.ThreadToTile {
-					if recRegion[tile] != rec.Assign[th] {
-						t.Fatalf("%s: thread %d mapped outside its island", id, th)
-					}
-				}
-				continue
-			}
-			if !slices.Contains(asked, [2]float64{rec.KIntra, rec.KInter}) {
-				continue // never realized: no run asks for these degrees
-			}
-			st := sim.MinHop
-			if rec.Strategy == sim.MaxWireless.String() {
-				st = sim.MaxWireless
-			}
-			sys, err := ps.winocSystem(st, rec.KIntra, rec.KInter)
-			if err != nil {
-				t.Fatalf("%s: accepted placement does not build: %v", id, err)
-			}
-			for th, tile := range sys.Mapping.ThreadToTile {
-				if region[tile] != plan.VFI2.Assign[th] {
-					t.Fatalf("%s: thread %d placed outside its island", id, th)
-				}
-			}
-			// Each region hosts WIsPerCluster WIs, one per channel.
-			tp := sys.Routes.Topology()
-			if len(tp.WIs) != len(regions)*topo.WIsPerCluster {
-				t.Fatalf("%s: accepted %d WIs", id, len(tp.WIs))
-			}
-			seen := map[[2]int]bool{}
-			for _, s := range tp.WIs {
-				key := [2]int{region[s], tp.ChannelOf[s]}
-				if seen[key] {
-					t.Fatalf("%s: region %d has two WIs on channel %d", id, key[0], key[1])
-				}
-				seen[key] = true
-			}
-		}
-	})
+// entryWriter is a plan store's write function for app's entry in dir.
+func entryWriter(dir string, cfg Config, app string, prof platform.Profile, plan vfi.Plan) func([]planRecord) error {
+	return func(recs []planRecord) error { return saveDesign(dir, cfg, app, prof, plan, recs) }
 }
 
 // TestPlanStoreSingleflight: goroutines asking one store for the same
-// decisions at once share one computation each, get the same mapping,
-// and leave a file holding every decision. Run it under -race.
+// decisions at once share one computation each and get the same mapping;
+// the store holds its writes until release, which leaves an entry holding
+// every decision. Run it under -race.
 func TestPlanStoreSingleflight(t *testing.T) {
 	cfg := DefaultConfig()
 	app, err := apps.ByName("wc")
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, prof, plan, _, err := BuildDesign(cfg, app, nil, "")
-	if err != nil {
-		t.Fatal(err)
-	}
 	dir := t.TempDir()
-	if err := saveDesign(dir, cfg, app.Name, prof, plan); err != nil {
-		t.Fatal(err)
-	}
-	path, err := placementsPath(dir, cfg, app.Name)
+	_, prof, plan, _, err := BuildDesign(cfg, app, nil, dir)
 	if err != nil {
 		t.Fatal(err)
 	}
-	ps := newPlanStore(cfg.Build, prof.Traffic, plan.VFI2, meshRoutes(cfg), path, true)
+	ps := newPlanStore(cfg.Build, prof.Traffic, plan.VFI2, meshRoutes(cfg), entryWriter(dir, cfg, app.Name, prof, plan), nil)
 	own := cfg.Build.SmallWorld
 	const callers = 8
 	systems := make([][2]*sim.System, callers)
@@ -767,40 +434,33 @@ func TestPlanStoreSingleflight(t *testing.T) {
 			t.Errorf("caller %d got another min-hop mapping", i)
 		}
 	}
-	raw, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
+	if e, _ := loadDesign(dir, cfg, app.Name); len(e.Plans) != 0 {
+		t.Errorf("held store wrote %d records before release", len(e.Plans))
 	}
-	var f placementsFile
-	if err := json.Unmarshal(raw, &f); err != nil || len(f.Plans) != 2 {
-		t.Errorf("store wrote %d records (err %v), want the mesh mapping and the min-hop placement", len(f.Plans), err)
+	ps.release(false)
+	if e, outcome := loadDesign(dir, cfg, app.Name); outcome != cacheHit || len(e.Plans) != 2 {
+		t.Errorf("store wrote %v with %d records, want a hit with the mesh mapping and the min-hop placement", outcome, len(e.Plans))
 	}
 }
 
 // TestPlanStoreKeepsOtherWritersRecords: two unseeded stores on one entry,
 // as two processes building the same design cold, each make a different
-// decision; the file keeps both, and a store seeded from it makes
-// neither again.
+// decision; the entry keeps both, and a store seeded from it makes
+// neither again nor rewrites it.
 func TestPlanStoreKeepsOtherWritersRecords(t *testing.T) {
 	cfg := DefaultConfig()
-	app, err := apps.ByName(placementSeedApp)
-	if err != nil {
-		t.Fatal(err)
-	}
-	_, prof, plan, _, err := BuildDesign(cfg, app, nil, "")
+	app, err := apps.ByName(seedApp)
 	if err != nil {
 		t.Fatal(err)
 	}
 	dir := t.TempDir()
-	if err := saveDesign(dir, cfg, app.Name, prof, plan); err != nil {
-		t.Fatal(err)
-	}
-	path, err := placementsPath(dir, cfg, app.Name)
+	_, prof, plan, _, err := BuildDesign(cfg, app, nil, dir)
 	if err != nil {
 		t.Fatal(err)
 	}
 	own := cfg.Build.SmallWorld
 	xy := meshRoutes(cfg)
+	write := entryWriter(dir, cfg, app.Name, prof, plan)
 	decisions := []func(ps *planStore) error{
 		func(ps *planStore) error { _, err := ps.meshMapping(plan.VFI2.Assign); return err },
 		func(ps *planStore) error {
@@ -809,21 +469,20 @@ func TestPlanStoreKeepsOtherWritersRecords(t *testing.T) {
 		},
 	}
 	for _, decide := range decisions {
-		if err := decide(newPlanStore(cfg.Build, prof.Traffic, plan.VFI2, xy, path, false)); err != nil {
+		ps := newPlanStore(cfg.Build, prof.Traffic, plan.VFI2, xy, write, nil)
+		ps.release(false)
+		if err := decide(ps); err != nil {
 			t.Fatal(err)
 		}
 	}
-	raw, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
+	e, outcome := loadDesign(dir, cfg, app.Name)
+	if outcome != cacheHit || len(e.Plans) != 2 {
+		t.Fatalf("two writers left %v with %d records, want both decisions", outcome, len(e.Plans))
 	}
-	var f placementsFile
-	if err := json.Unmarshal(raw, &f); err != nil || len(f.Plans) != 2 {
-		t.Fatalf("two writers left %d records (err %v), want both decisions", len(f.Plans), err)
-	}
+	raw := readEntryBytes(t, cfg, dir, app.Name)
 	w0 := readPlanWork()
-	ps := newPlanStore(cfg.Build, prof.Traffic, plan.VFI2, xy, path, true)
-	for _, rec := range f.Plans {
+	ps := newPlanStore(cfg.Build, prof.Traffic, plan.VFI2, xy, write, e.Plans)
+	for _, rec := range e.Plans {
 		id, err := rec.id()
 		if err != nil {
 			t.Fatal(err)
@@ -837,11 +496,11 @@ func TestPlanStoreKeepsOtherWritersRecords(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
+	ps.release(false)
 	if w := readPlanWork().since(w0); w != (planWork{}) {
 		t.Errorf("seeded store did %+v, want no planning work", w)
 	}
-	after, err := os.ReadFile(path)
-	if err != nil || !bytes.Equal(after, raw) {
-		t.Errorf("seeded store rewrote the file (err %v)", err)
+	if after := readEntryBytes(t, cfg, dir, app.Name); !bytes.Equal(after, raw) {
+		t.Error("seeded store rewrote the entry")
 	}
 }

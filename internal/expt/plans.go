@@ -3,9 +3,6 @@ package expt
 import (
 	"encoding/json"
 	"fmt"
-	"os"
-	"path/filepath"
-	"slices"
 	"sync"
 
 	"wivfi/internal/noc"
@@ -19,21 +16,9 @@ import (
 // made once per pipeline by its plan store and reused by every system
 // built from them: the pipeline's five systems, the (k_intra, k_inter)
 // sweep, the mesh studies and the timeline replay. A pipeline whose design
-// came from the disk cache seeds its store from the entry's
-// placements.json, and every decision the store has to make is written
-// back, so a warm run plans nothing.
-//
-// placements.json is derived from the entry's own profile and plan, so it
-// shares their key and carries its own version instead of a new
-// cacheSchemaVersion: entries written before it existed, or holding an
-// older version, keep loading as design hits and gain a current file on
-// their next build.
-
-// placementsVersion versions placements.json; bump it when the meaning of
-// a stored record changes. A file of another version is discarded and
-// recomputed, like a damaged one. Version 1 held the two WiNoC placements
-// of the suite's own small-world config only.
-const placementsVersion = 2
+// came from the disk cache seeds its store from the entry's stored
+// decisions, and every decision the store has to make is written back into
+// the entry (cache.go), so a warm run plans nothing.
 
 // meshPlan is planKey.Strategy of a mesh thread mapping.
 const meshPlan = "mesh"
@@ -68,23 +53,38 @@ type planRecord struct {
 	WIs          [][]int `json:"wis,omitempty"`
 }
 
-// placementsFile is the on-disk schema of placements.json. Records are
-// sorted by key, so equal decision sets write equal bytes.
-type placementsFile struct {
-	Version int          `json:"version"`
-	Plans   []planRecord `json:"plans"`
+// placement is the decision rec holds.
+func (rec planRecord) placement() place.Placement {
+	return place.Placement{ThreadToTile: rec.ThreadToTile, WIs: rec.WIs}
+}
+
+// checkDecision validates rec against chip and, for a WiNoC placement, the
+// islands winoc it was made for, and returns its thread mapping.
+func checkDecision(chip platform.Chip, winoc platform.VFIConfig, rec planRecord) (place.Mapping, error) {
+	switch rec.Strategy {
+	case meshPlan:
+		if len(rec.WIs) != 0 || rec.KIntra != 0 || rec.KInter != 0 {
+			return place.Mapping{}, fmt.Errorf("expt: mesh mapping record with WiNoC fields")
+		}
+		return place.CheckMapping(chip, rec.Assign, rec.ThreadToTile)
+	case sim.MinHop.String(), sim.MaxWireless.String():
+		if rec.Assign != nil {
+			return place.Mapping{}, fmt.Errorf("expt: WiNoC placement record with an assignment")
+		}
+		return rec.placement().Check(chip, winoc.Assign)
+	}
+	return place.Mapping{}, fmt.Errorf("expt: unknown plan strategy %q", rec.Strategy)
 }
 
 // planFlight is the singleflight slot of one decision: the first caller
 // makes it under once, concurrent and later callers wait for and share it.
-// p and m are read-only once made.
+// rec and m are read-only once made.
 type planFlight struct {
 	once sync.Once
-	key  planKey
-	p    place.Placement
-	m    place.Mapping // p's thread mapping, checked against its islands
+	rec  planRecord
+	m    place.Mapping // rec's thread mapping, checked against its islands
 	err  error
-	made bool // p and m are made and checked; guarded by planStore.mu
+	made bool // rec and m are made and checked; guarded by planStore.mu
 }
 
 // planStore makes each distinct decision of one pipeline once.
@@ -93,92 +93,47 @@ type planStore struct {
 	traffic [][]float64
 	winoc   platform.VFIConfig // the islands every WiNoC is planned for
 	xy      func() (*noc.RouteTable, error)
-	path    string // placements.json to write back to; "" writes nothing
+	write   func([]planRecord) error // writes the entry with these decisions; nil writes nothing
 
 	mu      sync.Mutex
 	flights map[string]*planFlight // by planKey.id
 
-	saveMu sync.Mutex // serializes write-backs
+	saveMu sync.Mutex // serializes writes; guards held and stale
+	held   bool       // writes wait for release
+	stale  bool       // a decision made while held is not written yet
 }
 
 // newPlanStore returns the store of a pipeline with the given traffic and
-// WiNoC islands. xy returns the chip's shared XY route table. With a
-// non-empty path the store writes its decisions back to that
-// placements.json, and with seed it first loads the file's decisions.
+// WiNoC islands, holding the decisions of seed, which must pass
+// checkDecision (readEntry checks every stored one). xy returns the chip's
+// shared XY route table. A store with a write function holds its writes
+// until release, so the decisions of a whole pipeline build cost one
+// write; after that every new decision is written as it is made.
 func newPlanStore(build sim.BuildConfig, traffic [][]float64, winoc platform.VFIConfig,
-	xy func() (*noc.RouteTable, error), path string, seed bool) *planStore {
+	xy func() (*noc.RouteTable, error), write func([]planRecord) error, seed []planRecord) *planStore {
 	ps := &planStore{
 		build:   build,
 		traffic: traffic,
 		winoc:   winoc,
 		xy:      xy,
-		path:    path,
+		write:   write,
 		flights: map[string]*planFlight{},
+		held:    true,
 	}
-	if seed && path != "" && !ps.absorb() {
-		os.Remove(ps.path) // best effort, as for a damaged entry
-	}
-	return ps
-}
-
-// absorb adds the decisions of placements.json that the store has not
-// made or started. It reports false for a file that does not parse, has
-// another version or holds one key twice: none of its decisions is taken,
-// and they are made again and written back. A record that does not fit
-// its islands is skipped the same way, one decision at a time. A missing
-// file holds no decisions.
-func (ps *planStore) absorb() bool {
-	raw, err := os.ReadFile(ps.path)
-	if err != nil {
-		return true
-	}
-	var f placementsFile
-	ok := json.Unmarshal(raw, &f) == nil && f.Version == placementsVersion
-	ids := make([]string, len(f.Plans))
-	seen := map[string]bool{}
-	for i := 0; ok && i < len(f.Plans); i++ {
-		var err error
-		ids[i], err = f.Plans[i].id()
-		ok = err == nil && !seen[ids[i]]
-		seen[ids[i]] = true
-	}
-	if !ok {
-		return false
-	}
-	ps.mu.Lock()
-	defer ps.mu.Unlock()
-	for i, rec := range f.Plans {
-		if ps.flights[ids[i]] != nil {
-			continue
-		}
-		p := place.Placement{ThreadToTile: rec.ThreadToTile, WIs: rec.WIs}
-		m, err := ps.check(rec.planKey, p)
+	for _, rec := range seed {
+		id, err := rec.id()
 		if err != nil {
 			continue
 		}
-		fl := &planFlight{key: rec.planKey, p: p, m: m, made: true}
+		m, err := checkDecision(build.Chip, winoc, rec)
+		if err != nil {
+			continue
+		}
+		fl := &planFlight{rec: rec, m: m, made: true}
 		fl.once.Do(func() {})
-		ps.flights[ids[i]] = fl
+		ps.flights[id] = fl
 	}
-	return true
-}
-
-// check validates a decision against the islands it was made for and
-// returns its thread mapping.
-func (ps *planStore) check(k planKey, p place.Placement) (place.Mapping, error) {
-	switch k.Strategy {
-	case meshPlan:
-		if len(p.WIs) != 0 || k.KIntra != 0 || k.KInter != 0 {
-			return place.Mapping{}, fmt.Errorf("expt: mesh mapping record with WiNoC fields")
-		}
-		return place.CheckMapping(ps.build.Chip, k.Assign, p.ThreadToTile)
-	case sim.MinHop.String(), sim.MaxWireless.String():
-		if k.Assign != nil {
-			return place.Mapping{}, fmt.Errorf("expt: WiNoC placement record with an assignment")
-		}
-		return p.Check(ps.build.Chip, ps.winoc.Assign)
-	}
-	return place.Mapping{}, fmt.Errorf("expt: unknown plan strategy %q", k.Strategy)
+	return ps
 }
 
 // decide returns the decision for k, making it with plan on first use and
@@ -191,15 +146,18 @@ func (ps *planStore) decide(k planKey, plan func() (place.Placement, error)) (pl
 	ps.mu.Lock()
 	fl := ps.flights[id]
 	if fl == nil {
-		fl = &planFlight{key: k}
+		fl = &planFlight{rec: planRecord{planKey: k}}
 		ps.flights[id] = fl
 	}
 	ps.mu.Unlock()
 	fl.once.Do(func() {
-		if fl.p, fl.err = plan(); fl.err != nil {
+		p, err := plan()
+		if err != nil {
+			fl.err = err
 			return
 		}
-		if fl.m, fl.err = ps.check(k, fl.p); fl.err != nil {
+		fl.rec.ThreadToTile, fl.rec.WIs = p.ThreadToTile, p.WIs
+		if fl.m, fl.err = checkDecision(ps.build.Chip, ps.winoc, fl.rec); fl.err != nil {
 			return
 		}
 		ps.mu.Lock()
@@ -207,7 +165,7 @@ func (ps *planStore) decide(k planKey, plan func() (place.Placement, error)) (pl
 		ps.mu.Unlock()
 		ps.save()
 	})
-	return fl.p, fl.m, fl.err
+	return fl.rec.placement(), fl.m, fl.err
 }
 
 // meshMapping returns the min-distance thread mapping of a mesh system
@@ -284,71 +242,48 @@ func (ps *planStore) winocSystem(st sim.Strategy, kIntra, kInter float64) (*sim.
 	return sim.VFIWiNoCPlaced(ps.variant(kIntra, kInter), ps.winoc, ps.traffic, st, p)
 }
 
-// save writes every decision made so far to placements.json, best-effort:
-// a temp file renamed over it, so a reader sees the old file or the new
-// one, never a torn write. Saves are serialized and each writes all that
-// is made when it starts, so the last one leaves the full set. Each first
-// absorbs the file's records, so the decisions another process wrote
-// there are kept; two processes whose saves interleave can still drop
-// each other's newest records, which the next run then makes again. A
-// failed write removes the file, so a rejected file is not read again.
-// The entry directory must exist (saveDesign creates it).
+// save writes the entry with every decision made so far, best-effort,
+// or marks it stale while the store is held. Saves are serialized and each
+// writes all that is made when it starts, so the last one leaves the full
+// set.
 func (ps *planStore) save() {
-	if ps.path == "" {
+	if ps.write == nil {
 		return
 	}
 	ps.saveMu.Lock()
 	defer ps.saveMu.Unlock()
-	ps.absorb()
+	if ps.held {
+		ps.stale = true
+		return
+	}
+	ps.flush()
+}
+
+// release ends the hold: it writes the entry if a decision was made while
+// held, or if force (a cold design is not on disk yet), and lets every
+// later decision write as it is made.
+func (ps *planStore) release(force bool) {
+	if ps.write == nil {
+		return
+	}
+	ps.saveMu.Lock()
+	defer ps.saveMu.Unlock()
+	ps.held = false
+	if force || ps.stale {
+		ps.flush()
+	}
+}
+
+// flush writes the entry with every decision made so far; saveMu is held.
+func (ps *planStore) flush() {
+	ps.stale = false
 	ps.mu.Lock()
-	var ids []string
-	for id, fl := range ps.flights {
+	var recs []planRecord
+	for _, fl := range ps.flights {
 		if fl.made {
-			ids = append(ids, id)
+			recs = append(recs, fl.rec)
 		}
 	}
-	slices.Sort(ids)
-	f := placementsFile{Version: placementsVersion, Plans: make([]planRecord, len(ids))}
-	for i, id := range ids {
-		fl := ps.flights[id]
-		f.Plans[i] = planRecord{planKey: fl.key, ThreadToTile: fl.p.ThreadToTile, WIs: fl.p.WIs}
-	}
 	ps.mu.Unlock()
-	if writePlacements(ps.path, f) != nil {
-		os.Remove(ps.path)
-	}
-}
-
-// writePlacements atomically replaces path with f.
-func writePlacements(path string, f placementsFile) error {
-	blob, err := json.Marshal(f)
-	if err != nil {
-		return err
-	}
-	tmp, err := os.CreateTemp(filepath.Dir(path), ".tmp-placements-*")
-	if err != nil {
-		return err
-	}
-	defer os.Remove(tmp.Name())
-	if err := tmp.Chmod(0o644); err != nil {
-		tmp.Close()
-		return err
-	}
-	if _, err := tmp.Write(blob); err != nil {
-		tmp.Close()
-		return err
-	}
-	if err := tmp.Close(); err != nil {
-		return err
-	}
-	return os.Rename(tmp.Name(), path)
-}
-
-// placementsPath is the entry's placements.json.
-func placementsPath(cacheDir string, cfg Config, appName string) (string, error) {
-	dir, err := entryDir(cacheDir, cfg, appName)
-	if err != nil {
-		return "", err
-	}
-	return filepath.Join(dir, "placements.json"), nil
+	ps.write(recs) // best effort: saveDesign sorts the records
 }

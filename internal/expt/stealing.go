@@ -97,17 +97,3 @@ func FormatStealing(st StealingStudy) string {
 		st.MakespanNoSteal, st.MakespanDefault, st.DefaultSteals, st.MakespanCapped, st.CappedSteals)
 	return b.String()
 }
-
-func min(a, b float64) float64 {
-	if a < b {
-		return a
-	}
-	return b
-}
-
-func max(a, b float64) float64 {
-	if a > b {
-		return a
-	}
-	return b
-}

@@ -124,8 +124,9 @@ func meshRoutes(cfg Config) func() (*noc.RouteTable, error) {
 // simulating the derived systems. It is the entry point for callers (the
 // sweep orchestrator) that compose their own system set from the returned
 // profile and plan while still deduplicating design work across scenarios
-// through the shared cache. The returned workload is the one the profile
-// was characterized with; fromCache reports a design-cache hit. The probe
+// through the shared cache; on a miss it writes the design alone back,
+// best-effort. The returned workload is the one the profile was
+// characterized with; fromCache reports a design-cache hit. The probe
 // and design run as jobs on pool; a caller that is itself running inside
 // a pool job passes nil, so they run inline instead of waiting for a slot.
 func BuildDesign(cfg Config, app *apps.App, pool *sim.Pool, cacheDir string) (*sim.Workload, platform.Profile, vfi.Plan, bool, error) {
@@ -133,9 +134,12 @@ func BuildDesign(cfg Config, app *apps.App, pool *sim.Pool, cacheDir string) (*s
 	if err != nil {
 		return nil, platform.Profile{}, vfi.Plan{}, false, fmt.Errorf("expt: %s workload: %w", app.Name, err)
 	}
-	prof, plan, cached, err := designFlow(cfg, app, w, pool, cacheDir, nil, nil)
+	prof, plan, _, cached, err := designFlow(cfg, app, w, pool, cacheDir, nil, nil)
 	if err != nil {
 		return nil, platform.Profile{}, vfi.Plan{}, false, err
+	}
+	if cacheDir != "" && !cached {
+		saveDesign(cacheDir, cfg, app.Name, prof, plan, nil) // best effort
 	}
 	return w, prof, plan, cached, nil
 }
@@ -175,7 +179,7 @@ func buildPipeline(cfg Config, app *apps.App, pool *sim.Pool, cacheDir string, s
 	// artifacts from the config-keyed disk cache.
 	ob.stage("design-flow", "start")
 	dspan := obs.StartSpanOn(track, "design-flow", app.Name)
-	prof, plan, cached, err := designFlow(cfg, app, w, pool, cacheDir, stats, ob)
+	prof, plan, stored, cached, err := designFlow(cfg, app, w, pool, cacheDir, stats, ob)
 	dspan.End()
 	ob.stage("design-flow", "done")
 	if err != nil {
@@ -193,12 +197,13 @@ func buildPipeline(cfg Config, app *apps.App, pool *sim.Pool, cacheDir string, s
 
 	// Mesh mappings and WiNoC placements are design-time decisions too:
 	// the pipeline's plan store makes each once, seeded from the entry a
-	// cached design came from, and writes new ones back to it.
-	stored := ""
+	// cached design came from, and writes the entry once the five systems
+	// are built.
+	var write func([]planRecord) error
 	if cacheDir != "" {
-		stored, _ = placementsPath(cacheDir, cfg, app.Name)
+		write = func(recs []planRecord) error { return saveDesign(cacheDir, cfg, app.Name, prof, plan, recs) }
 	}
-	plans := newPlanStore(cfg.Build, prof.Traffic, plan.VFI2, xy, stored, cached)
+	plans := newPlanStore(cfg.Build, prof.Traffic, plan.VFI2, xy, write, stored)
 	pl.plans = plans
 	own := cfg.Build.SmallWorld
 
@@ -233,6 +238,7 @@ func buildPipeline(cfg Config, app *apps.App, pool *sim.Pool, cacheDir string, s
 	if err != nil {
 		return nil, fmt.Errorf("expt: %s: %w", app.Name, err)
 	}
+	plans.release(!cached)
 
 	pl.WiNoC[sim.MinHop] = wiMinHop
 	pl.WiNoC[sim.MaxWireless] = wiMaxWireless
@@ -243,16 +249,17 @@ func buildPipeline(cfg Config, app *apps.App, pool *sim.Pool, cacheDir string, s
 	return pl, nil
 }
 
-// designFlow produces the profile and VFI plan, consulting the disk cache
-// when cacheDir is non-empty. Cache writes are best-effort: a read-only or
-// full disk degrades to recomputation, never to failure.
-func designFlow(cfg Config, app *apps.App, w *sim.Workload, pool *sim.Pool, cacheDir string, stats *cacheStats, ob *BuildObserver) (platform.Profile, vfi.Plan, bool, error) {
+// designFlow produces the profile and VFI plan, loading them and the
+// entry's stored decisions from the disk cache when cacheDir is non-empty.
+// It writes nothing: the caller writes a computed design back, best-effort,
+// so a read-only or full disk degrades to recomputation, never to failure.
+func designFlow(cfg Config, app *apps.App, w *sim.Workload, pool *sim.Pool, cacheDir string, stats *cacheStats, ob *BuildObserver) (platform.Profile, vfi.Plan, []planRecord, bool, error) {
 	if cacheDir != "" {
-		prof, plan, outcome := loadDesign(cacheDir, cfg, app.Name)
+		e, outcome := loadDesign(cacheDir, cfg, app.Name)
 		stats.count(outcome)
 		if outcome == cacheHit {
 			ob.cache(true)
-			return prof, plan, true, nil
+			return e.Profile, e.Plan, e.Plans, true, nil
 		}
 	}
 	ob.cache(false)
@@ -274,7 +281,7 @@ func designFlow(cfg Config, app *apps.App, w *sim.Workload, pool *sim.Pool, cach
 		return nil
 	}})
 	if err != nil {
-		return platform.Profile{}, vfi.Plan{}, false, err
+		return platform.Profile{}, vfi.Plan{}, nil, false, err
 	}
 	var plan vfi.Plan
 	err = pool.Run(sim.Job{Name: "vfi-design", Detail: app.Name, Run: func() error {
@@ -285,12 +292,9 @@ func designFlow(cfg Config, app *apps.App, w *sim.Workload, pool *sim.Pool, cach
 		return err
 	}})
 	if err != nil {
-		return platform.Profile{}, vfi.Plan{}, false, fmt.Errorf("expt: %s VFI design: %w", app.Name, err)
+		return platform.Profile{}, vfi.Plan{}, nil, false, fmt.Errorf("expt: %s VFI design: %w", app.Name, err)
 	}
-	if cacheDir != "" {
-		saveDesign(cacheDir, cfg, app.Name, prof, plan) // best effort
-	}
-	return prof, plan, false, nil
+	return prof, plan, nil, false, nil
 }
 
 // suiteEntry is the singleflight slot for one benchmark: the first caller

@@ -79,75 +79,6 @@ type DESResult struct {
 	Stalled int
 }
 
-// pktState is a packet's runtime state in the pointer-based data model.
-// The event-calendar engine (des_engine.go) keeps packet state in
-// struct-of-arrays form instead; this representation is retained for the
-// cycle-driven reference engine the differential tests replay against.
-type pktState struct {
-	Packet
-	nodeSeq []int // switch sequence src..dst
-	adjSeq  []int // adjacency index per hop
-	// injection progress at the source
-	flitsInjected int
-	// delivery bookkeeping
-	flitsEjected int
-	done         bool
-	ejectCycle   int64
-}
-
-// nextAdjAt returns the adjacency index the packet must take at node u by
-// scanning the route from its start — O(path length) per call. The event
-// engine replaces this with an O(1) per-packet hop-index lookup; the scan
-// is kept as the reference-engine behaviour the differential test pins.
-func (p *pktState) nextAdjAt(u int) int {
-	for i, n := range p.nodeSeq[:len(p.nodeSeq)-1] {
-		if n == u {
-			return p.adjSeq[i]
-		}
-	}
-	panic(fmt.Sprintf("noc: packet %d routed through unexpected switch %d", p.ID, u))
-}
-
-// flitRef identifies one buffered flit.
-type flitRef struct {
-	p       *pktState
-	idx     int   // flit index within the packet
-	arrived int64 // cycle the flit entered this buffer
-}
-
-// fifo is a bounded flit queue backed by a fixed ring. An earlier version
-// popped with items = items[1:], which kept every popped flitRef (and the
-// pktState it points to) reachable through the backing array for the life
-// of the queue; the ring indices free each slot on pop. The event engine
-// subsumes this with index-only arena rings, but the fix is kept here for
-// the reference engine and the retention regression test.
-type fifo struct {
-	items []flitRef // ring storage, allocated once at capacity
-	start int       // index of the head element
-	n     int       // live element count
-	cap   int
-}
-
-func (f *fifo) full() bool     { return f.n >= f.cap }
-func (f *fifo) empty() bool    { return f.n == 0 }
-func (f *fifo) head() *flitRef { return &f.items[f.start] }
-
-func (f *fifo) push(fl flitRef) {
-	if f.items == nil {
-		f.items = make([]flitRef, f.cap)
-	}
-	f.items[(f.start+f.n)%f.cap] = fl
-	f.n++
-}
-
-func (f *fifo) pop() flitRef {
-	fl := f.items[f.start]
-	f.items[f.start] = flitRef{} // release the pktState reference
-	f.start = (f.start + 1) % f.cap
-	f.n--
-	return fl
-}
-
 // RunDES simulates the packets on the routed topology and returns aggregate
 // metrics. Packets are injected at their Inject cycles from per-source FIFO
 // queues; routing must be deadlock-free for the topology (XY on the mesh,

@@ -4,8 +4,6 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
-	"os"
-	"path/filepath"
 )
 
 // profileJSON is the stable on-disk schema for Profile.
@@ -91,55 +89,4 @@ func ReadVFIConfig(r io.Reader) (VFIConfig, error) {
 		return VFIConfig{}, fmt.Errorf("platform: loaded VFI config invalid: %w", err)
 	}
 	return cfg, nil
-}
-
-// SaveProfile writes a profile to path atomically (write to a temp file in
-// the same directory, then rename), so concurrent readers never observe a
-// torn file — the experiment harness caches profiles from parallel
-// pipeline builds.
-func SaveProfile(path string, p Profile) error {
-	return atomicWrite(path, func(w io.Writer) error { return WriteProfile(w, p) })
-}
-
-// LoadProfile reads a profile written by SaveProfile.
-func LoadProfile(path string) (Profile, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return Profile{}, err
-	}
-	defer f.Close()
-	return ReadProfile(f)
-}
-
-// SaveVFIConfig writes a VFI configuration to path atomically.
-func SaveVFIConfig(path string, cfg VFIConfig) error {
-	return atomicWrite(path, func(w io.Writer) error { return WriteVFIConfig(w, cfg) })
-}
-
-// LoadVFIConfig reads a configuration written by SaveVFIConfig.
-func LoadVFIConfig(path string) (VFIConfig, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return VFIConfig{}, err
-	}
-	defer f.Close()
-	return ReadVFIConfig(f)
-}
-
-// atomicWrite streams through write into a temporary sibling of path and
-// renames it into place on success.
-func atomicWrite(path string, write func(io.Writer) error) error {
-	tmp, err := os.CreateTemp(filepath.Dir(path), ".tmp-*")
-	if err != nil {
-		return err
-	}
-	defer os.Remove(tmp.Name())
-	if err := write(tmp); err != nil {
-		tmp.Close()
-		return err
-	}
-	if err := tmp.Close(); err != nil {
-		return err
-	}
-	return os.Rename(tmp.Name(), path)
 }

@@ -3,9 +3,6 @@ package platform
 import (
 	"bytes"
 	"math/rand"
-	"os"
-	"path/filepath"
-	"reflect"
 	"strings"
 	"testing"
 )
@@ -98,61 +95,5 @@ func TestReadVFIConfigRejectsInvalid(t *testing.T) {
 	}
 	if err := WriteVFIConfig(&bytes.Buffer{}, VFIConfig{}); err == nil {
 		t.Error("empty config written")
-	}
-}
-
-func TestProfileFileRoundTrip(t *testing.T) {
-	dir := t.TempDir()
-	p := Profile{
-		Util:    []float64{0.5, 0.75},
-		Traffic: [][]float64{{0, 1}, {2, 0}},
-	}
-	path := filepath.Join(dir, "profile.json")
-	if err := SaveProfile(path, p); err != nil {
-		t.Fatal(err)
-	}
-	got, err := LoadProfile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(got, p) {
-		t.Errorf("round trip changed profile: %+v vs %+v", got, p)
-	}
-	// no temp files left behind
-	entries, err := os.ReadDir(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(entries) != 1 {
-		t.Errorf("stray files after atomic write: %v", entries)
-	}
-	if _, err := LoadProfile(filepath.Join(dir, "missing.json")); err == nil {
-		t.Error("missing file loaded")
-	}
-}
-
-func TestVFIConfigFileRoundTrip(t *testing.T) {
-	dir := t.TempDir()
-	cfg := VFIConfig{
-		Assign: []int{0, 1, 0, 1},
-		Points: []OperatingPoint{{VoltageV: 0.8, FreqGHz: 2.0}, {VoltageV: 1.0, FreqGHz: 2.5}},
-	}
-	path := filepath.Join(dir, "vfi.json")
-	if err := SaveVFIConfig(path, cfg); err != nil {
-		t.Fatal(err)
-	}
-	got, err := LoadVFIConfig(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(got, cfg) {
-		t.Errorf("round trip changed config: %+v vs %+v", got, cfg)
-	}
-	// invalid configs must not be persisted at all
-	if err := SaveVFIConfig(filepath.Join(dir, "bad.json"), VFIConfig{}); err == nil {
-		t.Error("invalid config saved")
-	}
-	if _, err := os.Stat(filepath.Join(dir, "bad.json")); !os.IsNotExist(err) {
-		t.Error("invalid config left a file behind")
 	}
 }

@@ -66,10 +66,19 @@ type Result struct {
 	Atlas *Atlas
 }
 
+// scenarioHook, when non-nil, is called with each scenario as its job
+// starts. Test seam for the panicking-scenario test; never set outside
+// tests.
+var scenarioHook func(sc Scenario)
+
 // Run executes the sweep: expands the spec, skips journaled scenarios,
 // fans the remainder over a bounded worker pool, journals each record as
 // it lands and aggregates everything into the atlas. Scenario failures are
 // recorded, not fatal; Run errors only on spec, journal or I/O problems.
+// A scenario that panics is a bug, not a deterministic outcome, so it is
+// never journaled: its siblings still finish and are journaled, then Run
+// re-panics with the *sim.JobPanic naming "sweep:scenario", and a resume
+// runs only the scenarios without a record.
 func Run(spec *Spec, opts Options) (*Result, error) {
 	scenarios, infeasible, err := spec.Generate()
 	if err != nil {
@@ -128,6 +137,9 @@ func Run(spec *Spec, opts Options) (*Result, error) {
 		jobs[i] = sim.Job{Name: "sweep:scenario", Detail: sc.Label(), Run: func() error {
 			inFlightGauge.Add(1)
 			defer inFlightGauge.Add(-1)
+			if scenarioHook != nil {
+				scenarioHook(sc)
+			}
 			rec := runScenario(sc, opts.CacheDir)
 			fresh[i] = rec
 			completedCounter.Add(1)

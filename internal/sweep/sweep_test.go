@@ -7,9 +7,11 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"sync"
 	"testing"
 
 	"wivfi/internal/expt"
+	"wivfi/internal/sim"
 )
 
 func TestParseMesh(t *testing.T) {
@@ -385,5 +387,66 @@ func TestRunResumeByteIdentical(t *testing.T) {
 	}
 	if len(cold.Atlas.Outliers) != 0 {
 		t.Fatalf("analytic outliers on the probe scenarios: %+v", cold.Atlas.Outliers)
+	}
+}
+
+// TestPanickingScenarioAbortsSweep pins what a panicking scenario does:
+// Run re-panics with a *sim.JobPanic naming the scenario job once its
+// siblings have finished, their records are in the journal, and a resume
+// runs only the scenario that panicked.
+func TestPanickingScenarioAbortsSweep(t *testing.T) {
+	if testing.Short() {
+		t.Skip("runs real scenarios")
+	}
+	spec := &Spec{
+		Name:    "panic-test",
+		Meshes:  []string{"4x4"},
+		Apps:    []string{"wc", "hist"},
+		Margins: []float64{0.35, 0.45},
+	}
+	scenarios, _, err := spec.Generate()
+	if err != nil {
+		t.Fatal(err)
+	}
+	bad := scenarios[1].Key()
+	journal := filepath.Join(t.TempDir(), "journal.ndjson")
+	scenarioHook = func(sc Scenario) {
+		if sc.Key() == bad {
+			panic("boom")
+		}
+	}
+	var pn *sim.JobPanic
+	func() {
+		defer func() { pn, _ = recover().(*sim.JobPanic) }()
+		_, err = Run(spec, Options{JournalPath: journal, Parallelism: 2})
+	}()
+	scenarioHook = nil
+	if pn == nil || pn.Job != "sweep:scenario" || pn.Value != "boom" {
+		t.Fatalf("Run ended with %+v (err %v), want a *sim.JobPanic of sweep:scenario", pn, err)
+	}
+	prior, err := LoadJournal(journal)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, sc := range scenarios {
+		if _, ok := prior[sc.Key()]; ok == (sc.Key() == bad) {
+			t.Errorf("journal holds %s: %v", sc.Label(), ok)
+		}
+	}
+
+	var mu sync.Mutex
+	var ran []string
+	res, err := Run(spec, Options{JournalPath: journal, Parallelism: 2, OnRecord: func(rec Record, resumed bool) {
+		if !resumed {
+			mu.Lock()
+			ran = append(ran, rec.Key)
+			mu.Unlock()
+		}
+	}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(ran, []string{bad}) || res.Resumed != len(scenarios)-1 || res.Errors != 0 {
+		t.Errorf("resume ran %v (resumed %d, errors %d), want only %s", ran, res.Resumed, res.Errors, bad)
 	}
 }
