@@ -372,7 +372,7 @@ func BenchmarkKLRefinement(b *testing.B) {
 
 // BenchmarkAnnealQP is one default-options anneal of a dense 144-core,
 // 4-cluster instance: the size of a 12x12 sweep scenario's VFI clustering.
-// CI gates it with a loose wall-clock budget (testdata/kernel-bench-budget).
+// CI gates it with a loose wall-clock budget (testdata/bench-gates.json).
 func BenchmarkAnnealQP(b *testing.B) {
 	prob := randomQP(7, 144, 4, 1)
 	b.ReportAllocs()

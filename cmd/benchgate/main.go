@@ -1,40 +1,24 @@
-// Command benchgate turns `go test -bench -benchmem` text into a
-// machine-readable BENCH_des.json and gates benchmarks against committed
-// expectations.
+// Command benchgate turns `go test -bench -benchmem` text into JSON and
+// enforces testdata/bench-gates.json on it, as CI's bench job does:
 //
-// Usage:
+//	benchgate -in bench.txt -out BENCH_ci.json -gates testdata/bench-gates.json
 //
-//	go test ./internal/noc -run '^$' -bench 'BenchmarkDES' -benchmem |
-//	    benchgate -out BENCH_des.json -baseline testdata/BENCH_des.json -check
+// Each gate bounds one benchmark with exactly one kind: an alloc ceiling
+// (max_allocs_per_op, max_bytes_per_op), a ratio floor (its ns/op over the
+// ns/op of benchmark over is at least min_ratio) or a wall budget
+// (max_ns_per_op). Raw ns/op varies across machines, so tight bounds go
+// only on allocation counts and on ratios of two benchmarks run in the
+// same process; a wall budget is a loose ceiling against order-of-magnitude
+// blowups. Every benchmark a gate names must appear in the input exactly
+// once. Each gate prints one line with its measured value and bound.
 //
-//	go test ./internal/lint -run '^$' -bench 'BenchmarkSuiteRun' -benchmem |
-//	    benchgate -des=false -budget SuiteRun=60s -check
-//
-// Raw ns/op numbers vary across machines, so the DES gate never compares
-// them directly. Instead it checks two machine-independent properties:
-//
-//   - the event engine's steady state is allocation-free (allocs/op and
-//     B/op are exactly zero), and
-//   - the self-relative speedup (reference-engine ns/op divided by
-//     event-engine ns/op, both measured in the same process on the same
-//     host) has not regressed below the committed snapshot's speedup by
-//     more than -tolerance (a fraction, default 0.30).
-//
-// Those DES-specific gates (required benchmarks, allocation freedom, and
-// the speedup floor) are on by default and can be switched off with
-// -des=false when gating non-DES benchmarks. Independent of them, each
-// repeatable -budget name=duration flag requires the named benchmark to
-// be present and to finish within the given wall-clock budget per op — a
-// deliberately loose, committed ceiling that catches order-of-magnitude
-// latency blowups without chasing host noise.
-//
-// Without -check the command only parses and writes the JSON, which is how
-// the committed snapshots are produced.
+// Without -gates the command only parses, and writes the JSON with -out.
 package main
 
 import (
 	"bufio"
 	"encoding/json"
+	"errors"
 	"flag"
 	"fmt"
 	"io"
@@ -45,15 +29,6 @@ import (
 	"time"
 )
 
-// eventBench and referenceBench are the two benchmarks whose ratio forms
-// the speedup; allocFreeBenches must report zero allocations.
-const (
-	eventBench     = "DESEventEngine"
-	referenceBench = "DESReferenceEngine"
-)
-
-var allocFreeBenches = []string{"DESEventEngine", "DESEventEngineMesh"}
-
 // Bench is one parsed benchmark line.
 type Bench struct {
 	Name        string  `json:"name"`
@@ -63,58 +38,34 @@ type Bench struct {
 	AllocsPerOp int64   `json:"allocs_per_op"`
 }
 
-// Snapshot is the BENCH_des.json schema.
+// Snapshot is the -out schema.
 type Snapshot struct {
-	Schema int `json:"schema"`
-	// SpeedupRefOverEvent is reference ns/op divided by event ns/op — the
-	// machine-independent number the gate tracks.
-	SpeedupRefOverEvent float64 `json:"speedup_ref_over_event"`
-	Benchmarks          []Bench `json:"benchmarks"`
+	Schema     int     `json:"schema"`
+	Benchmarks []Bench `json:"benchmarks"`
 }
 
-// budgetFlag collects repeatable -budget name=duration pairs.
-type budgetFlag map[string]time.Duration
-
-func (b budgetFlag) String() string {
-	names := make([]string, 0, len(b))
-	for name := range b {
-		names = append(names, name)
-	}
-	sort.Strings(names)
-	parts := make([]string, len(names))
-	for i, name := range names {
-		parts[i] = name + "=" + b[name].String()
-	}
-	return strings.Join(parts, ",")
+// Gate bounds one benchmark with exactly one kind: the alloc ceiling (both
+// Max*PerOp counts), the ratio floor (Over, MinRatio) or the wall budget
+// (MaxNsPerOp). Pointers tell a zero bound from an absent one.
+type Gate struct {
+	Name           string   `json:"name"`
+	MaxAllocsPerOp *int64   `json:"max_allocs_per_op,omitempty"`
+	MaxBytesPerOp  *int64   `json:"max_bytes_per_op,omitempty"`
+	Over           string   `json:"over,omitempty"`
+	MinRatio       *float64 `json:"min_ratio,omitempty"`
+	MaxNsPerOp     *float64 `json:"max_ns_per_op,omitempty"`
+	Why            string   `json:"why,omitempty"`
 }
 
-func (b budgetFlag) Set(s string) error {
-	name, val, ok := strings.Cut(s, "=")
-	if !ok || strings.TrimSpace(name) == "" {
-		return fmt.Errorf("budget %q: want name=duration", s)
-	}
-	d, err := time.ParseDuration(val)
-	if err != nil {
-		return fmt.Errorf("budget %q: %w", s, err)
-	}
-	if d <= 0 {
-		return fmt.Errorf("budget %q: duration must be positive", s)
-	}
-	b[strings.TrimSpace(name)] = d
-	return nil
-}
+// gatesSchema versions the gates file, snapshotSchema the -out JSON.
+const gatesSchema, snapshotSchema = 1, 2
 
 func main() {
 	var (
-		in       = flag.String("in", "-", "benchmark text to parse (- for stdin)")
-		out      = flag.String("out", "", "write the parsed snapshot JSON here")
-		baseline = flag.String("baseline", "", "committed snapshot to gate against")
-		check    = flag.Bool("check", false, "enforce the configured gates")
-		tol      = flag.Float64("tolerance", 0.30, "allowed fractional speedup regression vs baseline")
-		des      = flag.Bool("des", true, "enforce the DES-specific required-bench, alloc, and speedup gates")
-		budgets  = budgetFlag{}
+		in    = flag.String("in", "-", "benchmark text to parse (- for stdin)")
+		out   = flag.String("out", "", "write the parsed benchmarks as JSON here")
+		gates = flag.String("gates", "", "enforce the gates in `file`; without it, only parse")
 	)
-	flag.Var(budgets, "budget", "wall-clock gate `name=duration` requiring the named benchmark to stay within duration per op (repeatable)")
 	flag.Parse()
 
 	r := io.Reader(os.Stdin)
@@ -139,36 +90,34 @@ func main() {
 			fatal(err)
 		}
 	}
-	fmt.Printf("benchgate: parsed %d benchmarks, speedup %.2fx (reference/event)\n",
-		len(snap.Benchmarks), snap.SpeedupRefOverEvent)
+	fmt.Printf("benchgate: parsed %d benchmarks\n", len(snap.Benchmarks))
 
-	if !*check {
+	if *gates == "" {
 		return
 	}
-	var base *Snapshot
-	if *baseline != "" {
-		buf, err := os.ReadFile(*baseline)
-		if err != nil {
-			fatal(err)
-		}
-		base = &Snapshot{}
-		if err := json.Unmarshal(buf, base); err != nil {
-			fatal(fmt.Errorf("baseline %s: %w", *baseline, err))
-		}
+	f, err := os.Open(*gates)
+	if err != nil {
+		fatal(err)
 	}
-	if errs := gate(snap, base, *tol, *des, budgets); len(errs) > 0 {
-		for _, e := range errs {
-			fmt.Fprintf(os.Stderr, "benchgate: FAIL: %v\n", e)
-		}
-		os.Exit(1)
+	defer f.Close()
+	gs, err := readGates(f)
+	if err != nil {
+		fatal(fmt.Errorf("%s: %w", *gates, err))
+	}
+	lines, failed := check(gs, snap.Benchmarks)
+	for _, line := range lines {
+		fmt.Println("benchgate:", line)
+	}
+	if failed > 0 {
+		fatal(fmt.Errorf("FAIL: %d of %d gates", failed, len(gs)))
 	}
 	fmt.Println("benchgate: gates green")
 }
 
-// parse reads `go test -bench -benchmem` text and builds a snapshot. Lines
-// that are not benchmark results (headers, PASS, ok) are skipped.
+// parse reads `go test -bench -benchmem` text. Lines that are not
+// benchmark results (headers, PASS, ok) are skipped.
 func parse(r io.Reader) (*Snapshot, error) {
-	snap := &Snapshot{Schema: 1}
+	snap := &Snapshot{Schema: snapshotSchema}
 	sc := bufio.NewScanner(r)
 	for sc.Scan() {
 		b, ok := parseLine(sc.Text())
@@ -182,22 +131,17 @@ func parse(r io.Reader) (*Snapshot, error) {
 	if len(snap.Benchmarks) == 0 {
 		return nil, fmt.Errorf("no benchmark lines found in input")
 	}
-	sort.Slice(snap.Benchmarks, func(i, j int) bool {
+	sort.SliceStable(snap.Benchmarks, func(i, j int) bool {
 		return snap.Benchmarks[i].Name < snap.Benchmarks[j].Name
 	})
-	ref, refOK := find(snap.Benchmarks, referenceBench)
-	ev, evOK := find(snap.Benchmarks, eventBench)
-	if refOK && evOK && ev.NsPerOp > 0 {
-		snap.SpeedupRefOverEvent = ref.NsPerOp / ev.NsPerOp
-	}
 	return snap, nil
 }
 
 // parseLine parses one result line, e.g.
 //
-//	BenchmarkDESEventEngine-8  200  5838468 ns/op  0 B/op  0 allocs/op
+//	BenchmarkKernel-8  200  5838468 ns/op  0 B/op  0 allocs/op
 //
-// The -8 GOMAXPROCS suffix is stripped so snapshots compare across hosts.
+// The -8 GOMAXPROCS suffix is stripped so results compare across hosts.
 func parseLine(line string) (Bench, bool) {
 	f := strings.Fields(line)
 	if len(f) < 4 || !strings.HasPrefix(f[0], "Benchmark") {
@@ -233,62 +177,116 @@ func parseLine(line string) (Bench, bool) {
 	return b, seenNs
 }
 
-// gate returns every violated invariant (empty means green). The DES
-// gates (required benchmarks, allocation freedom, speedup floor) run
-// only when des is true; the wall-clock budgets always apply.
-func gate(snap, base *Snapshot, tol float64, des bool, budgets budgetFlag) []error {
-	var errs []error
-	if des {
-		for _, name := range []string{eventBench, referenceBench} {
-			if _, ok := find(snap.Benchmarks, name); !ok {
-				errs = append(errs, fmt.Errorf("benchmark %s missing from input", name))
-			}
-		}
-		for _, name := range allocFreeBenches {
-			b, ok := find(snap.Benchmarks, name)
-			if !ok {
-				errs = append(errs, fmt.Errorf("benchmark %s missing from input", name))
-				continue
-			}
-			if b.AllocsPerOp != 0 || b.BytesPerOp != 0 {
-				errs = append(errs, fmt.Errorf("%s not allocation-free: %d B/op, %d allocs/op",
-					name, b.BytesPerOp, b.AllocsPerOp))
-			}
-		}
-		if base != nil && base.SpeedupRefOverEvent > 0 && snap.SpeedupRefOverEvent > 0 {
-			floor := base.SpeedupRefOverEvent * (1 - tol)
-			if snap.SpeedupRefOverEvent < floor {
-				errs = append(errs, fmt.Errorf("speedup %.2fx below floor %.2fx (baseline %.2fx, tolerance %.0f%%)",
-					snap.SpeedupRefOverEvent, floor, base.SpeedupRefOverEvent, tol*100))
-			}
-		}
+// readGates decodes and validates a gates file.
+func readGates(r io.Reader) ([]Gate, error) {
+	var file struct {
+		Schema int    `json:"schema"`
+		Gates  []Gate `json:"gates"`
 	}
-	names := make([]string, 0, len(budgets))
-	for name := range budgets {
-		names = append(names, name)
+	dec := json.NewDecoder(r)
+	dec.DisallowUnknownFields()
+	if err := dec.Decode(&file); err != nil {
+		return nil, err
 	}
-	sort.Strings(names)
-	for _, name := range names {
-		budget := budgets[name]
-		b, ok := find(snap.Benchmarks, name)
-		if !ok {
-			errs = append(errs, fmt.Errorf("budgeted benchmark %s missing from input", name))
-			continue
-		}
-		if got := time.Duration(b.NsPerOp); got > budget {
-			errs = append(errs, fmt.Errorf("%s took %v per op, over the %v budget", name, got, budget))
-		}
+	if file.Schema != gatesSchema {
+		return nil, fmt.Errorf("schema %d, want %d", file.Schema, gatesSchema)
 	}
-	return errs
+	if len(file.Gates) == 0 {
+		return nil, errors.New("no gates")
+	}
+	seen := map[string]bool{}
+	for _, g := range file.Gates {
+		if err := g.validate(); err != nil {
+			return nil, fmt.Errorf("gate %q: %w", g.Name, err)
+		}
+		if seen[g.Name] {
+			return nil, fmt.Errorf("gate %q: second gate for one benchmark", g.Name)
+		}
+		seen[g.Name] = true
+	}
+	return file.Gates, nil
 }
 
-func find(bs []Bench, name string) (Bench, bool) {
-	for _, b := range bs {
-		if b.Name == name {
-			return b, true
+// validate rejects a gate without exactly one kind, a negative ceiling and
+// a non-positive floor or budget.
+func (g Gate) validate() error {
+	kinds := 0
+	if g.MaxAllocsPerOp != nil || g.MaxBytesPerOp != nil {
+		kinds++
+		if g.MaxAllocsPerOp == nil || g.MaxBytesPerOp == nil || *g.MaxAllocsPerOp < 0 || *g.MaxBytesPerOp < 0 {
+			return errors.New("an alloc ceiling needs non-negative max_allocs_per_op and max_bytes_per_op")
 		}
 	}
-	return Bench{}, false
+	if g.Over != "" || g.MinRatio != nil {
+		kinds++
+		if g.Over == "" || g.MinRatio == nil || *g.MinRatio <= 0 {
+			return errors.New("a ratio floor needs over and a positive min_ratio")
+		}
+	}
+	if g.MaxNsPerOp != nil {
+		kinds++
+		if *g.MaxNsPerOp <= 0 {
+			return errors.New("non-positive max_ns_per_op")
+		}
+	}
+	if kinds != 1 {
+		return fmt.Errorf("%d gate kinds, want exactly one", kinds)
+	}
+	return nil
+}
+
+// check evaluates every gate against the parsed results and returns one
+// line per gate and the number that failed.
+func check(gs []Gate, bs []Bench) (lines []string, failed int) {
+	results := map[string][]Bench{}
+	for _, b := range bs {
+		results[b.Name] = append(results[b.Name], b)
+	}
+	// A repeated name is an error too, so a name clash across packages
+	// cannot gate only one of them.
+	one := func(name string) (Bench, error) {
+		switch rs := results[name]; len(rs) {
+		case 1:
+			return rs[0], nil
+		case 0:
+			return Bench{}, fmt.Errorf("%s missing from input", name)
+		default:
+			return Bench{}, fmt.Errorf("%s has %d result lines in input", name, len(rs))
+		}
+	}
+	for _, g := range gs {
+		ok, line := judge(g, one)
+		prefix := "ok   "
+		if !ok {
+			failed++
+			prefix = "FAIL "
+		}
+		lines = append(lines, prefix+line)
+	}
+	return lines, failed
+}
+
+// judge applies one gate.
+func judge(g Gate, one func(string) (Bench, error)) (bool, string) {
+	b, err := one(g.Name)
+	if err != nil {
+		return false, err.Error()
+	}
+	switch {
+	case g.MaxNsPerOp != nil:
+		return b.NsPerOp <= *g.MaxNsPerOp, fmt.Sprintf("%s %v/op, budget %v",
+			g.Name, time.Duration(b.NsPerOp), time.Duration(*g.MaxNsPerOp))
+	case g.MinRatio != nil:
+		over, err := one(g.Over)
+		if err != nil {
+			return false, fmt.Sprintf("%s: ratio over %v", g.Name, err)
+		}
+		ratio := b.NsPerOp / over.NsPerOp
+		return ratio >= *g.MinRatio, fmt.Sprintf("%s/%s %.2fx, floor %.2fx", g.Name, g.Over, ratio, *g.MinRatio)
+	}
+	return b.AllocsPerOp <= *g.MaxAllocsPerOp && b.BytesPerOp <= *g.MaxBytesPerOp,
+		fmt.Sprintf("%s %d allocs/op %d B/op, ceiling %d allocs/op %d B/op",
+			g.Name, b.AllocsPerOp, b.BytesPerOp, *g.MaxAllocsPerOp, *g.MaxBytesPerOp)
 }
 
 func fatal(err error) {

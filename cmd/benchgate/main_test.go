@@ -1,9 +1,13 @@
 package main
 
 import (
+	"fmt"
+	"io/fs"
+	"os"
+	"path/filepath"
+	"regexp"
 	"strings"
 	"testing"
-	"time"
 )
 
 const sample = `goos: linux
@@ -16,88 +20,8 @@ PASS
 ok  	wivfi/internal/noc	5.858s
 `
 
-func parseSample(t *testing.T) *Snapshot {
-	t.Helper()
-	snap, err := parse(strings.NewReader(sample))
-	if err != nil {
-		t.Fatal(err)
-	}
-	return snap
-}
-
-func TestParse(t *testing.T) {
-	snap := parseSample(t)
-	if len(snap.Benchmarks) != 3 {
-		t.Fatalf("parsed %d benchmarks, want 3", len(snap.Benchmarks))
-	}
-	ev, ok := find(snap.Benchmarks, "DESEventEngine")
-	if !ok {
-		t.Fatal("DESEventEngine missing")
-	}
-	if ev.NsPerOp != 5838468 || ev.BytesPerOp != 0 || ev.AllocsPerOp != 0 || ev.Iterations != 200 {
-		t.Fatalf("bad event bench: %+v", ev)
-	}
-	ref, ok := find(snap.Benchmarks, "DESReferenceEngine")
-	if !ok {
-		t.Fatal("DESReferenceEngine missing")
-	}
-	if ref.AllocsPerOp != 16452 {
-		t.Fatalf("bad reference bench: %+v", ref)
-	}
-	want := ref.NsPerOp / ev.NsPerOp
-	if snap.SpeedupRefOverEvent != want {
-		t.Fatalf("speedup %v, want %v", snap.SpeedupRefOverEvent, want)
-	}
-}
-
-func TestGateGreen(t *testing.T) {
-	snap := parseSample(t)
-	base := &Snapshot{Schema: 1, SpeedupRefOverEvent: snap.SpeedupRefOverEvent}
-	if errs := gate(snap, base, 0.30, true, nil); len(errs) != 0 {
-		t.Fatalf("unexpected failures: %v", errs)
-	}
-	// No baseline: only the alloc gates apply.
-	if errs := gate(snap, nil, 0.30, true, nil); len(errs) != 0 {
-		t.Fatalf("unexpected failures without baseline: %v", errs)
-	}
-}
-
-func TestGateAllocRegression(t *testing.T) {
-	snap := parseSample(t)
-	for i := range snap.Benchmarks {
-		if snap.Benchmarks[i].Name == "DESEventEngine" {
-			snap.Benchmarks[i].AllocsPerOp = 7
-		}
-	}
-	errs := gate(snap, nil, 0.30, true, nil)
-	if len(errs) != 1 || !strings.Contains(errs[0].Error(), "not allocation-free") {
-		t.Fatalf("want one alloc failure, got %v", errs)
-	}
-}
-
-func TestGateSpeedupRegression(t *testing.T) {
-	snap := parseSample(t)
-	base := &Snapshot{Schema: 1, SpeedupRefOverEvent: snap.SpeedupRefOverEvent * 2}
-	errs := gate(snap, base, 0.30, true, nil)
-	if len(errs) != 1 || !strings.Contains(errs[0].Error(), "below floor") {
-		t.Fatalf("want one speedup failure, got %v", errs)
-	}
-	// Within the band: half the baseline fails at 30% but passes at 60%.
-	if errs := gate(snap, base, 0.60, true, nil); len(errs) != 0 {
-		t.Fatalf("60%% tolerance should pass, got %v", errs)
-	}
-}
-
-func TestGateMissingBench(t *testing.T) {
-	snap := &Snapshot{Schema: 1, Benchmarks: []Bench{{Name: "DESEventEngine"}}}
-	errs := gate(snap, nil, 0.30, true, nil)
-	if len(errs) == 0 {
-		t.Fatal("want failures for missing benchmarks")
-	}
-}
-
-// lintSample is what the analyzer-suite benchmark job feeds the budget
-// gate: a single non-DES benchmark line.
+// lintSample is a single non-DES benchmark line, as the analyzer suite
+// reports it.
 const lintSample = `goos: linux
 pkg: wivfi/internal/lint
 BenchmarkSuiteRun-8 	       1	3164379494 ns/op	798999232 B/op	 9280609 allocs/op
@@ -105,65 +29,217 @@ PASS
 ok  	wivfi/internal/lint	3.173s
 `
 
-func TestBudgetFlagSet(t *testing.T) {
-	b := budgetFlag{}
-	for _, good := range []string{"SuiteRun=60s", "Other=1500ms"} {
-		if err := b.Set(good); err != nil {
-			t.Fatalf("Set(%q): %v", good, err)
+// desGates holds the DES gate kinds: two alloc ceilings and a ratio floor
+// under the sample's 5.64x.
+const desGates = `{"schema": 1, "gates": [
+	{"name": "DESEventEngine", "max_allocs_per_op": 0, "max_bytes_per_op": 0},
+	{"name": "DESEventEngineMesh", "max_allocs_per_op": 0, "max_bytes_per_op": 0},
+	{"name": "DESReferenceEngine", "over": "DESEventEngine", "min_ratio": 4.3}]}`
+
+func mustParse(t *testing.T, text string) []Bench {
+	t.Helper()
+	snap, err := parse(strings.NewReader(text))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return snap.Benchmarks
+}
+
+// failures gates bs with the gates file text and returns the failing
+// lines and all lines.
+func failures(t *testing.T, gates string, bs []Bench) (fails, lines []string) {
+	t.Helper()
+	gs, err := readGates(strings.NewReader(gates))
+	if err != nil {
+		t.Fatal(err)
+	}
+	lines, failed := check(gs, bs)
+	if len(lines) != len(gs) {
+		t.Fatalf("%d lines for %d gates: %q", len(lines), len(gs), lines)
+	}
+	for _, line := range lines {
+		if strings.HasPrefix(line, "FAIL ") {
+			fails = append(fails, line)
 		}
 	}
-	if b["SuiteRun"] != 60*time.Second || b["Other"] != 1500*time.Millisecond {
-		t.Fatalf("parsed budgets wrong: %v", b)
+	if len(fails) != failed {
+		t.Fatalf("failed = %d, but %d FAIL lines: %q", failed, len(fails), lines)
 	}
-	if got := b.String(); got != "Other=1.5s,SuiteRun=1m0s" {
-		t.Fatalf("String() = %q", got)
+	return fails, lines
+}
+
+func TestParse(t *testing.T) {
+	snap, err := parse(strings.NewReader(sample))
+	if err != nil {
+		t.Fatal(err)
 	}
-	for _, bad := range []string{"SuiteRun", "=60s", "SuiteRun=bogus", "SuiteRun=-5s", "SuiteRun=0s"} {
-		if err := b.Set(bad); err == nil {
-			t.Fatalf("Set(%q) should fail", bad)
+	if snap.Schema != snapshotSchema || len(snap.Benchmarks) != 3 {
+		t.Fatalf("schema %d, %d benchmarks; want %d, 3", snap.Schema, len(snap.Benchmarks), snapshotSchema)
+	}
+	ev, ref := snap.Benchmarks[0], snap.Benchmarks[2]
+	if ev.Name != "DESEventEngine" || ev.NsPerOp != 5838468 || ev.BytesPerOp != 0 || ev.AllocsPerOp != 0 || ev.Iterations != 200 {
+		t.Fatalf("bad event bench: %+v", ev)
+	}
+	if ref.Name != "DESReferenceEngine" || ref.AllocsPerOp != 16452 {
+		t.Fatalf("bad reference bench: %+v", ref)
+	}
+}
+
+func TestGateGreen(t *testing.T) {
+	fails, lines := failures(t, desGates, mustParse(t, sample))
+	if len(fails) != 0 {
+		t.Fatalf("unexpected failures: %q", fails)
+	}
+	if want := "ok   DESReferenceEngine/DESEventEngine 5.64x, floor 4.30x"; lines[2] != want {
+		t.Fatalf("ratio line %q, want %q", lines[2], want)
+	}
+}
+
+func TestGateAllocRegression(t *testing.T) {
+	for _, bump := range []func(*Bench){
+		func(b *Bench) { b.AllocsPerOp = 7 },
+		func(b *Bench) { b.BytesPerOp = 64 },
+	} {
+		bs := mustParse(t, sample)
+		bump(&bs[0])
+		fails, _ := failures(t, desGates, bs)
+		if len(fails) != 1 || !strings.Contains(fails[0], "DESEventEngine") || !strings.Contains(fails[0], "ceiling 0 allocs/op 0 B/op") {
+			t.Fatalf("want one alloc failure, got %q", fails)
 		}
+	}
+}
+
+func TestGateSpeedupRegression(t *testing.T) {
+	bs := mustParse(t, sample)
+	ratio := bs[2].NsPerOp / bs[0].NsPerOp
+	floor := func(min float64) string {
+		return fmt.Sprintf(`{"schema":1,"gates":[{"name":"DESReferenceEngine","over":"DESEventEngine","min_ratio":%v}]}`, min)
+	}
+	fails, _ := failures(t, floor(ratio*2), bs)
+	if len(fails) != 1 || !strings.Contains(fails[0], "floor 11.28x") {
+		t.Fatalf("want one ratio failure, got %q", fails)
+	}
+	// The floor is inclusive: the measured ratio itself passes.
+	for _, min := range []float64{ratio, ratio / 2} {
+		if fails, _ := failures(t, floor(min), bs); len(fails) != 0 {
+			t.Fatalf("floor %v should pass, got %q", min, fails)
+		}
+	}
+}
+
+func TestGateMissingBench(t *testing.T) {
+	bs := []Bench{{Name: "DESEventEngine", NsPerOp: 1}}
+	fails, _ := failures(t, desGates, bs)
+	if len(fails) != 2 || !strings.Contains(fails[0], "DESEventEngineMesh missing") || !strings.Contains(fails[1], "DESReferenceEngine missing") {
+		t.Fatalf("want two missing-benchmark failures, got %q", fails)
+	}
+	// The benchmark a ratio divides by must be present too.
+	fails, _ = failures(t, `{"schema":1,"gates":[{"name":"DESEventEngine","over":"Ghost","min_ratio":1}]}`, bs)
+	if len(fails) != 1 || !strings.Contains(fails[0], "ratio over Ghost missing") {
+		t.Fatalf("want one missing-divisor failure, got %q", fails)
 	}
 }
 
 func TestGateBudget(t *testing.T) {
-	snap, err := parse(strings.NewReader(lintSample))
-	if err != nil {
-		t.Fatal(err)
+	bs := mustParse(t, lintSample)
+	budget := func(name, ns string) string {
+		return `{"schema":1,"gates":[{"name":"` + name + `","max_ns_per_op":` + ns + `}]}`
 	}
-	// Within budget, DES gates off: green even though no DES bench exists.
-	if errs := gate(snap, nil, 0.30, false, budgetFlag{"SuiteRun": 60 * time.Second}); len(errs) != 0 {
-		t.Fatalf("unexpected failures: %v", errs)
+	if fails, _ := failures(t, budget("SuiteRun", "60000000000"), bs); len(fails) != 0 {
+		t.Fatalf("unexpected failures: %q", fails)
 	}
-	// Over budget: exactly one failure naming the budget.
-	errs := gate(snap, nil, 0.30, false, budgetFlag{"SuiteRun": time.Second})
-	if len(errs) != 1 || !strings.Contains(errs[0].Error(), "over the 1s budget") {
-		t.Fatalf("want one budget failure, got %v", errs)
+	fails, _ := failures(t, budget("SuiteRun", "1000000000"), bs)
+	if len(fails) != 1 || !strings.Contains(fails[0], "SuiteRun 3.164379494s/op, budget 1s") {
+		t.Fatalf("want one budget failure, got %q", fails)
 	}
 	// A budgeted benchmark that never ran must fail, not silently pass.
-	errs = gate(snap, nil, 0.30, false, budgetFlag{"Ghost": time.Second})
-	if len(errs) != 1 || !strings.Contains(errs[0].Error(), "Ghost missing") {
-		t.Fatalf("want one missing-benchmark failure, got %v", errs)
+	fails, _ = failures(t, budget("Ghost", "1000000000"), bs)
+	if len(fails) != 1 || !strings.Contains(fails[0], "Ghost missing") {
+		t.Fatalf("want one missing-benchmark failure, got %q", fails)
 	}
 }
 
-func TestGateDESToggle(t *testing.T) {
-	snap, err := parse(strings.NewReader(lintSample))
+// TestGateDuplicateResult: two packages reporting one name fail every
+// gate that reads it, instead of gating whichever line came first.
+func TestGateDuplicateResult(t *testing.T) {
+	bs := mustParse(t, sample+"pkg: wivfi/other\nBenchmarkDESEventEngine-8 100 1 ns/op 0 B/op 0 allocs/op\n")
+	fails, _ := failures(t, desGates, bs)
+	if len(fails) != 2 || !strings.Contains(fails[0], "DESEventEngine has 2 result lines") ||
+		!strings.Contains(fails[1], "ratio over DESEventEngine has 2 result lines") {
+		t.Fatalf("want the alloc and ratio gates to fail on the duplicate, got %q", fails)
+	}
+}
+
+func TestReadGatesRejects(t *testing.T) {
+	const ok = `{"name":"A","max_ns_per_op":1}`
+	for _, tc := range []struct{ name, file, want string }{
+		{"not json", `{"schema":1,`, "unexpected EOF"},
+		{"unknown top field", `{"schema":1,"gates":[` + ok + `],"extra":1}`, `unknown field "extra"`},
+		{"unknown gate field", `{"schema":1,"gates":[{"name":"A","max_ns":1}]}`, `unknown field "max_ns"`},
+		{"wrong schema", `{"schema":2,"gates":[` + ok + `]}`, "schema 2, want 1"},
+		{"no schema", `{"gates":[` + ok + `]}`, "schema 0, want 1"},
+		{"no gates", `{"schema":1,"gates":[]}`, "no gates"},
+		{"second gate", `{"schema":1,"gates":[` + ok + `,` + ok + `]}`, "second gate"},
+		{"zero kinds", `{"schema":1,"gates":[{"name":"A","why":"x"}]}`, "0 gate kinds"},
+		{"alloc and budget", `{"schema":1,"gates":[{"name":"A","max_allocs_per_op":0,"max_bytes_per_op":0,"max_ns_per_op":1}]}`, "2 gate kinds"},
+		{"ratio and budget", `{"schema":1,"gates":[{"name":"A","over":"B","min_ratio":1,"max_ns_per_op":1}]}`, "2 gate kinds"},
+		{"half alloc ceiling", `{"schema":1,"gates":[{"name":"A","max_allocs_per_op":0}]}`, "alloc ceiling needs"},
+		{"negative ceiling", `{"schema":1,"gates":[{"name":"A","max_allocs_per_op":0,"max_bytes_per_op":-1}]}`, "alloc ceiling needs"},
+		{"fractional ceiling", `{"schema":1,"gates":[{"name":"A","max_allocs_per_op":0.5,"max_bytes_per_op":0}]}`, "cannot unmarshal"},
+		{"zero floor", `{"schema":1,"gates":[{"name":"A","over":"B","min_ratio":0}]}`, "positive min_ratio"},
+		{"negative floor", `{"schema":1,"gates":[{"name":"A","over":"B","min_ratio":-1}]}`, "positive min_ratio"},
+		{"floor without over", `{"schema":1,"gates":[{"name":"A","min_ratio":1}]}`, "needs over"},
+		{"over without floor", `{"schema":1,"gates":[{"name":"A","over":"B"}]}`, "needs over"},
+		{"zero budget", `{"schema":1,"gates":[{"name":"A","max_ns_per_op":0}]}`, "non-positive max_ns_per_op"},
+		{"negative budget", `{"schema":1,"gates":[{"name":"A","max_ns_per_op":-5}]}`, "non-positive max_ns_per_op"},
+	} {
+		_, err := readGates(strings.NewReader(tc.file))
+		if err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("%s: err = %v, want it to mention %q", tc.name, err, tc.want)
+		}
+	}
+}
+
+// TestCommittedGatesNameBenchmarks: every benchmark the committed gates
+// file names is defined in some _test.go of the module, so renaming one
+// fails here and not only in CI.
+func TestCommittedGatesNameBenchmarks(t *testing.T) {
+	f, err := os.Open("../../testdata/bench-gates.json")
 	if err != nil {
 		t.Fatal(err)
 	}
-	// With DES gates on, a lint-only snapshot fails the required-bench
-	// checks; with them off it is green.
-	if errs := gate(snap, nil, 0.30, true, nil); len(errs) == 0 {
-		t.Fatal("DES gates should fail on a lint-only snapshot")
+	defer f.Close()
+	gs, err := readGates(f)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if errs := gate(snap, nil, 0.30, false, nil); len(errs) != 0 {
-		t.Fatalf("disabled DES gates should pass: %v", errs)
+	decl := regexp.MustCompile(`(?m)^func Benchmark(\w+)\(b \*testing\.B\)`)
+	defined := map[string]bool{}
+	err = filepath.WalkDir("../..", func(path string, d fs.DirEntry, err error) error {
+		if err != nil {
+			return err
+		}
+		if d.IsDir() && path != "../.." && (strings.HasPrefix(d.Name(), ".") || d.Name() == "testdata") {
+			return filepath.SkipDir
+		}
+		if d.IsDir() || !strings.HasSuffix(path, "_test.go") {
+			return nil
+		}
+		src, err := os.ReadFile(path)
+		for _, m := range decl.FindAllSubmatch(src, -1) {
+			defined[string(m[1])] = true
+		}
+		return err
+	})
+	if err != nil {
+		t.Fatal(err)
 	}
-	// Budgets still apply with DES gates on.
-	desSnap := parseSample(t)
-	errs := gate(desSnap, nil, 0.30, true, budgetFlag{"DESEventEngine": time.Millisecond})
-	if len(errs) != 1 || !strings.Contains(errs[0].Error(), "budget") {
-		t.Fatalf("want one budget failure alongside green DES gates, got %v", errs)
+	for _, g := range gs {
+		for _, name := range []string{g.Name, g.Over} {
+			if name != "" && !defined[name] {
+				t.Errorf("gate %q names Benchmark%s, which no _test.go defines", g.Name, name)
+			}
+		}
 	}
 }
 

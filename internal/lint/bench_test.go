@@ -6,9 +6,9 @@ import "testing"
 // (determinism, nilsafe, stdoutpure, countersafe, locksafe, leaksafe) over
 // the entire repository — module discovery, loading, type-checking and
 // every analyzer, exactly the work `wivfi-lint ./...` does. The stdlib is
-// type-checked once per process, so iterations after the first reuse it. CI runs it once per push and gates the wall clock with
-// benchgate -budget against the committed budget in
-// testdata/lint-bench-budget, so analyzer additions that blow up lint
+// type-checked once per process, so iterations after the first reuse it.
+// CI runs it once per push and gates the wall clock against its budget in
+// testdata/bench-gates.json, so analyzer additions that blow up lint
 // latency fail loudly instead of silently taxing every future commit.
 func BenchmarkSuiteRun(b *testing.B) {
 	mod, err := FindModule(".")

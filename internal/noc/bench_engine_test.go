@@ -7,7 +7,7 @@ import "testing"
 // BenchmarkDESReferenceEngine measure the same workload on the event
 // engine and the cycle-driven reference, so their ratio is a
 // machine-independent speedup that cmd/benchgate checks against the
-// committed BENCH_des.json snapshot.
+// ratio floor in testdata/bench-gates.json.
 
 func benchDES(b *testing.B, rt *RouteTable, reference bool) {
 	b.Helper()

@@ -6,8 +6,8 @@ import (
 )
 
 // benchPackets builds the 64-core uniform workload the nocsim -des path
-// and the committed BENCH_des.json snapshots use: 2000 four-flit packets
-// at 0.05 flits/cycle/node.
+// and the DES benchmarks use: 2000 four-flit packets at 0.05
+// flits/cycle/node.
 func benchPackets(n int) []Packet {
 	const packets = 2000
 	const flits = 4

@@ -430,6 +430,77 @@ func TestDrainWaitsForInFlight(t *testing.T) {
 	}
 }
 
+// TestDrainDuringOpenStream: Drain waits for an open NDJSON or SSE stream,
+// a request arriving during the drain is shed with 503, and the open
+// stream still ends with its result event under contiguous seq numbers.
+func TestDrainDuringOpenStream(t *testing.T) {
+	for _, mode := range []string{StreamNDJSON, StreamSSE} {
+		t.Run(mode, func(t *testing.T) {
+			s, ts := newTestServer(t, Options{})
+			entered := make(chan struct{})
+			gate := make(chan struct{})
+			release := sync.OnceFunc(func() { close(gate) })
+			t.Cleanup(release)
+			s.execHook = func(string) {
+				close(entered)
+				<-gate
+			}
+			streamed := make(chan string, 1)
+			go func() {
+				var raw []byte
+				defer func() { streamed <- string(raw) }()
+				resp, err := http.Get(ts.URL + "/v1/design?app=mm&stream=" + mode)
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				defer resp.Body.Close()
+				if raw, err = io.ReadAll(resp.Body); err != nil {
+					t.Error(err)
+				}
+			}()
+			<-entered
+
+			ctx, cancel := context.WithTimeout(context.Background(), 50*time.Millisecond)
+			defer cancel()
+			if err := s.Drain(ctx); err == nil {
+				t.Fatal("Drain returned while a stream was open")
+			}
+			resp := getDesign(t, ts.URL+"/v1/design?app=wc")
+			if raw := body(t, resp); resp.StatusCode != http.StatusServiceUnavailable {
+				t.Fatalf("status during the drain = %d, want 503: %s", resp.StatusCode, raw)
+			}
+			drained := make(chan error, 1)
+			go func() { drained <- s.Drain(context.Background()) }()
+			release()
+			if err := <-drained; err != nil {
+				t.Fatalf("Drain after the stream finished: %v", err)
+			}
+
+			var events []Event
+			for _, line := range strings.Split(<-streamed, "\n") {
+				line = strings.TrimPrefix(line, "data: ")
+				if line == "" || strings.HasPrefix(line, "event: ") {
+					continue
+				}
+				var ev Event
+				if err := json.Unmarshal([]byte(line), &ev); err != nil {
+					t.Fatalf("stream line is not an Event: %v\nline: %s", err, line)
+				}
+				events = append(events, ev)
+			}
+			for i, ev := range events {
+				if ev.Seq != int64(i+1) {
+					t.Errorf("event %d seq = %d, want %d", i, ev.Seq, i+1)
+				}
+			}
+			if len(events) == 0 || events[len(events)-1].Event != EventResult || events[len(events)-1].Result == nil {
+				t.Fatalf("drained stream %v does not end with a result", eventNames(events))
+			}
+		})
+	}
+}
+
 // TestDesignCacheClassification: with a shared on-disk cache directory, a
 // fresh server's first request reloads the design (design-hit) instead of
 // recomputing it.
