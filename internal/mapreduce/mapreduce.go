@@ -2,7 +2,9 @@
 // Phoenix++ (Talbot et al., MapReduce '11): a job runs through Split, Map,
 // Reduce and Merge stages on a pool of worker goroutines with work stealing
 // in the Map phase and per-worker combiner containers that keep the
-// intermediate state cache-local.
+// intermediate state cache-local. An emit combines into its key's value in
+// place: integer keys in [0, 4096) index an array container directly, and
+// every other key goes through a hash container (container.go).
 //
 // This is the executable counterpart of the platform model: the six
 // benchmark applications in internal/apps run for real on this engine (and
@@ -72,8 +74,8 @@ type Job[In any, K comparable, V any] struct {
 	// KeyLess, when non-nil, sorts the merged output by key.
 	KeyLess func(a, b K) bool
 	// KeyHash, when non-nil, shards keys across reduce partitions. It must
-	// be safe for concurrent invocation: the map workers shard their local
-	// maps in parallel. The default is allocation-free for string and
+	// be safe for concurrent invocation: the map workers shard their
+	// containers in parallel. The default is allocation-free for string and
 	// integer keys and falls back to hashing the key's fmt representation
 	// for other types.
 	KeyHash func(k K) uint32
@@ -217,7 +219,8 @@ func Run[In any, K comparable, V any](job Job[In, K, V], data []In) (*Result[K, 
 	// ---- Map: work-stealing workers with per-worker combiners ----
 	mapSpan := obs.StartSpan("mr.map", job.Name)
 	mapStart := time.Now() //lint:wallclock host-side phase timing for Stats.MapTime; never feeds simulated results
-	locals := make([]map[K]V, workers)
+	toInt, fromInt := intKeyOf[K]()
+	locals := make([]*container[K, V], workers)
 	steals := make([]int, workers)
 	records := make([]int64, workers)
 	// One trace track per worker goroutine ("mr-worker-03"); track 0 when
@@ -231,14 +234,8 @@ func Run[In any, K comparable, V any](job Job[In, K, V], data []In) (*Result[K, 
 			wspan := obs.StartSpanOn(tracks[w], "mr.map.worker", job.Name)
 			defer wspan.End()
 			tl.setPhase(w, "map")
-			local := make(map[K]V)
-			emit := func(k K, v V) {
-				if old, ok := local[k]; ok {
-					local[k] = job.Combine(old, v)
-				} else {
-					local[k] = v
-				}
-			}
+			local := newContainer(job.Combine, toInt, fromInt, 0)
+			emit := local.add
 			for {
 				idx, ok := queues[w].popFront()
 				if !ok {
@@ -268,8 +265,10 @@ func Run[In any, K comparable, V any](job Job[In, K, V], data []In) (*Result[K, 
 				lo, hi := bounds[idx][0], bounds[idx][1]
 				for r := lo; r < hi; r++ {
 					job.Map(data[r], emit)
-					records[w]++
 				}
+				// Counted per task: a per-record increment would bounce
+				// the cache line records shares between workers.
+				records[w] += int64(hi - lo)
 				tspan.End()
 				tl.advance(int64(hi - lo))
 			}
@@ -293,10 +292,10 @@ func Run[In any, K comparable, V any](job Job[In, K, V], data []In) (*Result[K, 
 	if hash == nil {
 		hash = defaultKeyHash[K]()
 	}
-	// Pass 1: each worker shards its own local map, hashing every key
-	// exactly once (reducers formerly re-hashed every key of every local
-	// map, W× redundant work).
-	sharded := make([][]map[K]V, workers)
+	// Pass 1: each worker shards its own container into one pair slice
+	// per partition, hashing every key exactly once, and drops the
+	// container.
+	sharded := make([][][]Pair[K, V], workers)
 	var sg sync.WaitGroup
 	for w := 0; w < workers; w++ {
 		sg.Add(1)
@@ -305,21 +304,30 @@ func Run[In any, K comparable, V any](job Job[In, K, V], data []In) (*Result[K, 
 			sspan := obs.StartSpanOn(tracks[w], "mr.reduce.shard", job.Name)
 			defer sspan.End()
 			tl.setPhase(w, "reduce")
-			shards := make([]map[K]V, workers)
-			for k, v := range locals[w] {
+			local := locals[w]
+			locals[w] = nil
+			n := local.len()
+			// Room for an even share plus slack, so a default-hashed shard
+			// rarely outgrows it.
+			hint := n/workers + n/(8*workers) + 8
+			shards := make([][]Pair[K, V], workers)
+			local.each(func(k K, v V) {
 				p := int(hash(k)) % workers
 				if shards[p] == nil {
-					shards[p] = make(map[K]V)
+					shards[p] = make([]Pair[K, V], 0, hint)
 				}
-				shards[p][k] = v
-			}
+				shards[p] = append(shards[p], Pair[K, V]{Key: k, Value: v})
+			})
 			sharded[w] = shards
-			tl.advance(int64(len(locals[w])))
+			tl.advance(int64(n))
 		}(w)
 	}
 	sg.Wait()
-	// Pass 2: reducer p merges shard p of every worker, no hashing needed.
-	partitions := make([]map[K]V, workers)
+	// Pass 2: reducer p folds shard p of workers 0..W-1, in that order,
+	// into a hash container sized for its largest shard, dropping each
+	// shard once read. A partition holds about 1/W of the dense keys, so
+	// a cell table spanning them would be mostly empty.
+	partitions := make([]*container[K, V], workers)
 	var rg sync.WaitGroup
 	for p := 0; p < workers; p++ {
 		rg.Add(1)
@@ -327,15 +335,16 @@ func Run[In any, K comparable, V any](job Job[In, K, V], data []In) (*Result[K, 
 			defer rg.Done()
 			pspan := obs.StartSpanOn(tracks[p], "mr.reduce.merge", job.Name)
 			defer pspan.End()
-			part := make(map[K]V)
+			hint := 0
 			for w := 0; w < workers; w++ {
-				for k, v := range sharded[w][p] {
-					if old, ok := part[k]; ok {
-						part[k] = job.Combine(old, v)
-					} else {
-						part[k] = v
-					}
+				hint = max(hint, len(sharded[w][p]))
+			}
+			part := newContainer[K, V](job.Combine, nil, nil, hint)
+			for w := 0; w < workers; w++ {
+				for _, kv := range sharded[w][p] {
+					part.add(kv.Key, kv.Value)
 				}
+				sharded[w][p] = nil
 			}
 			partitions[p] = part
 		}(p)
@@ -350,13 +359,12 @@ func Run[In any, K comparable, V any](job Job[In, K, V], data []In) (*Result[K, 
 	tl.setPhaseAll("merge")
 	var total int
 	for _, part := range partitions {
-		total += len(part)
+		total += part.len()
 	}
 	pairs := make([]Pair[K, V], 0, total)
-	for _, part := range partitions {
-		for k, v := range part {
-			pairs = append(pairs, Pair[K, V]{Key: k, Value: v})
-		}
+	for p, part := range partitions {
+		partitions[p] = nil
+		part.each(func(k K, v V) { pairs = append(pairs, Pair[K, V]{Key: k, Value: v}) })
 	}
 	if job.KeyLess != nil {
 		sort.Slice(pairs, func(i, j int) bool { return job.KeyLess(pairs[i].Key, pairs[j].Key) })
@@ -405,40 +413,58 @@ func zeroTracks(n int) []int32 {
 // the integer path is free to differ from the string form of the number.
 func defaultKeyHash[K comparable]() func(K) uint32 {
 	var zero K
-	switch any(zero).(type) {
-	case string:
-		return func(k K) uint32 { return fnvHash(*(*string)(keyPtr(&k))) }
-	case int:
-		return func(k K) uint32 { return mix64(uint64(*(*int)(keyPtr(&k)))) }
-	case int8:
-		return func(k K) uint32 { return mix64(uint64(*(*int8)(keyPtr(&k)))) }
-	case int16:
-		return func(k K) uint32 { return mix64(uint64(*(*int16)(keyPtr(&k)))) }
-	case int32:
-		return func(k K) uint32 { return mix64(uint64(*(*int32)(keyPtr(&k)))) }
-	case int64:
-		return func(k K) uint32 { return mix64(uint64(*(*int64)(keyPtr(&k)))) }
-	case uint:
-		return func(k K) uint32 { return mix64(uint64(*(*uint)(keyPtr(&k)))) }
-	case uint8:
-		return func(k K) uint32 { return mix64(uint64(*(*uint8)(keyPtr(&k)))) }
-	case uint16:
-		return func(k K) uint32 { return mix64(uint64(*(*uint16)(keyPtr(&k)))) }
-	case uint32:
-		return func(k K) uint32 { return mix64(uint64(*(*uint32)(keyPtr(&k)))) }
-	case uint64:
-		return func(k K) uint32 { return mix64(*(*uint64)(keyPtr(&k))) }
-	case uintptr:
-		return func(k K) uint32 { return mix64(uint64(*(*uintptr)(keyPtr(&k)))) }
-	default:
-		return func(k K) uint32 { return fnvHash(fmt.Sprintf("%v", k)) }
+	if _, ok := any(zero).(string); ok {
+		return func(k K) uint32 { return fnvHash(*(*string)(unsafe.Pointer(&k))) }
 	}
+	if toInt, _ := intKeyOf[K](); toInt != nil {
+		return func(k K) uint32 { return mix64(toInt(k)) }
+	}
+	return func(k K) uint32 { return fnvHash(fmt.Sprintf("%v", k)) }
 }
 
-// keyPtr reinterprets a *K whose dynamic type was already established by
-// defaultKeyHash's type switch; unsafe.Pointer avoids boxing the key into
-// an interface (and thus allocating) on every hash call.
-func keyPtr[K comparable](k *K) unsafe.Pointer { return unsafe.Pointer(k) }
+// intKeyOf returns, for an integer key kind, conversions of a key to and
+// from its value as a uint64 (signed kinds sign extended), and nil for any
+// other key type. The shard hash and the array container read keys
+// through them.
+func intKeyOf[K comparable]() (toInt func(K) uint64, fromInt func(uint64) K) {
+	var zero K
+	switch any(zero).(type) {
+	case int:
+		return intConv[K, int]()
+	case int8:
+		return intConv[K, int8]()
+	case int16:
+		return intConv[K, int16]()
+	case int32:
+		return intConv[K, int32]()
+	case int64:
+		return intConv[K, int64]()
+	case uint:
+		return intConv[K, uint]()
+	case uint8:
+		return intConv[K, uint8]()
+	case uint16:
+		return intConv[K, uint16]()
+	case uint32:
+		return intConv[K, uint32]()
+	case uint64:
+		return intConv[K, uint64]()
+	case uintptr:
+		return intConv[K, uintptr]()
+	}
+	return nil, nil
+}
+
+// intConv converts keys whose dynamic type intKeyOf established as I;
+// unsafe.Pointer reinterprets the key without boxing it into an interface
+// (and thus allocating) on every call.
+func intConv[K comparable, I int | int8 | int16 | int32 | int64 | uint | uint8 | uint16 | uint32 | uint64 | uintptr]() (func(K) uint64, func(uint64) K) {
+	return func(k K) uint64 { return uint64(*(*I)(unsafe.Pointer(&k))) },
+		func(x uint64) (k K) {
+			*(*I)(unsafe.Pointer(&k)) = I(x)
+			return k
+		}
+}
 
 // mix64 is the SplitMix64 finalizer, folded to 32 bits.
 func mix64(x uint64) uint32 {

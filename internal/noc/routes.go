@@ -661,18 +661,27 @@ func (g *graph) hopEnergyPJ(nm energy.NetworkModel, pj []float64) {
 // solve fills the route store with one search per source over rt.g under
 // the per-entry link costs cost. The search leaves graph entries in
 // prevEdge, which are the table's edge ids, so each route is copied out
-// as it stands.
+// as it stands, in one walk back from its terminal state.
 func (rt *RouteTable) solve(cost []float64) error {
 	g := rt.g
 	n := g.n
 	var scr dijkstraScratch
 	sweep := g.sweepable(cost)
 	rt.hopOff = make([]int32, n*n+1)
-	var hop []int32
+	// Room for source 0 at four hops a route; later sources extrapolate
+	// the final size from the average of the sources routed so far, so
+	// the store is resized a few times, not once per source.
+	hop := make([]int32, 0, 4*n)
 	for src := 0; src < n; src++ {
 		numStates := search(g, cost, src, sweep, &scr)
-		total := 0
+		if src > 0 {
+			if avg := len(hop) / src; cap(hop)-len(hop) < avg+avg/8 {
+				hop = slices.Grow(hop, avg*(n-src)+len(hop)/8)
+			}
+		}
 		for dst := 0; dst < n; dst++ {
+			start := len(hop)
+			rt.hopOff[src*n+dst] = int32(start)
 			if dst == src {
 				continue
 			}
@@ -681,22 +690,6 @@ func (rt *RouteTable) solve(cost []float64) error {
 				return fmt.Errorf("noc: no %v route %d -> %d", rt.mode, src, dst)
 			}
 			for s := best; s != src; s = scr.prevState[s] {
-				total++
-			}
-		}
-		if need := len(hop) + total; need > cap(hop) {
-			// Extrapolate the final size from the sources routed so far,
-			// so the store is resized a few times, not once per source.
-			est := max(need/(src+1)*n+need/8, need)
-			hop = slices.Grow(hop, est-len(hop))
-		}
-		for dst := 0; dst < n; dst++ {
-			start := len(hop)
-			rt.hopOff[src*n+dst] = int32(start)
-			if dst == src {
-				continue
-			}
-			for s := scr.terminal(dst, n, numStates); s != src; s = scr.prevState[s] {
 				hop = append(hop, int32(scr.prevEdge[s]))
 			}
 			slices.Reverse(hop[start:])
