@@ -3,13 +3,15 @@
 // simulated platform. With no flags it regenerates everything.
 //
 // Every figure, table and study is declared once, in expt.Sections: its
-// flag, the pipelines it reads (prewarmed up front, -j wide), whether a
-// flagless run prints it, and one Run that calls its driver once and
-// returns both the printed text and the snapshot section. The snapshot
-// reuses what the printed sections computed instead of running them
-// again. The governor section (expt.GovernorSection, under -policy) and
-// the sweep section (declared here, since internal/sweep imports expt)
-// are opt-in and print before the closing summary.
+// flag, the pipelines it reads, whether a flagless run prints it, and one
+// Run that calls its driver once and returns both the printed text and
+// the snapshot section. expt.RunSections runs every printed section, and
+// the pipelines it reads, at once on the -j wide pool and prints them in
+// order. The snapshot reuses what the printed sections computed instead
+// of running them again. The governor section (expt.GovernorSection,
+// under -policy) and the sweep section (declared here, since
+// internal/sweep imports expt) are opt-in and print before the closing
+// summary.
 //
 // Usage:
 //
@@ -72,7 +74,6 @@ import (
 	"fmt"
 	"os"
 	"runtime"
-	"strings"
 
 	"wivfi/internal/expt"
 	"wivfi/internal/fidelity"
@@ -185,45 +186,18 @@ func main() {
 		on[sec.ID] = on[sec.ID] || all && !sec.OptIn
 	}
 
-	// Build every pipeline this invocation needs up front, -j wide; the
-	// sections below then render from warm pipelines in a fixed order.
-	var prewarm []string
-	seen := map[string]bool{}
+	// Every printed section runs at once on the suite pool, its pipelines
+	// with it, and prints in order; the snapshot below reuses the rows it
+	// computed. The governor section's rows are reused only at the default
+	// cap, the point the snapshot pins.
+	var printed []expt.Section
 	for _, sec := range sections {
-		if !on[sec.ID] && !wantFidelity {
-			continue
-		}
-		for _, app := range sec.Apps {
-			if !seen[app] {
-				seen[app] = true
-				prewarm = append(prewarm, app)
-			}
+		if on[sec.ID] {
+			printed = append(printed, sec)
 		}
 	}
-	if len(prewarm) > 0 {
-		obs.Logf("reproduce: prewarming %d pipeline(s): %s", len(prewarm), strings.Join(prewarm, " "))
-		sp := obs.StartSpan("prewarm", strings.Join(prewarm, " "))
-		err := suite.Prewarm(prewarm...)
-		sp.End()
-		if err != nil {
-			fail(err)
-		}
-	}
-
-	// Each section runs its driver once and prints its text; the snapshot
-	// below reuses the rows it computed. The governor section's rows are
-	// reused only at the default cap, the point the snapshot pins.
 	var computed []fidelity.Section
-	for _, sec := range sections {
-		if !on[sec.ID] {
-			continue
-		}
-		sp := obs.StartSpan("render", sec.ID)
-		out, fsec, err := sec.Run(suite)
-		sp.End()
-		if err != nil {
-			fail(err)
-		}
+	err := suite.RunSections(printed, func(sec expt.Section, out string, fsec fidelity.Section) {
 		fmt.Print(out)
 		if !sec.NoBlank {
 			fmt.Println()
@@ -231,6 +205,9 @@ func main() {
 		if sec.ID != "governor" || *capWatts == expt.DefaultGovernorCapW {
 			computed = append(computed, fsec)
 		}
+	})
+	if err != nil {
+		fail(err)
 	}
 
 	// Timelines, like fidelity, run after every section has printed: the

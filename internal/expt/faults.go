@@ -56,61 +56,65 @@ func (s *Suite) WIFailureStudy(appName string, failures []int) ([]WIFailureRow, 
 	if err != nil {
 		return nil, err
 	}
-	var rows []WIFailureRow
-	var healthy *sim.RunResult
 	sorted := append([]int(nil), failures...)
 	sort.Ints(sorted)
 	for _, k := range sorted {
 		if k < 0 || k > numWIs {
 			return nil, fmt.Errorf("expt: cannot fail %d of %d WIs", k, numWIs)
 		}
-		tp, err := topo.WithWireless(wire, p.WIs)
-		if err != nil {
-			return nil, err
-		}
-		wis := append([]int(nil), tp.WIs...)
-		for i := 0; i < k; i++ {
-			if err := topo.DisableWI(tp, wis[i]); err != nil {
-				return nil, err
+	}
+	// The failure points are independent runs, fanned out over the pool
+	// into fixed slots.
+	runs := make([]*sim.RunResult, len(sorted))
+	jobs := make([]sim.Job, len(sorted))
+	for i, k := range sorted {
+		jobs[i] = sim.Job{Name: "sim:wi-failure", Detail: appName, Run: func() error {
+			tp, err := topo.WithWireless(wire, p.WIs)
+			if err != nil {
+				return err
 			}
-		}
-		rt, err := noc.BuildRoutes(tp, cfg.LinkCosts, noc.UpDown)
-		if err != nil {
-			return nil, err
-		}
-		sys := &sim.System{
-			Name:               fmt.Sprintf("vfi-winoc-%dfailed", k),
-			Chip:               cfg.Chip,
-			VFI:                pl.Plan.VFI2,
-			Mapping:            mapping,
-			Routes:             rt,
-			NetModel:           cfg.NetModel,
-			CoreModel:          cfg.CoreModel,
-			Analytic:           cfg.Analytic,
-			NetClockGHz:        cfg.NetClockGHz,
-			Policy:             sched.CapVFI,
-			MemRoundTripFactor: cfg.MemRoundTripFactor,
-			AdaptiveRouting:    true,
-		}
-		run, err := sim.Run(pl.Workload, sys)
-		if err != nil {
-			return nil, err
-		}
-		if k == 0 {
-			healthy = run
-		}
-		base := healthy
-		if base == nil {
-			// failures list did not include 0: normalize to the first row
-			base = run
-			healthy = run
-		}
-		rows = append(rows, WIFailureRow{
+			wis := append([]int(nil), tp.WIs...)
+			for _, wi := range wis[:k] {
+				if err := topo.DisableWI(tp, wi); err != nil {
+					return err
+				}
+			}
+			rt, err := noc.BuildRoutes(tp, cfg.LinkCosts, noc.UpDown)
+			if err != nil {
+				return err
+			}
+			sys := &sim.System{
+				Name:               fmt.Sprintf("vfi-winoc-%dfailed", k),
+				Chip:               cfg.Chip,
+				VFI:                pl.Plan.VFI2,
+				Mapping:            mapping,
+				Routes:             rt,
+				NetModel:           cfg.NetModel,
+				CoreModel:          cfg.CoreModel,
+				Analytic:           cfg.Analytic,
+				NetClockGHz:        cfg.NetClockGHz,
+				Policy:             sched.CapVFI,
+				MemRoundTripFactor: cfg.MemRoundTripFactor,
+				AdaptiveRouting:    true,
+			}
+			runs[i], err = sim.Run(pl.Workload, sys)
+			return err
+		}}
+	}
+	if err := s.pool.Run(jobs...); err != nil {
+		return nil, err
+	}
+	// Rows are relative to the healthy run, which sorts first; without a
+	// 0 in failures, to the first row.
+	rows := make([]WIFailureRow, len(sorted))
+	for i, k := range sorted {
+		base := runs[0].Report
+		rows[i] = WIFailureRow{
 			App:       appName,
 			FailedWIs: k,
-			ExecRatio: run.Report.ExecSeconds / base.Report.ExecSeconds,
-			EDPRatio:  run.Report.EDP() / base.Report.EDP(),
-		})
+			ExecRatio: runs[i].Report.ExecSeconds / base.ExecSeconds,
+			EDPRatio:  runs[i].Report.EDP() / base.EDP(),
+		}
 	}
 	return rows, nil
 }

@@ -34,6 +34,9 @@ func readPlanWork() planWork {
 	}
 }
 
+// phasesReused reads the process-wide count of phases runs reused.
+func phasesReused() int64 { return obs.CounterTotals()[sim.MetricPhasesReused] }
+
 // since is the work done since the reading w0.
 func (w planWork) since(w0 planWork) planWork {
 	return planWork{w.anneals - w0.anneals, w.scorings - w0.scorings, w.mappings - w0.mappings, w.clusterings - w0.clusterings}
@@ -153,6 +156,11 @@ func runSections(t *testing.T, s *Suite, work map[string]planWork) string {
 // distinct min-hop decisions made one by one. A warm one, at -j 1 and
 // -j 2, plans nothing at all: no clustering, mapping, WI anneal or hop
 // scoring, and it writes no entry.
+//
+// It also pins the phases the runs reuse (sim.MetricPhasesReused): pca's
+// and kmeans' second-iteration phases that repeat the first, 87 of the
+// 406 phases of a warm flagless run and 96 of 448 in a cold one, whose
+// profiling runs add 9 of 42.
 func TestWarmPrewarmRunsNoPlacementWork(t *testing.T) {
 	if testing.Short() {
 		t.Skip("runs every section three times")
@@ -161,6 +169,7 @@ func TestWarmPrewarmRunsNoPlacementWork(t *testing.T) {
 	cfg := DefaultConfig()
 	cold := NewSuite(cfg, WithParallelism(2), WithCacheDir(dir))
 	w0 := readPlanWork()
+	r0 := phasesReused()
 	if err := cold.Prewarm(AppOrder...); err != nil {
 		t.Fatal(err)
 	}
@@ -171,6 +180,9 @@ func TestWarmPrewarmRunsNoPlacementWork(t *testing.T) {
 	work := map[string]planWork{}
 	want := runSections(t, cold, work)
 	coldWork := readPlanWork().since(w0)
+	if n := phasesReused() - r0; n != 96 {
+		t.Errorf("cold flagless run reused %d phases, want 96", n)
+	}
 	distinct := 0
 	for _, name := range AppOrder {
 		pl, err := cold.Pipeline(name)
@@ -246,12 +258,16 @@ func TestWarmPrewarmRunsNoPlacementWork(t *testing.T) {
 	for _, j := range []int{1, 2} {
 		warm := NewSuite(cfg, WithParallelism(j), WithCacheDir(dir))
 		w0 := readPlanWork()
+		r0 := phasesReused()
 		if err := warm.Prewarm(AppOrder...); err != nil {
 			t.Fatal(err)
 		}
 		got := runSections(t, warm, work)
 		if w := readPlanWork().since(w0); w != (planWork{}) {
 			t.Errorf("warm -j %d run did %+v, want no planning work; per section: %+v", j, w, work)
+		}
+		if n := phasesReused() - r0; n != 87 {
+			t.Errorf("warm -j %d flagless run reused %d phases, want 87", j, n)
 		}
 		if got != want {
 			t.Errorf("warm -j %d output differs from the cold run", j)

@@ -1,18 +1,24 @@
 package expt
 
 import (
+	"runtime/debug"
+	"sync"
+
 	"wivfi/internal/fidelity"
+	"wivfi/internal/obs"
+	"wivfi/internal/sim"
 )
 
 // Section is one figure, table or study of the reproduction, declared once.
-// cmd/reproduce builds its flag, prewarm set and printed block from it,
-// CollectSnapshot its snapshot section and the golden tests their file.
+// cmd/reproduce builds its flag and printed block from it, CollectSnapshot
+// its snapshot section and the golden tests their file; both of the first
+// two run it through RunSections.
 type Section struct {
 	// ID is the section's flag name, snapshot section id and golden file
 	// name (testdata/<ID>.golden).
 	ID    string
 	Usage string // flag usage text
-	// Apps lists the pipelines Run reads, built up front by Prewarm.
+	// Apps lists the pipelines Run reads, started up front by RunSections.
 	Apps []string
 	// OptIn sections print only when asked for; a flagless run skips them.
 	OptIn bool
@@ -101,4 +107,88 @@ func render[R any](drive func(*Suite) (R, error), text func(R) string,
 		}
 		return text(rows), snap(rows), nil
 	}
+}
+
+// RunSections runs secs on s all at once and hands their results to emit
+// in secs' order. Every pipeline the sections read and every section's
+// driver start together, each driver on its own goroutine as a caller of
+// the suite pool, never as a job, so no driver holds a slot while it waits
+// for the jobs it submits. emit runs on the calling goroutine, for
+// section i as soon as sections 0..i are done.
+//
+// The first section in secs' order that fails ends the emission: every
+// section before it has been emitted and none after it is. Once every
+// driver has returned, RunSections returns that section's error as is or,
+// if its driver panicked, re-panics with a *sim.JobPanic: the one the
+// pool raised in the driver, or one naming the section.
+func (s *Suite) RunSections(secs []Section, emit func(sec Section, text string, fsec fidelity.Section)) error {
+	var wg sync.WaitGroup
+	defer wg.Wait()
+	started := map[string]bool{}
+	for _, sec := range secs {
+		for _, app := range sec.Apps {
+			if started[app] {
+				continue
+			}
+			started[app] = true
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				// The drivers that read the pipeline meet its error or
+				// panic themselves, in section order.
+				defer func() { _ = recover() }()
+				_, _ = s.Pipeline(app)
+			}()
+		}
+	}
+	type outcome struct {
+		text string
+		fsec fidelity.Section
+		err  error
+		pn   *sim.JobPanic
+		done chan struct{}
+	}
+	outs := make([]outcome, len(secs))
+	for i, sec := range secs {
+		o := &outs[i]
+		o.done = make(chan struct{})
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			defer close(o.done)
+			defer func() {
+				if r := recover(); r != nil {
+					o.pn = asJobPanic("section:"+sec.ID, r)
+				}
+			}()
+			track := int32(0)
+			if obs.Enabled() {
+				track = obs.TrackFor("section-" + sec.ID)
+			}
+			defer obs.StartSpanOn(track, "render", sec.ID).End()
+			o.text, o.fsec, o.err = sec.Run(s)
+		}()
+	}
+	for i, sec := range secs {
+		o := &outs[i]
+		<-o.done
+		if o.pn != nil {
+			panic(o.pn)
+		}
+		if o.err != nil {
+			return o.err
+		}
+		emit(sec, o.text, o.fsec)
+	}
+	return nil
+}
+
+// asJobPanic returns r if it is a *sim.JobPanic already, else a JobPanic
+// naming job, with the stack of the panicking goroutine (call it from that
+// goroutine's deferred recover).
+func asJobPanic(job string, r any) *sim.JobPanic {
+	if pn, ok := r.(*sim.JobPanic); ok {
+		return pn
+	}
+	return &sim.JobPanic{Job: job, Value: r, Stack: debug.Stack()}
 }

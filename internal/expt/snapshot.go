@@ -56,9 +56,9 @@ func pointsLabel(points []platform.OperatingPoint) string {
 // CollectSnapshot serializes every section of the reproduction into one
 // fidelity.Snapshot keyed by the suite's configuration hash. A section
 // already computed (passed in computed, matched by ID) is reused as is;
-// the rest are run, warming pipelines on demand. It never writes to
-// stdout, so collecting a snapshot after rendering the text output leaves
-// that output byte-identical.
+// the rest run together through RunSections. It never writes to stdout,
+// so collecting a snapshot after rendering the text output leaves that
+// output byte-identical.
 func CollectSnapshot(s *Suite, computed ...fidelity.Section) (*fidelity.Snapshot, error) {
 	defer obs.StartSpan("snapshot", "collect").End()
 	snap := &fidelity.Snapshot{
@@ -70,15 +70,23 @@ func CollectSnapshot(s *Suite, computed ...fidelity.Section) (*fidelity.Snapshot
 	for _, sec := range computed {
 		done[sec.ID] = sec
 	}
-	for _, sec := range snapshotSections() {
-		fsec, ok := done[sec.ID]
-		if !ok {
-			var err error
-			if _, fsec, err = sec.Run(s); err != nil {
-				return nil, fmt.Errorf("expt: snapshot section %s: %w", sec.ID, err)
-			}
+	all := snapshotSections()
+	var missing []Section
+	for _, sec := range all {
+		if _, ok := done[sec.ID]; !ok {
+			missing = append(missing, sec)
 		}
-		snap.Sections = append(snap.Sections, fsec)
+	}
+	n := 0 // sections of missing emitted; missing[n] is the one that failed
+	err := s.RunSections(missing, func(sec Section, _ string, fsec fidelity.Section) {
+		done[sec.ID] = fsec
+		n++
+	})
+	if err != nil {
+		return nil, fmt.Errorf("expt: snapshot section %s: %w", missing[n].ID, err)
+	}
+	for _, sec := range all {
+		snap.Sections = append(snap.Sections, done[sec.ID])
 	}
 	return snap, nil
 }

@@ -305,6 +305,7 @@ type suiteEntry struct {
 	once sync.Once
 	pl   *Pipeline
 	err  error
+	pn   *sim.JobPanic // the build's panic, re-raised to every caller
 }
 
 // Suite lazily builds and caches one pipeline per benchmark. Distinct
@@ -373,10 +374,16 @@ func (s *Suite) entry(name string) *suiteEntry {
 
 // Pipeline returns (building on first use) the pipeline for a benchmark.
 // Concurrent calls for the same benchmark build it exactly once; calls for
-// different benchmarks run concurrently.
+// different benchmarks run concurrently. If the build panicked, every call
+// re-panics with its *sim.JobPanic.
 func (s *Suite) Pipeline(name string) (*Pipeline, error) {
 	e := s.entry(name)
 	e.once.Do(func() {
+		defer func() {
+			if r := recover(); r != nil {
+				e.pn = asJobPanic("pipeline:"+name, r)
+			}
+		}()
 		app, err := apps.ByName(name)
 		if err != nil {
 			e.err = err
@@ -390,6 +397,9 @@ func (s *Suite) Pipeline(name string) (*Pipeline, error) {
 				name, elapsed.Seconds(), e.pl.FromCache)
 		}
 	})
+	if e.pn != nil {
+		panic(e.pn)
+	}
 	return e.pl, e.err
 }
 
@@ -403,23 +413,31 @@ func (s *Suite) CacheStats() CacheStats {
 }
 
 // Prewarm builds the named pipelines (all of AppOrder when none are given)
-// concurrently and returns the first error in argument order. It is the
-// fan-out entry point for cmd/reproduce -j and the benchmarks; afterwards
-// every Pipeline call is a cache hit.
+// concurrently and returns the first error in argument order (or
+// re-panics with the first build panic in that order). It is the
+// fan-out entry point for the figure drivers and the benchmarks;
+// afterwards every Pipeline call is a cache hit.
 func (s *Suite) Prewarm(names ...string) error {
 	if len(names) == 0 {
 		names = AppOrder
 	}
 	errs := make([]error, len(names))
+	panics := make([]any, len(names))
 	var wg sync.WaitGroup
 	for i, name := range names {
 		wg.Add(1)
-		go func(i int, name string) {
+		go func() {
 			defer wg.Done()
+			defer func() { panics[i] = recover() }()
 			_, errs[i] = s.Pipeline(name)
-		}(i, name)
+		}()
 	}
 	wg.Wait()
+	for _, pn := range panics {
+		if pn != nil {
+			panic(pn)
+		}
+	}
 	for _, err := range errs {
 		if err != nil {
 			return err

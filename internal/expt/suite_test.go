@@ -168,10 +168,13 @@ func TestParallelSuiteMatchesSerial(t *testing.T) {
 const oneSlotBound = 2 * time.Minute
 
 // TestOneSlotSnapshot drives every figure and study that acquires the
-// suite pool through a pool of one slot. There, a job that acquires the
-// same pool again waits forever for the slot it holds, so finishing at all
-// proves no acquiring path nests — including the func-valued sim jobs of
-// buildPipeline, which no static call walk can follow.
+// suite pool through a pool of one slot, all at once through RunSections.
+// There, a job that acquires the same pool again waits forever for the
+// slot it holds, so finishing at all proves no acquiring path nests —
+// including the func-valued sim jobs of buildPipeline and the
+// WI-failure study's jobs, which no static call walk can follow, and the
+// section drivers RunSections starts, which must be pool callers, not
+// jobs.
 func TestOneSlotSnapshot(t *testing.T) {
 	if testing.Short() {
 		t.Skip("regenerates every figure serially")

@@ -2,6 +2,8 @@ package sim
 
 import (
 	"fmt"
+	"math"
+	"slices"
 
 	"wivfi/internal/energy"
 	"wivfi/internal/noc"
@@ -164,6 +166,11 @@ func run(w *Workload, s *System, name string, ctrl Controller, tr DVFSTransition
 	// is never written, so callers may share one system across runs.
 	phaseSys := *s
 	freqs := make([]float64, n)
+	// ran[i] is phase i's runPhase result before any transition charge and
+	// points[i] the operating points it ran at: a later phase that matches
+	// both reuses the result instead of simulating the same work again.
+	ran := make([]PhaseResult, 0, len(w.Phases))
+	points := make([][]platform.OperatingPoint, 0, len(w.Phases))
 	var obs *PhaseObservation
 	for i := range w.Phases {
 		ph := w.Phases[i]
@@ -175,13 +182,23 @@ func run(w *Workload, s *System, name string, ctrl Controller, tr DVFSTransition
 			}
 			phaseSys.VFI = cfg
 		}
-		for th := range freqs {
-			freqs[th] = phaseSys.VFI.FreqOf(th)
+		var pr PhaseResult
+		if j := samePhaseRan(w.Phases[:i], points, &ph, phaseSys.VFI.Points); j >= 0 {
+			pr = ran[j]
+			pr.Iteration = ph.Iteration
+			pr.BusySec = slices.Clone(pr.BusySec)
+			phasesReused.Add(1)
+		} else {
+			for th := range freqs {
+				freqs[th] = phaseSys.VFI.FreqOf(th)
+			}
+			var err error
+			if pr, err = runPhase(&ph, &phaseSys, freqs); err != nil {
+				return nil, fmt.Errorf("sim: %s/%v: %w", w.Name, ph.Kind, err)
+			}
 		}
-		pr, err := runPhase(&ph, &phaseSys, freqs)
-		if err != nil {
-			return nil, fmt.Errorf("sim: %s/%v: %w", w.Name, ph.Kind, err)
-		}
+		ran = append(ran, pr)
+		points = append(points, slices.Clone(phaseSys.VFI.Points))
 		if ctrl != nil {
 			// The observation describes the phase as executed, before the
 			// boundary transition stall is charged — the controller reasons
@@ -219,6 +236,49 @@ func run(w *Workload, s *System, name string, ctrl Controller, tr DVFSTransition
 		ctrl.Finish(obs)
 	}
 	return res, nil
+}
+
+// samePhaseRan returns the index of the first of the earlier phases that
+// ran the same work as ph at the same operating points, or -1. runPhase is
+// a deterministic function of the phase, the system and the points (the
+// frequencies derive from them, and a run's route table, mapping and
+// models are fixed), so that phase's result is exactly what running ph
+// would return, up to its Iteration tag.
+func samePhaseRan(earlier []Phase, points [][]platform.OperatingPoint, ph *Phase, at []platform.OperatingPoint) int {
+	for j := range earlier {
+		if samePhase(&earlier[j], ph) && slices.EqualFunc(points[j], at, samePoint) {
+			return j
+		}
+	}
+	return -1
+}
+
+// samePhase reports whether a and b are equal in every field runPhase
+// reads: floats bit for bit, slices element by element with nil-ness
+// counted (a nil ActiveThreads means every thread, a nil MemOps or Traffic
+// none). Iteration is a tag runPhase copies, not an input, so it is left
+// out; TestSamePhaseCoversEveryField lists the fields this must cover.
+func samePhase(a, b *Phase) bool {
+	return a.Kind == b.Kind && a.Tasks == b.Tasks &&
+		sameBits(a.TaskCycles, b.TaskCycles) &&
+		sameBits(a.TaskSpread, b.TaskSpread) &&
+		sameBits(a.TaskMemOps, b.TaskMemOps) &&
+		sameNil(a.ActiveThreads, b.ActiveThreads) && slices.Equal(a.ActiveThreads, b.ActiveThreads) &&
+		sameFloats(a.WorkCycles, b.WorkCycles) &&
+		sameFloats(a.MemOps, b.MemOps) &&
+		sameNil(a.Traffic, b.Traffic) && slices.EqualFunc(a.Traffic, b.Traffic, sameFloats)
+}
+
+func sameBits(a, b float64) bool { return math.Float64bits(a) == math.Float64bits(b) }
+
+func sameNil[S ~[]E, E any](a, b S) bool { return (a == nil) == (b == nil) }
+
+func sameFloats(a, b []float64) bool {
+	return sameNil(a, b) && slices.EqualFunc(a, b, sameBits)
+}
+
+func samePoint(a, b platform.OperatingPoint) bool {
+	return sameBits(a.VoltageV, b.VoltageV) && sameBits(a.FreqGHz, b.FreqGHz)
 }
 
 // checkPartition rejects a phase configuration that does not cover every

@@ -21,12 +21,16 @@ const (
 	MetricPoolJobs        = "sim.pool.jobs"
 	MetricPoolQueueWaitNS = "sim.pool.queue_wait_ns"
 	MetricPoolInFlight    = "sim.pool.in_flight"
+	// MetricPhasesReused counts phases whose result a run took from an
+	// earlier identical phase of the same run instead of simulating it.
+	MetricPhasesReused = "sim.phases.reused"
 )
 
 var (
 	poolJobs      = obs.NewCounter(MetricPoolJobs)
 	poolQueueWait = obs.NewCounter(MetricPoolQueueWaitNS)
 	poolInFlight  = obs.NewGauge(MetricPoolInFlight)
+	phasesReused  = obs.NewCounter(MetricPhasesReused)
 )
 
 // Pool bounds the number of CPU-heavy jobs (system simulations, annealing
